@@ -46,6 +46,7 @@ from .spectrum import (
     Piece,
     TimeEnvelope,
     autocorrelation,
+    autocorrelations,
     time_side_values,
 )
 from .translation_sets import (
@@ -83,6 +84,7 @@ __all__ = [
     "TimeEnvelope",
     "TranslationSet",
     "autocorrelation",
+    "autocorrelations",
     "block_wave",
     "box_profile",
     "build_gram",

@@ -49,7 +49,6 @@ from .constructions import (
 from .gram import (
     Budgets,
     EIGENSOLVE_CAP,
-    GRID_CAP,
     InconsistencyError,
     build_gram,
     classify,
@@ -57,6 +56,7 @@ from .gram import (
     weighted_norm_identity_check,
 )
 from .periodization import (
+    check_grid_size,
     dilation_identity_deviation,
     essential_bounds,
     periodize,
@@ -64,7 +64,7 @@ from .periodization import (
     write_csv,
     zero_count,
 )
-from .spectrum import FourierProfile, TimeEnvelope, autocorrelation
+from .spectrum import FourierProfile, TimeEnvelope
 from .translation_sets import (
     TranslationSet,
     density,
@@ -198,7 +198,7 @@ def _load_profile(source):
         if name == "blocks" and len(args) in (2, 3):
             n_max = int(args[1])
             grid = int(args[2]) if len(args) == 3 else max(2 ** (n_max + 2), 2**14)
-            built = infimum_sourcetrum(float(args[0]), n_max, grid)
+            built = infimum_spectrum(float(args[0]), n_max, grid)
             return built.profile, {"token": source, "grid": grid}
     except (ValueError, RuntimeError) as exc:
         raise UsageError(f"cannot build profile {source!r}: {exc}") from exc
@@ -234,17 +234,11 @@ def _load_envelope(source):
 def _budgets(args):
     kw = {}
     if getattr(args, "grid", None):
-        if args.grid < 16 or args.grid & (args.grid - 1) or args.grid > GRID_CAP:
-            raise UsageError(f"--grid must be a power of two in [16, {GRID_CAP}]")
-        kw["grid_size"] = args.grid
+        kw["grid_size"] = check_grid_size(args.grid, "--grid")
     if getattr(args, "window", None):
         if not (4 <= args.window <= EIGENSOLVE_CAP):
             raise UsageError(f"--window must lie in [4, {EIGENSOLVE_CAP}]")
         kw["window"] = args.window
-    if getattr(args, "tol", None):
-        if args.tol <= 0:
-            raise UsageError("--tol must be positive")
-        kw["tol"] = args.tol
     return Budgets(**kw)
 
 
@@ -265,9 +259,7 @@ def _cmd_analyze(args, cfg):
 
 def _cmd_periodize(args, cfg):
     profile, desc = _load_profile(args.profile)
-    grid = args.grid or 4096
-    if grid < 16 or grid & (grid - 1) or grid > GRID_CAP:
-        raise UsageError(f"--grid must be a power of two in [16, {GRID_CAP}]")
+    grid = check_grid_size(args.grid or 4096, "--grid")
     ps = periodize(profile, args.b, grid_size=grid)
     payload = {"profile": desc, "summary": summary(ps), "seed": args.seed}
     _, _, zf = essential_bounds(ps)
@@ -288,7 +280,7 @@ def _cmd_gram(args, cfg):
     lam = ts.realize()
     if lam.size > EIGENSOLVE_CAP:
         lam = lam[: EIGENSOLVE_CAP]
-    op = build_gram(profile, args.b, lam, tol=budgets.tol, rng_seed=args.seed)
+    op = build_gram(profile, args.b, lam, rng_seed=args.seed)
     fb = frame_bound_estimates(op, kernel_tol=budgets.kernel_tol)
     payload = {
         "profile": desc,
@@ -297,6 +289,7 @@ def _cmd_gram(args, cfg):
         "grid_size": op.grid_size,
         "checked_shifts": op.checked_shifts,
         "max_check_deviation": op.max_check_deviation,
+        "check_budget": op.check_budget,
         "dim": fb.dim,
         "A_est": fb.A_est,
         "B_est": fb.B_est,
@@ -349,9 +342,7 @@ def _cmd_density(args, cfg):
 
 def _cmd_hausdorff(args, cfg):
     profile, desc = _load_profile(args.profile)
-    grid = args.grid or 2**14
-    if grid < 16 or grid & (grid - 1) or grid > GRID_CAP:
-        raise UsageError(f"--grid must be a power of two in [16, {GRID_CAP}]")
+    grid = check_grid_size(args.grid or 2**14, "--grid")
     ps = periodize(profile, args.b, grid_size=grid)
     sup = float(np.max(ps.values))
     levels = []
@@ -597,7 +588,6 @@ def _build_parser():
             sp.add_argument("--indices", default="Z", help="index-set token")
         sp.add_argument("--window", type=int, default=None, help="index window / Gram window")
         sp.add_argument("--grid", type=int, default=None, help="periodization grid size")
-        sp.add_argument("--tol", type=float, default=None, help="cross-check tolerance")
         sp.add_argument("--seed", type=int, default=0, help="root seed, recorded in output")
         sp.add_argument("--out", default=None, help="write the JSON report here")
 

@@ -1,10 +1,14 @@
 """Finite Gram matrices of translate families and the classification rules.
 
-The inner products of translates are Fourier coefficients of the periodized
-spectrum, so a whole Gram matrix follows from one FFT.  A 5% sample of the
-entries is re-derived through the closed-form autocorrelation integral; the
-two routes agreeing is the structural self-check of the package, and their
-disagreement raises :class:`InconsistencyError` rather than a warning.
+Every Gram entry is an exact autocorrelation integral, read off one
+vectorized closed-form kernel (:func:`~frameseq.spectrum.autocorrelations`).
+On integer index sets the same inner products are also Fourier coefficients
+of the periodized spectrum, so a 5% sample of the shifts plus the extreme
+one is re-derived from a periodization grid, the one ``classify`` already
+computed when it is fine enough.  The two routes must agree within an alias
+budget derived from the jumps and kinks of ``Phi_b``; that agreement is the
+structural self-check of the package, and a disagreement raises
+:class:`InconsistencyError` rather than a warning.
 
 Classification runs on the periodization side (grid refinement trends) for
 lattice index sets, where the decision rules are exact, and on Gram
@@ -15,12 +19,18 @@ windowed evidence is available.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .periodization import PeriodizedSpectrum, essential_bounds, fourier_coeff, periodize
-from .spectrum import FourierProfile, autocorrelation
+from .periodization import (
+    GRID_CAP,
+    coefficient_error_bound,
+    essential_bounds,
+    fourier_coeff,
+    periodize,
+)
+from .spectrum import FourierProfile, autocorrelations
 from .translation_sets import TranslationSet
 
 __all__ = [
@@ -39,7 +49,6 @@ __all__ = [
 ]
 
 EIGENSOLVE_CAP = 2048
-GRID_CAP = 2**22
 
 
 class InconsistencyError(RuntimeError):
@@ -52,7 +61,6 @@ class Budgets:
     refinements: int = 2  # number of grid doublings for trend rules
     window: int = 64  # base Gram window (half width on lattices)
     doublings: int = 3  # Gram window doublings for trend rules
-    tol: float = 1e-8  # entry cross-check tolerance
     kernel_tol: float = 1e-6  # relative eigenvalue cut
     max_dim: int = EIGENSOLVE_CAP
 
@@ -62,11 +70,11 @@ class GramOperator:
     matrix: np.ndarray
     b: float
     indices: np.ndarray
-    route: str  # "periodization-grid" or "autocorrelation"
-    grid_size: int | None
-    tol: float
-    checked_shifts: list
-    max_check_deviation: float
+    route: str  # "periodization-grid" (integer sets, grid-checked) or "autocorrelation"
+    grid_size: int | None = None  # grid of the spot check, None when unchecked
+    checked_shifts: list = field(default_factory=list)
+    max_check_deviation: float = 0.0
+    check_budget: float = 0.0  # largest budget over the checked shifts
 
     @property
     def dim(self):
@@ -80,16 +88,7 @@ class GramOperator:
         """Leading k-by-k principal submatrix as a GramOperator (same metadata)."""
         if not (1 <= k <= self.dim):
             raise ValueError(f"principal window {k} outside [1, {self.dim}]")
-        return GramOperator(
-            matrix=self.matrix[:k, :k],
-            b=self.b,
-            indices=self.indices[:k],
-            route=self.route,
-            grid_size=self.grid_size,
-            tol=self.tol,
-            checked_shifts=self.checked_shifts,
-            max_check_deviation=self.max_check_deviation,
-        )
+        return replace(self, matrix=self.matrix[:k, :k], indices=self.indices[:k])
 
 
 def _next_pow2(x):
@@ -108,84 +107,31 @@ def _realize(lam):
     return out
 
 
-def _coeff_table(ps, S):
-    """Fourier coefficients c_n for n in [-S, S] as one vectorized slice."""
-    M = ps.grid_size
-    if 2 * S >= M:
-        raise ValueError(f"coefficient range {S} needs grid > {2 * S}")
-    ns = np.arange(-S, S + 1)
-    fft = ps._coeff_fft()
-    out = np.exp(-1j * np.pi * ns / M) * fft[np.mod(ns, M)] / M
-    if ps.cell_constant:
-        out *= np.sinc(ns / M)
-    return out
+def _real_if_close(vals):
+    if np.max(np.abs(vals.imag)) <= 1e-12 * max(np.max(np.abs(vals.real)), 1e-300):
+        return np.ascontiguousarray(vals.real)
+    return vals
 
 
-def _square_jumps(profile):
-    """``(position, |jump|)`` of ``phi_hat^2`` at boundaries and sample steps.
-
-    Interior steps of a sampled piece are reported individually so callers
-    can test their grid alignment; alignment of the piece's cell width and
-    left edge covers them all at once, which ``_misaligned_jump_total``
-    exploits.
-    """
-    out = []
-    prev_hi, prev_val = None, 0.0
-    for p in profile.pieces:
-        if p.const is not None:
-            v0 = v1 = p.const
-        elif p.affine is not None:
-            v0 = p.affine[0] * p.lo + p.affine[1]
-            v1 = p.affine[0] * p.hi + p.affine[1]
-        else:
-            v0, v1 = float(p.samples[0]), float(p.samples[-1])
-        contiguous = prev_hi is not None and abs(p.lo - prev_hi) <= 1e-12
-        if prev_hi is not None and not contiguous and prev_val != 0.0:
-            out.append((prev_hi, prev_val**2))
-        left = prev_val if contiguous else 0.0
-        out.append((p.lo, abs(v0**2 - left**2)))
-        if p.samples is not None and p.samples.size > 1:
-            w = (p.hi - p.lo) / p.samples.size
-            sq = p.samples.astype(float) ** 2
-            pos = p.lo + w * np.arange(1, p.samples.size)
-            out.extend(zip(pos.tolist(), np.abs(np.diff(sq)).tolist()))
-        prev_hi, prev_val = p.hi, v1
-    if prev_val != 0.0:
-        out.append((prev_hi, prev_val**2))
-    return [(u, s) for u, s in out if s > 0.0]
+def _entry_table(profile, b, span):
+    """Entries ``conj(<phi, phi(. - d b)>)`` for ``d`` in ``[-span, span]``, index ``d + span``."""
+    half = np.conj(autocorrelations(profile, b * np.arange(span + 1)))
+    return _real_if_close(np.concatenate((np.conj(half[:0:-1]), half)))
 
 
-def _misaligned_jump_total(profile, b, m):
-    """Total ``phi_hat^2`` jump mass mapping off the grid-cell boundaries."""
-    aligned_sample_pieces = all(
-        p.samples is None
-        or (
-            abs(b * p.lo * m - round(b * p.lo * m)) <= 1e-6
-            and abs(b * (p.hi - p.lo) / p.samples.size * m
-                    - round(b * (p.hi - p.lo) / p.samples.size * m)) <= 1e-6
-            and round(b * (p.hi - p.lo) / p.samples.size * m) >= 1
-        )
-        for p in profile.pieces
-    )
-    if not aligned_sample_pieces:
-        return math.inf  # misaligned step pieces: do not enumerate cell by cell
-    total = 0.0
-    for u, size in _square_jumps(profile):
-        x = b * u * m
-        if abs(x - round(x)) > 1e-6:
-            total += size
-    return total
-
-
-def build_gram(profile, b, lam, tol=1e-8, ps=None, rng_seed=0):
+def build_gram(profile, b, lam, ps=None, rng_seed=0):
     """Gram matrix of ``(tau_{lam_i b} phi)_i`` with a dual-route spot check.
 
-    Integer index sets go through the periodized-spectrum coefficients
-    (fast path, one FFT); a deterministic 5% sample of the distinct shifts
-    is recomputed from the closed-form autocorrelation integral and must
-    agree within ``10 * tol`` or :class:`InconsistencyError` is raised.
-    Non-integer sets have no periodization route and are built entirely
-    from the autocorrelation integral.
+    Every entry comes from the closed-form kernel: integer index sets
+    through a table over the shifts ``[-span, span]``, other sets through
+    their distinct ``|lam_j - lam_i|``.  On integer sets a deterministic 5%
+    sample of the distinct shifts, plus the largest, is re-derived as
+    Fourier coefficients of the periodization grid ``ps`` (or of a fresh
+    grid of ``next_pow2(max(4096, 2 span + 2))`` points when ``ps`` has
+    another spacing or is too coarse); a deviation beyond the alias budget
+    of :func:`~frameseq.periodization.coefficient_error_bound` raises
+    :class:`InconsistencyError`.  Non-integer sets have no periodization
+    route and are left unchecked.
     """
     if not isinstance(profile, FourierProfile):
         raise TypeError("build_gram needs a FourierProfile")
@@ -195,103 +141,63 @@ def build_gram(profile, b, lam, tol=1e-8, ps=None, rng_seed=0):
     n = lam.size
     if n > EIGENSOLVE_CAP:
         raise ValueError(f"window of {n} translates exceeds the dense cap {EIGENSOLVE_CAP}")
+    diffs = lam[None, :] - lam[:, None]  # entry (i, j) holds the shift lam_j - lam_i
 
     if lam.dtype != np.int64:
-        return _build_gram_autocorr(profile, b, lam, tol)
+        uniq, inv = np.unique(np.abs(diffs).ravel(), return_inverse=True)
+        vals = _real_if_close(np.conj(autocorrelations(profile, b * uniq)))
+        g = vals[inv.reshape(n, n)]
+        if np.iscomplexobj(g):
+            g = np.where(diffs < 0, np.conj(g), g)
+        return GramOperator(matrix=g, b=float(b), indices=lam, route="autocorrelation")
 
     span = int(lam[-1] - lam[0])
-    needed = max(4096, 4 * max(span, 1), math.isqrt(int(6 * max(span, 1) / tol)) + 1)
-    base = _next_pow2(needed)
-    if base > GRID_CAP:
-        raise ValueError(
-            f"span {span} needs coefficient grid {base} beyond the cap {GRID_CAP}"
-        )
-    # Jumps of Phi_b off the grid leak ~|jump|/M into every DFT coefficient,
-    # unlike the smooth-profile alias error the base sizing models.  Grow the
-    # grid until misaligned jumps are within half the spot-check budget, or
-    # give up on the grid route entirely.
-    grid = None
-    if (
-        ps is not None
-        and ps.b == b
-        and ps.grid_size >= base
-        and _misaligned_jump_total(profile, b, ps.grid_size) <= 5.0 * tol * ps.grid_size
-    ):
-        grid = ps
-    else:
-        M = base
-        while M <= GRID_CAP:
-            if _misaligned_jump_total(profile, b, M) <= 5.0 * tol * M:
-                grid = periodize(profile, b, grid_size=M)
-                break
-            M *= 2
-    if grid is None:
-        return _build_gram_autocorr(profile, b, lam, tol)
-    M = grid.grid_size
-
-    cm = _coeff_table(grid, span) / b
-    diffs = lam[None, :] - lam[:, None]  # entry (i, j) holds coeff at lam_j - lam_i
+    if ps is None or ps.b != b or 2 * span >= ps.grid_size:
+        m = _next_pow2(max(4096, 2 * span + 2))
+        if m > GRID_CAP:
+            raise ValueError(f"span {span} needs a check grid of {m} points beyond the cap {GRID_CAP}")
+        ps = periodize(profile, b, grid_size=m)
+    cm = _entry_table(profile, b, span)
     g = cm[diffs + span]
-    if np.max(np.abs(g.imag)) <= 1e-12 * max(np.max(np.abs(g.real)), 1e-300):
-        g = np.ascontiguousarray(g.real)
 
     # dual-route spot check on a deterministic sample of the shifts
-    pos = np.unique(diffs[diffs > 0]) if n > 1 else np.array([], dtype=np.int64)
-    checked = []
-    max_dev = 0.0
+    pos = np.unique(diffs[diffs > 0])
     if pos.size:
-        k = max(1, math.ceil(0.05 * pos.size))
         rng = np.random.default_rng(rng_seed)
-        sample = rng.choice(pos, size=min(k, pos.size), replace=False)
+        sample = rng.choice(pos, size=math.ceil(0.05 * pos.size), replace=False)
         sample = np.union1d(sample, pos[-1:])  # always include the extreme shift
-        for d in sample.tolist():
-            exact = np.conj(autocorrelation(profile, d * b))
-            got = cm[d + span]
-            dev = abs(got - exact)
-            checked.append(int(d))
-            max_dev = max(max_dev, dev)
-            if dev > 10 * tol:
-                raise InconsistencyError(
-                    f"Gram entry at shift {d}: coefficient route {got:.12g}, "
-                    f"autocorrelation route {exact:.12g}, deviation {dev:.3e} "
-                    f"> {10 * tol:.1e}"
-                )
+    else:
+        sample = np.zeros(1, dtype=np.int64)
+    grid = fourier_coeff(ps, sample) / b
+    exact = cm[sample + span]
+    dev = np.abs(grid - exact)
+    budget = coefficient_error_bound(profile, ps, sample) / b
+    for d, k_val, g_val, e, bud in zip(sample.tolist(), exact, grid, dev, budget):
+        if e > bud:
+            raise InconsistencyError(
+                f"Gram entry at shift {d}: kernel {k_val:.12g}, grid {g_val:.12g}, "
+                f"deviation {e:.3e} > budget {bud:.3e} (grid {ps.grid_size})"
+            )
     return GramOperator(
         matrix=g,
         b=float(b),
         indices=lam,
         route="periodization-grid",
-        grid_size=M,
-        tol=tol,
-        checked_shifts=checked,
-        max_check_deviation=float(max_dev),
+        grid_size=ps.grid_size,
+        checked_shifts=[int(d) for d in sample],
+        max_check_deviation=float(np.max(dev)),
+        check_budget=float(np.max(budget)),
     )
 
 
-def _build_gram_autocorr(profile, b, lam, tol):
-    n = lam.size
-    diffs = lam[None, :] - lam[:, None]
-    vals = {}
-    for d in np.unique(np.abs(diffs)):
-        vals[float(d)] = np.conj(autocorrelation(profile, float(d) * b))
-    g = np.empty((n, n), dtype=complex)
-    for i in range(n):
-        for j in range(n):
-            d = diffs[i, j]
-            c = vals[float(abs(d))]
-            g[i, j] = c if d >= 0 else np.conj(c)
-    if np.max(np.abs(g.imag)) <= 1e-12 * max(np.max(np.abs(g.real)), 1e-300):
-        g = np.ascontiguousarray(g.real)
-    return GramOperator(
-        matrix=g,
-        b=float(b),
-        indices=lam,
-        route="autocorrelation",
-        grid_size=None,
-        tol=tol,
-        checked_shifts=[],
-        max_check_deviation=0.0,
-    )
+def _check_evidence(g):
+    """The Gram spot check's deterministic facts, for a report's evidence."""
+    return {
+        "check_grid": g.grid_size,
+        "checked_shifts": len(g.checked_shifts),
+        "max_check_deviation": g.max_check_deviation,
+        "check_budget": g.check_budget,
+    }
 
 
 @dataclass
@@ -407,7 +313,8 @@ def _phi_refinement_scan(profile, b, budgets):
     zero on its support (stable) from one vanishing continuously (collapsing
     like a power of the grid step).  The thresholded ``inf_nonzero`` from
     ``essential_bounds`` is unsuitable for the trend because the threshold
-    itself truncates the collapse.
+    itself truncates the collapse.  Also returns the finest grid, which
+    the Gram cross-check reuses.
     """
     rows = []
     for k in range(budgets.refinements + 1):
@@ -425,7 +332,7 @@ def _phi_refinement_scan(profile, b, budgets):
                 "max_dev_from_b": float(np.max(np.abs(ps.values / b - 1.0))),
             }
         )
-    return rows
+    return rows, ps
 
 
 def _lattice_rules(rows, b):
@@ -470,17 +377,18 @@ def _lattice_rules(rows, b):
     return "undetermined", None, fine["sup"] / b, evidence
 
 
-def _gram_agreement(profile, b, lam, phi_fine, budgets, evidence):
+def _gram_agreement(profile, b, lam, ps, budgets, evidence):
     """Cross-validate the Gram window against the periodization bounds.
 
     Finite windows of the lattice form live inside the convex hull of the
     grid symbol values, so the eigenvalue estimates must sit below the sup
     bound and above the grid minimum.  A violation is an implementation
-    fault, not a math ambiguity, hence the hard error.
+    fault, not a math ambiguity, hence the hard error.  The Gram entries
+    are spot-checked against the same grid ``ps``.
     """
-    g = build_gram(profile, b, lam, tol=budgets.tol)
+    g = build_gram(profile, b, lam, ps=ps)
     fb = frame_bound_estimates(g, kernel_tol=budgets.kernel_tol)
-    b_phi = phi_fine["sup"] / b
+    b_phi = float(np.max(ps.values)) / b
     slack = 1e-9 * max(1.0, b_phi)
     if fb.B_est > b_phi + slack:
         raise InconsistencyError(
@@ -497,6 +405,7 @@ def _gram_agreement(profile, b, lam, phi_fine, budgets, evidence):
             "B_gram": float(fb.B_est),
             "B_phi": float(b_phi),
             "min_eigenvalue": float(fb.min_eigenvalue),
+            **_check_evidence(g),
         }
     )
     return fb
@@ -530,7 +439,7 @@ def classify(profile, b, ts, budgets=None):
         return inner
 
     if kind in ("integers", "naturals"):
-        rows = _phi_refinement_scan(profile, b, budgets)
+        rows, ps = _phi_refinement_scan(profile, b, budgets)
         label, a_val, b_val, evidence = _lattice_rules(rows, b)
         grids = [r["grid"] for r in rows]
         w = budgets.window
@@ -539,7 +448,7 @@ def classify(profile, b, ts, budgets=None):
             if kind == "integers"
             else np.arange(1, w + 1, dtype=np.int64)
         )
-        fb = _gram_agreement(profile, b, lam, rows[-1], budgets, evidence)
+        fb = _gram_agreement(profile, b, lam, ps, budgets, evidence)
         if kind == "naturals" and label in ("frame sequence (non-exact)", "not a frame sequence"):
             evidence.append(
                 {
@@ -566,7 +475,7 @@ def classify(profile, b, ts, budgets=None):
     lam = ts.realize()
     evidence = []
     if lam.dtype != np.int64:
-        g = build_gram(profile, b, lam[: min(lam.size, 256)], tol=budgets.tol)
+        g = build_gram(profile, b, lam[: min(lam.size, 256)])
         fb = frame_bound_estimates(g, kernel_tol=budgets.kernel_tol)
         evidence.append(
             {
@@ -589,11 +498,11 @@ def classify(profile, b, ts, budgets=None):
             notes=["no lattice structure for a periodization decision; window evidence only"],
         )
 
-    rows = _phi_refinement_scan(profile, b, budgets)
+    rows, ps = _phi_refinement_scan(profile, b, budgets)
     label0, _, _, ev0 = _lattice_rules(rows, b)
     evidence.extend(ev0[:1])  # keep the constant-spectrum check
     if label0 == "orthonormal":
-        fb = _gram_agreement(profile, b, lam[: min(lam.size, 2 * budgets.window)], rows[-1], budgets, evidence)
+        fb = _gram_agreement(profile, b, lam[: min(lam.size, 2 * budgets.window)], ps, budgets, evidence)
         return FrameReport(
             classification="orthonormal",
             A_est=1.0,
@@ -627,7 +536,7 @@ def classify(profile, b, ts, budgets=None):
             notes=["not enough nested windows for a trend verdict"],
         )
     a_seq, b_seq, ranks = [], [], []
-    g_full = build_gram(profile, b, lam[: windows[-1]], tol=budgets.tol)
+    g_full = build_gram(profile, b, lam[: windows[-1]], ps=ps)
     for w in windows:
         fb = frame_bound_estimates(g_full.principal(w), kernel_tol=budgets.kernel_tol)
         a_seq.append(fb.A_est)
@@ -640,6 +549,7 @@ def classify(profile, b, ts, budgets=None):
             "A_est": [float(x) for x in a_seq],
             "B_est": [float(x) for x in b_seq],
             "numerical_rank": ranks,
+            **_check_evidence(g_full),
         }
     )
     a_fall = a_seq[-1] / a_seq[0] if a_seq[0] > 0 else 0.0
@@ -686,7 +596,7 @@ def truncation_decay(profile, b, n_list, budgets=None):
         )
     rows = []
     n_max = max(n_list)
-    g_big = build_gram(profile, b, np.arange(1, n_max + 1, dtype=np.int64), tol=budgets.tol)
+    g_big = build_gram(profile, b, np.arange(1, n_max + 1, dtype=np.int64))
     for n in sorted(n_list):
         fb = frame_bound_estimates(g_big.principal(n), kernel_tol=budgets.kernel_tol)
         rows.append({"N": int(n), "A_est": float(fb.A_est), "numerical_rank": fb.numerical_rank})
@@ -696,8 +606,8 @@ def truncation_decay(profile, b, n_list, budgets=None):
 def weighted_norm_identity_check(profile, b, lam, coeffs, ps=None, grid_size=2**20):
     """Two routes to ``|sum_n c_n tau_{lam_n b} phi|^2``; returns their gap.
 
-    The left side is the Gram quadratic form with entries from the exact
-    autocorrelation integral.  The right side is the grid mean of
+    The left side is the Gram quadratic form with entries from the
+    closed-form autocorrelation kernel.  The right side is the grid mean of
     ``|f|^2 Phi_b / b`` with ``f(xi) = sum c_n e^{2 pi i lam_n xi}``,
     evaluated through the coefficient identity (exact for trigonometric
     degree below half the grid), so it touches only grid values of the
@@ -711,16 +621,9 @@ def weighted_norm_identity_check(profile, b, lam, coeffs, ps=None, grid_size=2**
         raise ValueError("coefficient vector length must match the index set")
 
     diffs = lam[None, :] - lam[:, None]
-    uniq = np.unique(np.abs(diffs))
-    table = {int(d): np.conj(autocorrelation(profile, float(d) * b)) for d in uniq}
-    gmat = np.empty(diffs.shape, dtype=complex)
-    for d, v in table.items():
-        gmat[diffs == d] = v
-        if d:
-            gmat[diffs == -d] = np.conj(v)
-    lhs = float(np.real(np.conj(c) @ gmat @ c))
-
     span = int(lam[-1] - lam[0])
+    lhs = float(np.real(np.conj(c) @ _entry_table(profile, b, span)[diffs + span] @ c))
+
     if ps is None or ps.b != b or 2 * span >= ps.grid_size:
         if 2 * span >= grid_size:
             raise ValueError("coefficient span too large for the requested grid")
@@ -729,7 +632,7 @@ def weighted_norm_identity_check(profile, b, lam, coeffs, ps=None, grid_size=2**
     # f(xi) = sum c_n e^{-2 pi i lam_n xi}; its (i, j) cross term has grid
     # mean against Phi equal to conj(cm[lam_j - lam_i])
     outer = np.outer(c, np.conj(c))
-    cm = _coeff_table(ps, span)
+    cm = fourier_coeff(ps, np.arange(-span, span + 1))
     rhs = float(np.real(np.sum(outer * np.conj(cm[diffs + span])))) / b
 
     dev = abs(lhs - rhs) / max(abs(lhs), 1e-30)

@@ -17,11 +17,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+GRID_CAP = 2**22
+
 __all__ = [
+    "GRID_CAP",
     "PeriodizedSpectrum",
+    "check_grid_size",
     "periodize",
     "periodize_at",
     "fourier_coeff",
+    "coefficient_error_bound",
     "essential_bounds",
     "zero_count",
     "dilation_identity_deviation",
@@ -46,9 +51,7 @@ class PeriodizedSpectrum:
     _fft: np.ndarray = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        m = self.grid_size
-        if m < 16 or (m & (m - 1)) != 0:
-            raise ValueError("grid_size must be a power of two >= 16")
+        m = check_grid_size(self.grid_size)
         self.values = np.asarray(self.values, dtype=float)
         if self.values.shape != (m,):
             raise ValueError("values must have shape (grid_size,)")
@@ -67,6 +70,14 @@ class PeriodizedSpectrum:
         if self._fft is None:
             self._fft = np.fft.fft(self.values)
         return self._fft
+
+
+def check_grid_size(m, what="grid_size"):
+    """``m`` as an int when it is a power of two in [16, GRID_CAP], else ValueError."""
+    m = int(m)
+    if m < 16 or m > GRID_CAP or m & (m - 1):
+        raise ValueError(f"{what} must be a power of two in [16, {GRID_CAP}]")
+    return m
 
 
 def _cover_range(profile, b, xi_min, xi_max):
@@ -99,9 +110,7 @@ def periodize(profile, b, grid_size=4096, tail_tol=1e-12):
     """
     if b <= 0:
         raise ValueError("spacing b must be positive")
-    m = int(grid_size)
-    if m < 16 or (m & (m - 1)) != 0:
-        raise ValueError("grid_size must be a power of two >= 16")
+    m = check_grid_size(grid_size)
     grid = (np.arange(m) + 0.5) / m
     values = periodize_at(profile, b, grid)
     n_lo, n_hi = _cover_range(profile, b, 0.0, 1.0)
@@ -140,22 +149,97 @@ def _cells_align(profile, b, m):
 
 
 def fourier_coeff(ps, n):
-    """Fourier coefficient ``Phi_b_hat(n)`` of the grid data.
+    """Fourier coefficients ``Phi_b_hat(n)`` of the grid data, for scalar or array ``n``.
 
     Computed as ``(1/M) sum_j values[j] e^{-2 pi i n xi_j}`` through one
     cached FFT plus the midpoint phase.  Complex in general; the imaginary
     part vanishes (to roundoff) exactly when the data is even on the circle.
+    Their distance from the true coefficients is bounded by
+    :func:`coefficient_error_bound`.
     """
-    n = int(n)
+    ns = np.asarray(n, dtype=np.int64)
     m = ps.grid_size
-    if abs(n) >= m // 2:
-        raise ValueError(f"coefficient index |{n}| >= M/2 = {m // 2} would alias")
-    coeffs = ps._coeff_fft()
-    c = complex(np.exp(-1j * math.pi * n / m) * coeffs[n % m] / m)
+    if ns.size and int(np.max(np.abs(ns))) >= m // 2:
+        raise ValueError(f"coefficient index |{int(np.max(np.abs(ns)))}| >= M/2 = {m // 2} would alias")
+    c = np.exp(-1j * np.pi * ns / m) * ps._coeff_fft()[ns % m] / m
     if ps.cell_constant:
         # exact map from midpoint samples to the step function's coefficient
-        c *= float(np.sinc(n / m))
-    return c
+        c = c * np.sinc(ns / m)
+    return complex(c) if ns.ndim == 0 else c
+
+
+_ROUNDOFF = 256.0 * np.finfo(float).eps
+
+
+def _jump_masses(profile, b):
+    """Net jump, kink and curvature-jump masses ``(J, K, L)`` of ``Phi_b``.
+
+    ``Phi_b`` is piecewise quadratic on the circle.  Every breakpoint ``x``
+    of ``phi_hat^2`` (piece ends, sample-cell edges) sits at ``b x mod 1``,
+    where the jumps of ``Phi_b``, ``Phi_b'`` and ``Phi_b''`` are those of
+    ``phi_hat^2`` and its derivatives times ``1, 1/b, 1/b^2``.  Jumps from
+    different translates landing on one circle point are summed before
+    taking absolute values, so a continuous ``Phi_b`` has ``J = 0``.
+    """
+    pos, jumps = [], []
+    for p in profile.pieces:
+        poly = p._poly(2)
+        if poly is None:
+            sq = p.samples**2
+            pos.append(p.lo + (p.hi - p.lo) / sq.size * np.arange(sq.size + 1))
+            jumps.append(np.outer(np.diff(sq, prepend=0.0, append=0.0), [1.0, 0.0, 0.0]))
+            continue
+        c0, c1, c2 = poly
+        for x, sign in ((p.lo, 1.0), (p.hi, -1.0)):
+            pos.append(np.array([x]))
+            jumps.append(sign * np.array([[c0 + c1 * x + c2 * x * x, (c1 + 2.0 * c2 * x) / b, 2.0 * c2 / b**2]]))
+    x = b * np.concatenate(pos)
+    frac = x - np.floor(x)
+    tol = _ROUNDOFF * max(1.0, float(np.max(np.abs(x))))  # positions this close coincide
+    frac[frac > 1.0 - tol] -= 1.0  # the circle closes: 1 is 0
+    order = np.argsort(frac, kind="stable")
+    starts = np.concatenate(([0], np.flatnonzero(np.diff(frac[order]) > tol) + 1))
+    net = np.add.reduceat(np.concatenate(jumps)[order], starts, axis=0)
+    return tuple(float(v) for v in np.sum(np.abs(net), axis=0))
+
+
+def coefficient_error_bound(profile, ps, n):
+    """Bound on ``|fourier_coeff(ps, n) - Phi_b_hat(n)|`` for ``ps = periodize(profile, b, M)``.
+
+    Midpoint samples alias: the grid coefficient is
+    ``sum over k of (-1)^k c_{n + kM}``, so the error is
+    ``err_n = sum over k != 0 of (-1)^k c_{n + kM}``.  ``Phi_b`` is piecewise
+    quadratic, so integrating by parts three times gives, for ``m != 0``,
+
+        c_m = sum_p e^{-2 pi i m x_p} (J_p / (2 pi i m) + K_p / (2 pi i m)^2 + L_p / (2 pi i m)^3)
+
+    over the breakpoints ``x_p`` with jumps ``J_p, K_p, L_p`` of ``Phi_b``,
+    ``Phi_b'`` and ``Phi_b''`` (:func:`_jump_masses`).  For ``|n| < M/2``:
+
+    * jumps: ``1/(n + kM) = 1/(kM) - n/(kM(n + kM))``.  The first part
+      sums to a sawtooth ``sum sin(k psi)/k``, at most ``pi/2``, giving
+      ``|J_p|/(2M)``; the second is at most ``|n|/(2 pi M)`` times
+      ``sum over k != 0 of 1/(|k| (|k| - 1/2) M) = 8 ln 2 / M``.  A jump at a
+      midpoint, or within roundoff of one, may be sampled from either side,
+      which adds at most ``|J_p|/M``.  Together ``J (3/2 / M + (4 ln 2/pi) |n| / M^2)``;
+    * kinks: ``sum over k != 0 of (n/M + k)^-2 <= pi^2 - 4``, so
+      ``K (pi^2 - 4) / (4 pi^2 M^2) <= K / (4 M^2)``;
+    * curvature jumps: ``sum over k != 0 of |n/M + k|^-3 <= 14 zeta(3) - 8``, so
+      ``L (14 zeta(3) - 8) / (8 pi^3 M^3) <= L / (24 M^3)``.
+
+    When ``ps.cell_constant`` holds, the sinc-corrected coefficient is exact
+    and only roundoff remains.  Roundoff of the FFT and of the closed-form
+    kernel is budgeted as ``256 eps log2(M)`` times ``c_0 = b ||phi||^2``,
+    plus the smallest normal float, below which relative roundoff fails.
+    """
+    n = np.abs(np.asarray(n, dtype=float))
+    m = ps.grid_size
+    roundoff = _ROUNDOFF * math.log2(m) * ps.b * profile.norm_squared() + np.finfo(float).tiny
+    if ps.cell_constant:
+        return roundoff + np.zeros_like(n)
+    jump, kink, curve = _jump_masses(profile, ps.b)
+    alias = jump * (1.5 / m + 4.0 * math.log(2.0) / math.pi * n / m**2) + kink / (4.0 * m**2)
+    return alias + curve / (24.0 * m**3) + roundoff
 
 
 def essential_bounds(ps, zero_thresh=None):
@@ -238,7 +322,7 @@ def smoothness_diagnostic(ps, n_max=64):
     or coefficients at the roundoff floor indicate a smooth periodization.
     """
     ns = np.arange(1, n_max + 1)
-    mags = np.array([abs(fourier_coeff(ps, int(n))) for n in ns])
+    mags = np.abs(fourier_coeff(ps, ns))
     scale = max(float(np.max(mags)), 1e-300)
     good = mags > max(1e-14, 1e-10 * scale)
     if good.sum() >= 4:

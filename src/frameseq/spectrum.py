@@ -15,11 +15,9 @@ for envelope inputs.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import integrate
 
 __all__ = [
     "QuadratureError",
@@ -28,6 +26,7 @@ __all__ = [
     "TimeEnvelope",
     "eval_spectrum",
     "autocorrelation",
+    "autocorrelations",
     "time_side_values",
 ]
 
@@ -97,13 +96,13 @@ class Piece:
             out[inside] = self.samples[idx]
         return out
 
-    # squared-profile polynomial coefficients (c0, c1, c2), valid on [lo, hi)
-    def _square_poly(self):
+    # coefficients (c0, c1, c2) of phi_hat**power (power 1 or 2) on [lo, hi)
+    def _poly(self, power):
         if self.const is not None:
-            return (self.const**2, 0.0, 0.0)
+            return (self.const**power, 0.0, 0.0)
         if self.affine is not None:
             s, c = self.affine
-            return (c * c, 2.0 * s * c, s * s)
+            return (c, s, 0.0) if power == 1 else (c * c, 2.0 * s * c, s * s)
         return None  # samples handled cell by cell
 
     def to_json(self):
@@ -173,7 +172,7 @@ class FourierProfile:
         """Exact integral of phi_hat^2 over the line."""
         total = 0.0
         for p in self.pieces:
-            poly = p._square_poly()
+            poly = p._poly(2)
             if poly is not None:
                 c0, c1, c2 = poly
                 u, v = p.lo, p.hi
@@ -223,6 +222,9 @@ def eval_spectrum(profile, xi):
 # closed-form oscillatory integrals over pieces
 # ----------------------------------------------------------------------------
 
+# largest shifts-by-cells block a direct sum over sampled cells holds at once
+_CELL_BLOCK = 2**20
+
 
 def _poly_moment(c0, c1, c2, u, v, m):
     # integral over [u, v] of (c0 + c1 x + c2 x^2) * x^m
@@ -234,49 +236,79 @@ def _poly_moment(c0, c1, c2, u, v, m):
 
 
 def _poly_osc_integral(c0, c1, c2, u, v, a):
-    """Exact integral over [u, v] of (c0 + c1 xi + c2 xi^2) e^{2 pi i a xi}."""
-    if a == 0.0:
-        return complex(_poly_moment(c0, c1, c2, u, v, 0))
+    """Exact integral over [u, v] of (c0 + c1 xi + c2 xi^2) e^{2 pi i a xi}, per shift in ``a``."""
     w = _TWO_PI * a
+    out = np.empty(a.shape, dtype=complex)
+    reach = max(abs(u), abs(v))
     # small total phase: the closed form cancels badly, switch to a series
-    if abs(w) * max(abs(u), abs(v)) < 0.5:
-        total = 0.0 + 0.0j
-        term_scale = 1.0
-        iw = 1j * w
-        power = 1.0 + 0.0j
-        for m in range(0, 40):
-            mom = _poly_moment(c0, c1, c2, u, v, m)
-            contrib = power * mom
-            total += contrib
-            power *= iw / (m + 1)
-            term_scale = abs(power) * max(abs(u), abs(v), 1.0) ** (m + 1)
-            if term_scale * (abs(c0) + abs(c1) + abs(c2)) < 1e-18:
-                break
-        return total
-    iw = 1j * w
+    small = np.abs(w) * reach < 0.5
+    iw = 1j * w[~small]
     eu = np.exp(iw * u)
     ev = np.exp(iw * v)
     i0 = (ev - eu) / iw
     i1 = (v * ev - u * eu) / iw - i0 / iw
     i2 = (v * v * ev - u * u * eu) / iw - 2.0 * i1 / iw
-    return c0 * i0 + c1 * i1 + c2 * i2
+    out[~small] = c0 * i0 + c1 * i1 + c2 * i2
+    iw = 1j * w[small]
+    total = np.zeros(iw.shape, dtype=complex)
+    power = np.ones(iw.shape, dtype=complex)
+    for m in range(0, 40):
+        total += power * _poly_moment(c0, c1, c2, u, v, m)
+        power *= iw / (m + 1)
+        # the next term, relative to the coefficients, is below 1e-18
+        if np.max(np.abs(power), initial=0.0) * max(reach, 1.0) ** (m + 1) < 1e-18:
+            break
+    out[small] = total
+    return out
 
 
-def _profile_autocorrelation(profile, a):
-    """Exact <phi, phi(. - a)> = integral of phi_hat(xi)^2 e^{2 pi i a xi}."""
-    total = 0.0 + 0.0j
+def _cells_osc_integral(vals, lo, hi, a):
+    """Exact integral of the step function ``vals`` on [lo, hi) against e^{2 pi i a xi}.
+
+    Cell ``j`` contributes ``width * sinc(a width) * vals[j] * e^{2 pi i a mid_j}``.
+    When ``k = a (hi - lo)`` is an integer for every shift, the phases are
+    ``e^{2 pi i a (lo + width/2)} e^{2 pi i k j / n}``, so one DFT of ``vals``
+    serves every shift; otherwise the cells are summed directly in blocks.
+    """
+    n = vals.size
+    width = (hi - lo) / n
+    k = a * (hi - lo)
+    if np.all(k == np.round(k)):
+        dft = np.fft.ifft(vals) * n
+        phase = np.exp(1j * _TWO_PI * a * (lo + 0.5 * width))
+        return width * np.sinc(a * width) * phase * dft[np.round(k).astype(np.int64) % n]
+    mids = lo + (np.arange(n) + 0.5) * width
+    out = np.empty(a.shape, dtype=complex)
+    step = max(1, _CELL_BLOCK // n)
+    for s in range(0, a.size, step):
+        chunk = a[s : s + step]
+        phases = np.exp(1j * _TWO_PI * np.outer(chunk, mids))
+        out[s : s + step] = width * np.sinc(chunk * width) * (phases @ vals)
+    return out
+
+
+def _fourier_integrals(profile, xs, power):
+    """``integral of phi_hat(xi)**power e^{2 pi i x xi}`` for every ``x`` in the 1-d ``xs``."""
+    xs = np.asarray(xs, dtype=float)
+    out = np.zeros(xs.shape, dtype=complex)
     for p in profile.pieces:
-        poly = p._square_poly()
+        poly = p._poly(power)
         if poly is not None:
-            total += _poly_osc_integral(*poly, p.lo, p.hi, a)
+            out += _poly_osc_integral(*poly, p.lo, p.hi, xs)
         else:
-            n = p.samples.size
-            width = (p.hi - p.lo) / n
-            mids = p.lo + (np.arange(n) + 0.5) * width
-            # per-cell integral of e^{2 pi i a xi} is width * sinc(a*width) * phase
-            cell = width * np.sinc(a * width) * np.exp(1j * _TWO_PI * a * mids)
-            total += complex(np.dot(p.samples**2, cell))
-    return total
+            out += _cells_osc_integral(p.samples**power, p.lo, p.hi, xs)
+    return out
+
+
+def autocorrelations(profile, shifts):
+    """Exact ``<phi, phi(. - a)> = integral of phi_hat(xi)^2 e^{2 pi i a xi}`` per shift.
+
+    The one closed-form kernel behind every Gram entry: polynomial pieces
+    integrate in closed form (a power series where the total phase is
+    small), sampled pieces cell by cell.  ``shifts`` is 1-d; returns a
+    complex array of the same length.
+    """
+    return _fourier_integrals(profile, shifts, 2)
 
 
 def time_side_values(profile, xs):
@@ -286,27 +318,7 @@ def time_side_values(profile, xs):
     transform of the (real, nonnegative) frequency data, used to fit the
     time-side decay rate.  Exact per piece.
     """
-    xs = np.atleast_1d(np.asarray(xs, dtype=float))
-    out = np.zeros(xs.shape, dtype=complex)
-    for p in profile.pieces:
-        if p.const is not None:
-            poly = (p.const, 0.0, 0.0)
-        elif p.affine is not None:
-            poly = (p.affine[1], p.affine[0], 0.0)
-        else:
-            poly = None
-        if poly is not None:
-            for k, x in enumerate(xs):
-                out[k] += _poly_osc_integral(*poly, p.lo, p.hi, x)
-        else:
-            n = p.samples.size
-            width = (p.hi - p.lo) / n
-            mids = p.lo + (np.arange(n) + 0.5) * width
-            cell = width * np.sinc(xs[:, None] * width) * np.exp(
-                1j * _TWO_PI * np.outer(xs, mids)
-            )
-            out += cell @ p.samples
-    return out
+    return _fourier_integrals(profile, np.atleast_1d(xs), 1)
 
 
 # ----------------------------------------------------------------------------
@@ -442,6 +454,8 @@ class TimeEnvelope:
         ratios = h(2.0 * x_grid) / h(x_grid)
         c1 = float(np.min(ratios))
         c2 = float(np.max(ratios))
+        from scipy import integrate
+
         increments = []
         for k in range(k_max):
             val, _ = integrate.quad(lambda t: h(t) / t**2, 2.0**k, 2.0 ** (k + 1), limit=200)
@@ -495,6 +509,8 @@ class TimeEnvelope:
 
 def _envelope_autocorrelation(env, a, tol):
     """integral of psi(x) psi(x - a) dx by checked adaptive quadrature."""
+    from scipy import integrate
+
     a = abs(float(a))
 
     def integrand(x):
@@ -539,7 +555,7 @@ def autocorrelation(source, a, tol=None):
     float for envelopes.
     """
     if isinstance(source, FourierProfile):
-        return _profile_autocorrelation(source, float(a))
+        return complex(autocorrelations(source, np.array([float(a)]))[0])
     if isinstance(source, TimeEnvelope):
         return _envelope_autocorrelation(source, a, 1e-8 if tol is None else tol)
     raise TypeError(f"unsupported source type: {type(source).__name__}")

@@ -377,7 +377,7 @@ def exactness_evidence(b, ts, a, profile=None, envelope=None, ps=None, budgets=N
     if all_pass and profile is not None:
         lam = ts.realize() if isinstance(ts, TranslationSet) else np.sort(np.asarray(ts))
         w = min(budgets.window, lam.size)
-        g = build_gram(profile, b, lam[: min(lam.size, min(8 * w, budgets.max_dim))], tol=budgets.tol)
+        g = build_gram(profile, b, lam[: min(lam.size, min(8 * w, budgets.max_dim))], ps=ps)
         k = w
         while k <= g.dim:
             fb = frame_bound_estimates(g.principal(k), kernel_tol=budgets.kernel_tol)

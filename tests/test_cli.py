@@ -130,6 +130,16 @@ def test_hausdorff_levels(capsys, tmp_path):
     assert csv_path.read_text().splitlines()[0] == "eps,depth,cells,measure_sum"
 
 
+def test_hausdorff_blocks_profile_token(capsys):
+    code, out, err = run(
+        capsys, "hausdorff", "--profile", "blocks:0.5:6", "--alpha", "0.5", "--levels", "2"
+    )
+    assert code == 0 and "Traceback" not in err
+    doc = json.loads(out)
+    assert doc["result"]["profile"]["grid"] == 2**14
+    assert len(doc["result"]["levels"]) == 2
+
+
 def test_gallery_taper_and_ramp_paired(capsys):
     code, doc = run_json(capsys, "gallery", "taper", "--window", "64")
     assert code == 0

@@ -52,15 +52,17 @@ def test_non_integer_route_and_agreement(taper):
     g_auto = build_gram(taper, 1.0, lam_f)
     assert g_auto.route == "autocorrelation" and g_auto.grid_size is None
     g_grid = build_gram(taper, 1.0, np.arange(0, 9, dtype=np.int64))
-    # grid-route alias error is budgeted against tol=1e-8, observed ~1e-10
+    # both routes read their entries off the same closed-form kernel
     assert np.max(np.abs(g_auto.matrix - g_grid.matrix)) < 1e-9
 
 
-def test_misaligned_jump_falls_back_to_autocorrelation():
+def test_misaligned_jump_gets_checked_grid_route():
     third = indicator_profile(0.0, 1.0 / 3.0)
     g = build_gram(third, 1.0, np.arange(0, 17, dtype=np.int64))
-    # the profile's jump at 1/3 never lands on a dyadic grid: grid route unusable
-    assert g.route == "autocorrelation"
+    # the jump at 1/3 never lands on a dyadic grid; the alias budget covers it
+    assert g.route == "periodization-grid" and g.grid_size == 4096
+    assert 16 in g.checked_shifts
+    assert 0.0 < g.max_check_deviation <= g.check_budget
     fb = frame_bound_estimates(g)
     assert fb.min_eigenvalue > -1e-12
 
@@ -73,6 +75,32 @@ def test_tampered_grid_data_raises(box):
     ps._fft = None
     with pytest.raises(InconsistencyError, match="shift"):
         build_gram(box, 1.0, lam, ps=ps)
+
+
+def test_tampered_continuous_spectrum_raises(tent):
+    # the tent's Phi_1 is continuous with one kink of mass K = 8 at 1/2, so
+    # the alias budget at the extreme shift 128 is K / (4 M^2); a cosine
+    # adding ten times that to the shift's coefficient must be caught
+    m = 2**14
+    budget = 8.0 / (4 * m**2)
+    lam = np.arange(-64, 65, dtype=np.int64)
+    ps = periodize(tent, 1.0, m)
+    clean = build_gram(tent, 1.0, lam, ps=ps)
+    assert 128 in clean.checked_shifts and clean.max_check_deviation < budget
+    ps.values = ps.values + 20 * budget * np.cos(2 * np.pi * 128 * ps.grid())
+    ps._fft = None
+    with pytest.raises(InconsistencyError, match="shift 128"):
+        build_gram(tent, 1.0, lam, ps=ps)
+
+
+def test_classify_squares_gets_checked_window(taper):
+    # span 261121: refused on the grid cap while the grid was sized by a tolerance;
+    # any subset of the Riesz family of taper(2, 1) at b = 2 is a Riesz sequence
+    rep = classify(taper, 2.0, TranslationSet.squares(600))
+    assert rep.classification == "exact frame sequence"
+    trend = rep.evidence[-1]
+    assert trend["rule"] == "eigenvalue-window-trend" and trend["checked_shifts"] > 0
+    assert trend["max_check_deviation"] <= trend["check_budget"]
 
 
 def test_build_gram_refusals(box):
@@ -93,9 +121,9 @@ def test_frame_bound_estimates_degenerate():
         indices=np.arange(5),
         route="autocorrelation",
         grid_size=None,
-        tol=1e-8,
         checked_shifts=[],
         max_check_deviation=0.0,
+        check_budget=0.0,
     )
     fb = frame_bound_estimates(g)
     assert fb.degenerate and fb.A_est == 0.0 and fb.numerical_rank == 0

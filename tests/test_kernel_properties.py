@@ -1,0 +1,110 @@
+"""Property tests of the closed-form kernel and of the grid route's alias budget.
+
+Profiles are drawn at random from const, affine and sampled pieces, on
+dyadic or generic breakpoints, so that both branches of the sampled-piece
+kernel (one DFT for integral phases, a direct cell sum otherwise) and the
+small-phase series of the polynomial pieces are exercised.
+"""
+
+import math
+
+import numpy as np
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from scipy.integrate import quad
+
+from frameseq.gram import build_gram
+from frameseq.periodization import coefficient_error_bound, fourier_coeff, periodize
+from frameseq.spectrum import FourierProfile, Piece, autocorrelations
+
+values = st.floats(0.0, 2.0)
+
+
+@st.composite
+def profiles(draw):
+    count = draw(st.integers(1, 3))
+    if draw(st.booleans()):
+        edges = [k / 4 for k in draw(st.lists(st.integers(-4, 8), min_size=count + 1,
+                                              max_size=count + 1, unique=True))]
+    else:
+        edges = draw(st.lists(st.floats(-1.0, 2.0), min_size=count + 1, max_size=count + 1, unique=True))
+    edges = sorted(edges)
+    pieces = []
+    for lo, hi in zip(edges, edges[1:]):
+        kind = draw(st.sampled_from(["const", "affine", "samples", "gap"]))
+        if hi - lo < 1e-3 or kind == "gap":
+            continue
+        if kind == "const":
+            pieces.append(Piece(lo, hi, const=draw(values)))
+        elif kind == "affine":
+            v0, v1 = draw(values), draw(values)
+            slope = (v1 - v0) / (hi - lo)
+            pieces.append(Piece(lo, hi, affine=(slope, v0 - slope * lo)))
+        else:
+            samples = draw(st.lists(values, min_size=1, max_size=6))
+            pieces.append(Piece(lo, hi, samples=np.array(samples)))
+    assume(pieces)
+    try:
+        return FourierProfile(pieces)
+    except ValueError:  # identically zero
+        assume(False)
+
+
+def quad_autocorrelation(profile, a):
+    """Independent oracle: phi_hat^2 e^{2 pi i a xi} integrated cell by cell with quad."""
+    total = 0.0
+    for p in profile.pieces:
+        if p.samples is None:
+            cells = [(p.lo, p.hi, lambda x, p=p: float(p.eval(np.array([x]))[0]) ** 2)]
+        else:
+            w = (p.hi - p.lo) / p.samples.size
+            cells = [(p.lo + j * w, p.lo + (j + 1) * w, lambda x, s=s: s * s) for j, s in enumerate(p.samples)]
+        for lo, hi, f in cells:
+            re = quad(lambda x: f(x) * math.cos(2 * math.pi * a * x), lo, hi, epsabs=1e-13, limit=200)[0]
+            im = quad(lambda x: f(x) * math.sin(2 * math.pi * a * x), lo, hi, epsabs=1e-13, limit=200)[0]
+            total += re + 1j * im
+    return total
+
+
+shifts = st.one_of(
+    st.integers(-40, 40).map(float),
+    st.floats(-40.0, 40.0),
+    st.floats(-0.05, 0.05),  # small total phase: the series branch
+)
+
+
+@given(profile=profiles(), a=st.lists(shifts, min_size=1, max_size=4))
+@settings(max_examples=60, deadline=None)
+def test_kernel_matches_quadrature(profile, a):
+    got = autocorrelations(profile, np.array(a))
+    for x, value in zip(a, got):
+        assert abs(value - quad_autocorrelation(profile, x)) < 1e-9
+
+
+@given(
+    profile=profiles(),
+    b=st.sampled_from([0.5, 1.0, 2.0, 0.75]) | st.floats(0.3, 3.0),
+    lam=st.lists(st.integers(-40, 40), min_size=1, max_size=24, unique=True),
+    jitter=st.booleans(),
+)
+@settings(max_examples=60, deadline=None)
+def test_gram_windows_are_hermitian(profile, b, lam, jitter):
+    lam = np.array(sorted(lam), dtype=np.int64)
+    # integer sets also run the grid spot check, which raises past its budget
+    g = build_gram(profile, b, lam + 0.25 * np.sin(lam) if jitter else lam)
+    assert np.array_equal(g.matrix, np.conj(g.matrix.T))
+    assert abs(g.norm_phi_sq - profile.norm_squared()) < 1e-12
+
+
+@given(
+    profile=profiles(),
+    b=st.sampled_from([0.5, 1.0, 2.0, 0.75]) | st.floats(0.3, 3.0),
+    m=st.sampled_from([16, 64, 256, 1024]),
+)
+@settings(max_examples=60, deadline=None)
+def test_grid_deviation_within_budget(profile, b, m):
+    ps = periodize(profile, b, m)
+    ns = np.arange(-(m // 2) + 1, m // 2)
+    exact = b * np.conj(autocorrelations(profile, b * ns))
+    dev = np.abs(fourier_coeff(ps, ns) - exact)
+    assert np.all(dev <= coefficient_error_bound(profile, ps, ns))
