@@ -29,6 +29,7 @@ __all__ = [
     "coefficient_error_bound",
     "essential_bounds",
     "zero_count",
+    "cyclic_runs",
     "dilation_identity_deviation",
     "smoothness_diagnostic",
     "write_csv",
@@ -280,22 +281,29 @@ def zero_count(ps, zero_thresh=None):
             "run counting is not meaningful"
         )
     m = ps.grid_size
-    if not mask.any():
-        return 0, []
-    idx = np.flatnonzero(mask)
-    # split into runs of consecutive indices
-    breaks = np.flatnonzero(np.diff(idx) > 1)
-    starts = np.concatenate(([0], breaks + 1))
-    ends = np.concatenate((breaks, [idx.size - 1]))
-    runs = [(int(idx[s]), int(idx[e])) for s, e in zip(starts, ends)]
-    # cyclic wrap: a run ending at M-1 merges with one starting at 0
-    if len(runs) > 1 and runs[0][0] == 0 and runs[-1][1] == m - 1:
-        first = runs.pop(0)
-        last = runs.pop()
-        runs.append((last[0], first[1] + m))
+    starts, lengths = cyclic_runs(mask)
     # a wrapped run is reported with hi > 1, meaning it continues past xi = 1
-    intervals = [(s / m, (e + 1) / m) for s, e in runs]
-    return len(runs), intervals
+    intervals = [(s / m, (s + n) / m) for s, n in zip(starts.tolist(), lengths.tolist())]
+    return len(intervals), intervals
+
+
+def cyclic_runs(mask):
+    """Starts and lengths of the True runs of a cyclic boolean mask.
+
+    Runs come in order of their start index; a run through the end of the
+    array continues at index 0, so its start is the largest one and
+    ``start + length`` exceeds the mask length.  A mask that is all True is
+    one run of full length starting at 0.
+    """
+    mask = np.asarray(mask, dtype=bool)
+    if mask.all():
+        return np.zeros(1, dtype=np.int64), np.full(1, mask.size, dtype=np.int64)
+    starts = np.flatnonzero(mask & ~np.roll(mask, 1))
+    ends = np.flatnonzero(mask & ~np.roll(mask, -1))
+    if ends.size and ends[0] < starts[0]:
+        # the run through index 0 started at the end of the array
+        ends = np.roll(ends, -1)
+    return starts, (ends - starts) % mask.size + 1
 
 
 def dilation_identity_deviation(profile, b, m_factor, grid_size=4096):

@@ -405,9 +405,8 @@ class TimeEnvelope:
         if np.any(x < 0):
             raise ValueError("envelope is defined for x >= 0")
         if self.kind == "power":
-            with np.errstate(divide="ignore"):
-                vals = np.where(x <= 1.0, 1.0, np.power(np.maximum(x, 1e-300), -self.a))
-            return vals
+            # the power is taken only where it is used, so x near 0 cannot overflow
+            return np.power(x, -self.a, out=np.ones_like(x), where=~(x <= 1.0))
         if self.kind == "exponential":
             return np.exp(-self.delta * self._rate_fn(x))
         logx = np.log(np.maximum(x, 1e-300))

@@ -231,6 +231,12 @@ def _density_sorted(lam, x):
     if x < 0:
         raise ValueError("window length x must be >= 0")
     lam = np.asarray(lam)
+    if lam.dtype == np.int64:
+        if x >= lam[-1] - lam[0]:
+            return int(lam.size)
+        # exact for integer points, and an int64 needle array keeps
+        # searchsorted from recasting lam to float on every call
+        x = math.floor(x)
     # the sup is attained with the window's left endpoint on a set point
     right = np.searchsorted(lam, lam + x, side="right")
     return int(np.max(right - np.arange(lam.size)))
@@ -358,11 +364,9 @@ def _power_intF2_tail(a, x):
     return out
 
 
-def _quad_int0F(env, x):
-    from scipy import integrate
-
-    val, _ = integrate.quad(lambda t: float(env.F(t)), 0.0, x, limit=400, points=[min(1.0, x)] if x > 1 else None)
-    return val
+# quadratures are held to a relative tolerance: the integrals past a large
+# knot are far below quad's default absolute tolerance of 1.49e-8
+_QUAD_TOL = {"epsabs": 0.0, "epsrel": 1e-11}
 
 
 def _tail_F2_doubling(env, x, rel_tol=1e-10, k_max=80):
@@ -373,7 +377,7 @@ def _tail_F2_doubling(env, x, rel_tol=1e-10, k_max=80):
     lo = x
     for _ in range(k_max):
         hi = 2.0 * max(lo, 0.5)
-        val, _ = integrate.quad(lambda t: float(env.F(t)) ** 2, lo, hi, limit=200)
+        val, _ = integrate.quad(lambda t: float(env.F(t)) ** 2, lo, hi, limit=200, **_QUAD_TOL)
         total += val
         # crude but safe bound for what is left, using monotonicity
         rest_cap = float(env.F(hi)) ** 2 * hi * 2.0
@@ -386,9 +390,14 @@ def _tail_F2_doubling(env, x, rel_tol=1e-10, k_max=80):
 def g_function(env, x):
     """``G(x) = F(x) int_0^x F + int_x^inf F^2``; closed form for power kind.
 
-    ``G(0)`` equals the squared L2 norm of the envelope.  For non-power
-    envelopes the integrals are evaluated numerically with a doubling tail
-    bound, so values are slower and carry quadrature error around 1e-10.
+    ``G(0)`` equals the squared L2 norm of the envelope.  Other kinds take
+    one cumulative quadrature over the sorted knots ``{0, 1} U x``: ``F``
+    and ``F^2`` are integrated once over each gap between consecutive
+    knots, a forward running sum gives ``int_0^x F`` at every knot, and a
+    backward one, seeded by a doubling tail bound past the largest knot,
+    gives ``int_x^inf F^2``.  Each gap integral is held to a relative
+    tolerance of 1e-11, so ``G`` carries a relative quadrature error of
+    about 1e-10.
     """
     scalar = np.isscalar(x) or np.ndim(x) == 0
     x = np.atleast_1d(np.asarray(x, dtype=float))
@@ -397,9 +406,19 @@ def g_function(env, x):
     if env.kind == "power":
         out = env.F(x) * _power_int0F(env.a, x) + _power_intF2_tail(env.a, x)
     else:
-        out = np.array(
-            [float(env.F(t)) * _quad_int0F(env, t) + _tail_F2_doubling(env, t) for t in x]
-        )
+        from scipy import integrate
+
+        knots, where = np.unique(np.concatenate(([0.0, 1.0], x.ravel())), return_inverse=True)
+        gaps_F = np.empty(knots.size - 1)
+        gaps_F2 = np.empty(knots.size - 1)
+        for i, (lo, hi) in enumerate(zip(knots[:-1].tolist(), knots[1:].tolist())):
+            gaps_F[i] = integrate.quad(lambda t: float(env.F(t)), lo, hi, limit=400, **_QUAD_TOL)[0]
+            gaps_F2[i] = integrate.quad(lambda t: float(env.F(t)) ** 2, lo, hi, limit=200, **_QUAD_TOL)[0]
+        int0F = np.concatenate(([0.0], np.cumsum(gaps_F)))
+        # backward sum from the tail inward: the smallest terms are added first
+        tail = np.cumsum(np.concatenate(([_tail_F2_doubling(env, knots[-1])], gaps_F2[::-1])))[::-1]
+        where = where[2:].reshape(x.shape)
+        out = env.F(x) * int0F[where] + tail[where]
     return float(out[0]) if scalar else out
 
 

@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .gram import Budgets, build_gram, frame_bound_estimates
+from .periodization import cyclic_runs
 from .spectrum import FourierProfile, TimeEnvelope, time_side_values
 from .translation_sets import TranslationSet, density, density_exponent_fit
 
@@ -43,25 +44,6 @@ class CoverEstimate:
     full_circle: bool = False
 
 
-def _cyclic_runs(mask):
-    """Start/length pairs of True runs in a cyclic mask."""
-    m = mask.size
-    if mask.all():
-        return [(0, m)]
-    if not mask.any():
-        return []
-    diff = np.diff(mask.astype(np.int8), append=mask[0].astype(np.int8) - mask[-1])
-    # rotate so the array starts right after a False: simplest is index math
-    starts = np.flatnonzero(mask & ~np.roll(mask, 1))
-    ends = np.flatnonzero(mask & ~np.roll(mask, -1))
-    runs = []
-    for s in starts:
-        e = ends[np.searchsorted(ends, s)] if ends[-1] >= s else ends[0]
-        length = (e - s) % m + 1
-        runs.append((int(s), int(length)))
-    return runs
-
-
 def cover_mask(mask, alpha, depths=None, drop_isolated=True):
     """Best-depth dyadic cover of the flagged grid points.
 
@@ -78,10 +60,9 @@ def cover_mask(mask, alpha, depths=None, drop_isolated=True):
     m = mask.size
     if m < 4 or m & (m - 1):
         raise ValueError("mask length must be a power of two >= 4")
-    if drop_isolated and mask.any() and not mask.all():
-        for s, length in _cyclic_runs(mask):
-            if length == 1:
-                mask[s] = False
+    if drop_isolated:
+        starts, lengths = cyclic_runs(mask)
+        mask[starts[lengths == 1]] = False
     max_depth = int(math.log2(m))
     if depths is None:
         depths = range(2, max_depth + 1)
@@ -89,22 +70,20 @@ def cover_mask(mask, alpha, depths=None, drop_isolated=True):
     if not depths or depths[0] < 0 or depths[-1] > max_depth:
         raise ValueError(f"depths must lie in [0, {max_depth}]")
 
-    flagged = np.flatnonzero(mask)
-    by_depth = []
-    best = None
-    for d in depths:
-        if flagged.size == 0:
-            cells = np.array([], dtype=np.int64)
-        else:
-            # midpoint (2r+1)/(2M) falls in cell floor((2r+1) 2^d / (2M))
-            cells = np.unique(((2 * flagged + 1) << d) // (2 * m))
-        s = float(cells.size) * 2.0 ** (-d * alpha)
-        by_depth.append((d, int(cells.size), s))
-        if best is None or s < best[2]:
-            best = (d, cells, s)
-    d, cells, s = best
+    # midpoint (2r+1)/(2M) falls in cell floor((2r+1) 2^d / (2M)) = r >> (log2 M - d);
+    # the flagged indices are sorted, so equal cells are adjacent, and each
+    # coarser depth shifts the cells of the finer one
+    cells_at = {}
+    cells, finer = np.flatnonzero(mask), max_depth
+    for d in reversed(depths):
+        cells = cells >> (finer - d)
+        cells = cells[np.r_[True, cells[1:] != cells[:-1]]] if cells.size else cells
+        cells_at[d], finer = cells, d
+    by_depth = [(d, int(c.size), float(c.size) * 2.0 ** (-d * alpha)) for d, c in sorted(cells_at.items())]
+    # min keeps the first of equal sums, so ties go to the coarsest depth
+    d, _, s = min(by_depth, key=lambda row: row[2])
     width = 2.0**-d
-    intervals = [(float(j) * width, float(j + 1) * width) for j in cells.tolist()]
+    intervals = [(float(j) * width, float(j + 1) * width) for j in cells_at[d].tolist()]
     return CoverEstimate(
         alpha=float(alpha),
         eps=float("nan"),
@@ -165,9 +144,10 @@ def _as_indexed_coeffs(lam, coeffs):
 def coefficient_sum_bound_check(lam, coeffs, j_interval, tol=1e-12):
     """Check ``sum_{n in J} |corr(n)| <= D(|J|)`` for ``corr = coefficients of |f|^2``.
 
-    ``corr(n) = sum_k c_k conj(c_{k-n})`` is computed exactly per lag from
-    the finitely supported coefficients.  Unnormalized input is normalized
-    (the bound assumes a unit vector) and flagged in the result.
+    ``corr(n) = sum_k c_k conj(c_{k-n})`` is computed exactly for every lag
+    by one correlation of the coefficients laid out over the integer span.
+    Unnormalized input is normalized (the bound assumes a unit vector) and
+    flagged in the result.
     """
     lam, c = _as_indexed_coeffs(lam, coeffs)
     lo, hi = int(j_interval[0]), int(j_interval[1])
@@ -180,19 +160,17 @@ def coefficient_sum_bound_check(lam, coeffs, j_interval, tol=1e-12):
             raise ValueError("zero coefficient vector")
         c = c / nrm
         normalized = True
-    index = {int(l): k for k, l in enumerate(lam.tolist())}
-    lhs = 0.0
-    for n in range(lo, hi + 1):
-        acc = 0.0 + 0.0j
-        for k, l in enumerate(lam.tolist()):
-            k2 = index.get(l - n)
-            if k2 is not None:
-                acc += c[k] * np.conj(c[k2])
-        lhs += abs(acc)
+    # corr(n) for every lag n in [-span, span], exact from the integer support
+    span = int(lam[-1] - lam[0])
+    dense = np.zeros(span + 1, dtype=complex)
+    dense[lam - lam[0]] = c
+    corr = np.correlate(dense, dense, mode="full")  # corr[span + n] = corr(n)
+    lags = np.arange(max(lo, -span), min(hi, span) + 1)
+    lhs = float(np.sum(np.abs(corr[lags + span])))
     count = hi - lo + 1
     rhs = float(density(lam, float(count)))
     return CoefficientSumBound(
-        lhs=float(lhs),
+        lhs=lhs,
         rhs=rhs,
         passed=bool(lhs <= rhs + tol),
         interval=(lo, hi),

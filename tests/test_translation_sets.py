@@ -9,6 +9,7 @@ from scipy.integrate import quad
 from frameseq.spectrum import TimeEnvelope
 from frameseq.translation_sets import (
     TranslationSet,
+    _density_sorted,
     density,
     density_exponent_fit,
     g_equivalence_check,
@@ -129,6 +130,52 @@ def test_g_function_against_quadrature():
         assert abs(g_function(env, x) - want) < 1e-9
     with pytest.raises(ValueError):
         g_function(env, -1.0)
+
+
+def test_g_function_power_near_zero_does_not_overflow():
+    # F(t) = min(1, t^-1.5): G(0) = G(1/2) = int F^2 = 1 + 1/2, and at 2 the
+    # closed forms give F(2) (1 + 2 (1 - 2^-1/2)) + 2^-2 / 2
+    g = g_function(TimeEnvelope.power(1.5), [0.0, 0.5, 2.0])
+    want = [1.5, 1.5, 2.0**-1.5 * (3.0 - 2.0**0.5) + 0.125]
+    assert np.allclose(g, want, rtol=1e-13, atol=0.0)
+
+
+def _g_reference(env, x):
+    """Per-point G from two tight quadratures, independent of the knot sweep."""
+    f = lambda t: float(env.F(t))
+    int0 = quad(f, 0.0, x, epsabs=0, epsrel=1e-12, limit=400, points=[1.0] if x > 1 else None)[0]
+    tail = quad(lambda t: f(t) ** 2, x, np.inf, epsabs=0, epsrel=1e-12, limit=400)[0]
+    return f(x) * int0 + tail
+
+
+@st.composite
+def _unsorted_knots(draw):
+    xs = draw(st.lists(st.floats(0.0, 40.0), min_size=1, max_size=6))
+    # 0, 1 and a repeated point are the knots a sweep can mishandle
+    return draw(st.permutations(xs + [0.0, 1.0, xs[0]]))
+
+
+@given(
+    delta=st.floats(0.3, 1.0),
+    rate=st.one_of(st.just({"xlog": {}}), st.floats(0.4, 0.8).map(lambda b: {"power": {"beta": b}})),
+    xs=_unsorted_knots(),
+)
+@settings(max_examples=40, deadline=None)
+def test_g_function_sweep_matches_pointwise_quadrature(delta, rate, xs):
+    env = TimeEnvelope.exponential(delta, rate)
+    got = g_function(env, xs)
+    want = np.array([_g_reference(env, x) for x in xs])
+    assert np.allclose(got, want, rtol=1e-9, atol=0.0)
+
+
+@given(
+    pts=st.lists(st.integers(-200, 200), min_size=1, max_size=40, unique=True),
+    x=st.floats(0.0, 500.0),
+)
+@settings(max_examples=200, deadline=None)
+def test_density_integer_path_matches_float(pts, x):
+    lam = np.array(sorted(pts), dtype=np.int64)
+    assert _density_sorted(lam, x) == _density_sorted(lam.astype(float), x)
 
 
 def test_g_equivalence():

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from frameseq.constructions import infimum_spectrum
 from frameseq.gram import Budgets
@@ -38,6 +40,40 @@ def test_sublevel_full_circle_warning():
         est = hausdorff_sublevel(ps, 0.5, 2.0)
     assert est.full_circle and est.measure_sum == 1.0
     assert est.intervals == [(0.0, 1.0)]
+
+
+def _cover_reference(mask, alpha, depths, drop_isolated):
+    """The per-depth ``np.unique`` cover, with isolated points found by neighbours."""
+    mask = mask.copy()
+    m = mask.size
+    if drop_isolated:
+        mask &= np.roll(mask, 1) | np.roll(mask, -1)
+    flagged = np.flatnonzero(mask)
+    rows = []
+    for d in sorted(set(depths)):
+        cells = np.unique(((2 * flagged + 1) << d) // (2 * m))
+        rows.append((d, cells, float(cells.size) * 2.0 ** (-d * alpha)))
+    best = min(rows, key=lambda row: row[2])
+    return best, [(d, int(c.size), s) for d, c, s in rows]
+
+
+@given(
+    k=st.integers(2, 10),
+    density_=st.floats(0.0, 1.0),
+    alpha=st.floats(0.05, 0.95),
+    drop=st.booleans(),
+    data=st.data(),
+)
+@settings(max_examples=200, deadline=None)
+def test_cover_mask_matches_unique_reference(k, density_, alpha, drop, data):
+    m = 2**k
+    seed = data.draw(st.integers(0, 2**32 - 1))
+    mask = np.random.default_rng(seed).uniform(size=m) < density_
+    depths = data.draw(st.lists(st.integers(0, k), min_size=1, max_size=k + 1))
+    est = cover_mask(mask, alpha, depths=depths, drop_isolated=drop)
+    (d, cells, s), by_depth = _cover_reference(mask, alpha, depths, drop)
+    assert est.scale == d and est.measure_sum == s and est.by_depth == by_depth
+    assert est.intervals == [(float(j) * 2.0**-d, float(j + 1) * 2.0**-d) for j in cells.tolist()]
 
 
 def test_cover_mask_drop_isolated():
