@@ -277,10 +277,7 @@ def _cmd_gram(args, cfg):
     profile, desc = _load_profile(args.profile)
     budgets = _budgets(args)
     ts = _load_indices(args.indices, args.window or budgets.window)
-    lam = ts.realize()
-    if lam.size > EIGENSOLVE_CAP:
-        lam = lam[: EIGENSOLVE_CAP]
-    op = build_gram(profile, args.b, lam, rng_seed=args.seed)
+    op = build_gram(profile, args.b, ts, rng_seed=args.seed)
     fb = frame_bound_estimates(op, kernel_tol=budgets.kernel_tol)
     payload = {
         "profile": desc,

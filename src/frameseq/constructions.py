@@ -306,7 +306,6 @@ def infimum_spectrum(alpha, n_max, grid_size):
         grid_size=M,
         values=phi,
         truncation_range=1,
-        tail_bound=0.0,
         cell_constant=True,
     )
     return BlocksSpectrum(

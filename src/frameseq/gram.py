@@ -31,7 +31,7 @@ from .periodization import (
     periodize,
 )
 from .spectrum import FourierProfile, autocorrelations
-from .translation_sets import TranslationSet
+from .translation_sets import TranslationSet, as_indices
 
 __all__ = [
     "InconsistencyError",
@@ -62,7 +62,6 @@ class Budgets:
     window: int = 64  # base Gram window (half width on lattices)
     doublings: int = 3  # Gram window doublings for trend rules
     kernel_tol: float = 1e-6  # relative eigenvalue cut
-    max_dim: int = EIGENSOLVE_CAP
 
 
 @dataclass
@@ -95,18 +94,6 @@ def _next_pow2(x):
     return 1 << max(4, math.ceil(math.log2(max(x, 1))))
 
 
-def _realize(lam):
-    if isinstance(lam, TranslationSet):
-        return lam.realize()
-    arr = np.asarray(lam)
-    if arr.ndim != 1 or arr.size == 0:
-        raise ValueError("index set must be a nonempty 1-d array")
-    out = np.sort(arr)
-    if np.unique(out).size != out.size:
-        raise ValueError("index set has repeated points")
-    return out
-
-
 def _real_if_close(vals):
     if np.max(np.abs(vals.imag)) <= 1e-12 * max(np.max(np.abs(vals.real)), 1e-300):
         return np.ascontiguousarray(vals.real)
@@ -122,14 +109,17 @@ def _entry_table(profile, b, span):
 def build_gram(profile, b, lam, ps=None, rng_seed=0):
     """Gram matrix of ``(tau_{lam_i b} phi)_i`` with a dual-route spot check.
 
-    Every entry comes from the closed-form kernel: integer index sets
-    through a table over the shifts ``[-span, span]``, other sets through
-    their distinct ``|lam_j - lam_i|``.  On integer sets a deterministic 5%
-    sample of the distinct shifts, plus the largest, is re-derived as
-    Fourier coefficients of the periodization grid ``ps`` (or of a fresh
-    grid of ``next_pow2(max(4096, 2 span + 2))`` points when ``ps`` has
-    another spacing or is too coarse); a deviation beyond the alias budget
-    of :func:`~frameseq.periodization.coefficient_error_bound` raises
+    ``lam`` is normalized by :func:`~frameseq.translation_sets.as_indices`,
+    so the rows follow the sorted points and a set of integer points takes
+    the integer route whatever its dtype.  Every entry comes from the
+    closed-form kernel: integer index sets through a table over the shifts
+    ``[-span, span]``, other sets through their distinct ``|lam_j - lam_i|``.
+    On integer sets a deterministic 5% sample of the distinct shifts, plus
+    the largest, is re-derived as Fourier coefficients of the periodization
+    grid ``ps`` (or of a fresh grid of ``next_pow2(max(4096, 2 span + 2))``
+    points when ``ps`` has another spacing or is too coarse); a deviation
+    beyond the alias budget of
+    :func:`~frameseq.periodization.coefficient_error_bound` raises
     :class:`InconsistencyError`.  Non-integer sets have no periodization
     route and are left unchecked.
     """
@@ -137,7 +127,7 @@ def build_gram(profile, b, lam, ps=None, rng_seed=0):
         raise TypeError("build_gram needs a FourierProfile")
     if b <= 0:
         raise ValueError("spacing b must be positive")
-    lam = _realize(lam)
+    lam = as_indices(lam)
     n = lam.size
     if n > EIGENSOLVE_CAP:
         raise ValueError(f"window of {n} translates exceeds the dense cap {EIGENSOLVE_CAP}")
@@ -260,9 +250,9 @@ class PhiBounds:
     b: float
 
 
-def bounds_from_phi(ps, zero_thresh=None):
+def bounds_from_phi(ps):
     """Frame-bound candidates read off the periodized spectrum grid."""
-    inf_nz, sup, zf = essential_bounds(ps, zero_thresh=zero_thresh)
+    inf_nz, sup, zf = essential_bounds(ps)
     return PhiBounds(
         A=float(inf_nz / ps.b) if np.isfinite(inf_nz) else float("inf"),
         B=float(sup / ps.b),
@@ -423,7 +413,7 @@ def classify(profile, b, ts, budgets=None):
     """
     budgets = budgets or Budgets()
     if not isinstance(ts, TranslationSet):
-        ts = TranslationSet.explicit(np.asarray(ts, dtype=float).tolist())
+        ts = TranslationSet.explicit(ts)
     kind = ts.kind
 
     if kind == "subgroup":
@@ -519,7 +509,7 @@ def classify(profile, b, ts, budgets=None):
     w0 = min(budgets.window, lam.size)
     windows = []
     k = w0
-    while k <= lam.size and k <= budgets.max_dim and len(windows) <= budgets.doublings:
+    while k <= lam.size and k <= EIGENSOLVE_CAP and len(windows) <= budgets.doublings:
         windows.append(k)
         k *= 2
     if len(windows) < 3:
@@ -612,13 +602,12 @@ def weighted_norm_identity_check(profile, b, lam, coeffs, ps=None, grid_size=2**
     evaluated through the coefficient identity (exact for trigonometric
     degree below half the grid), so it touches only grid values of the
     periodization.  Agreement is two independent numerical paths agreeing.
+    The points and their coefficients are sorted together by
+    :func:`~frameseq.translation_sets.as_indices`.
     """
-    lam = _realize(lam)
+    lam, c = as_indices(lam, coeffs)
     if lam.dtype != np.int64:
         raise ValueError("the grid route needs integer indices")
-    c = np.asarray(coeffs, dtype=complex)
-    if c.shape != (lam.size,):
-        raise ValueError("coefficient vector length must match the index set")
 
     diffs = lam[None, :] - lam[:, None]
     span = int(lam[-1] - lam[0])

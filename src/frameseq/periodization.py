@@ -45,9 +45,10 @@ class PeriodizedSpectrum:
     grid_size: int
     values: np.ndarray
     truncation_range: int
-    tail_bound: float = 0.0
-    # True when Phi_b is exactly constant on every grid cell (step-function
-    # profiles with aligned jumps); coefficient extraction is then exact.
+    # True when Phi_b is constant on every grid cell up to jumps within 1e-9
+    # cells of a cell boundary (step-function profiles whose breakpoints map
+    # to multiples of 1/M under xi -> b xi); coefficient extraction is then
+    # exact up to that offset, which coefficient_error_bound budgets.
     cell_constant: bool = False
     _fft: np.ndarray = field(default=None, repr=False, compare=False)
 
@@ -101,13 +102,11 @@ def periodize_at(profile, b, xi):
     return out
 
 
-def periodize(profile, b, grid_size=4096, tail_tol=1e-12):
+def periodize(profile, b, grid_size=4096):
     """Sample ``Phi_b`` on the midpoint grid of size ``grid_size``.
 
-    Profiles are compactly supported, so the translate sum is finite: the
-    truncation range covers the support exactly and ``tail_bound`` is 0.
-    ``tail_tol`` is kept for interface stability; it only matters for
-    inputs with unbounded support, which this profile type cannot express.
+    Profiles are compactly supported, so the translate sum is finite and
+    the truncation range covers the support exactly.
     """
     if b <= 0:
         raise ValueError("spacing b must be positive")
@@ -115,38 +114,14 @@ def periodize(profile, b, grid_size=4096, tail_tol=1e-12):
     grid = (np.arange(m) + 0.5) / m
     values = periodize_at(profile, b, grid)
     n_lo, n_hi = _cover_range(profile, b, 0.0, 1.0)
+    steps = all(p.affine is None for p in profile.pieces)
     return PeriodizedSpectrum(
         b=float(b),
         grid_size=m,
         values=values,
         truncation_range=max(abs(n_lo), abs(n_hi)),
-        tail_bound=0.0,
-        cell_constant=_cells_align(profile, b, m),
+        cell_constant=steps and bool(np.all(_cell_offsets(profile, b, m)[0] * m <= 1e-9)),
     )
-
-
-def _cells_align(profile, b, m):
-    """True when every jump of ``Phi_b`` lands on a grid-cell boundary.
-
-    Holds for step-function profiles (constant and sampled pieces) whose
-    breakpoints map to multiples of ``1/m`` under ``xi -> b xi``; midpoint
-    samples then determine the function exactly rather than approximately.
-    """
-
-    def on_grid(x):
-        return abs(b * x * m - round(b * x * m)) <= 1e-9
-
-    for p in profile.pieces:
-        if p.affine is not None:
-            return False
-        if not (on_grid(p.lo) and on_grid(p.hi)):
-            return False
-        if p.samples is not None:
-            width = (p.hi - p.lo) / p.samples.size
-            k = round(b * width * m)
-            if k < 1 or abs(b * width * m - k) > 1e-9:
-                return False
-    return True
 
 
 def fourier_coeff(ps, n):
@@ -172,15 +147,14 @@ def fourier_coeff(ps, n):
 _ROUNDOFF = 256.0 * np.finfo(float).eps
 
 
-def _jump_masses(profile, b):
-    """Net jump, kink and curvature-jump masses ``(J, K, L)`` of ``Phi_b``.
+def _breakpoints(profile, b):
+    """Positions ``b x`` (not reduced mod 1) of the breakpoints of ``Phi_b``, with their jumps.
 
     ``Phi_b`` is piecewise quadratic on the circle.  Every breakpoint ``x``
     of ``phi_hat^2`` (piece ends, sample-cell edges) sits at ``b x mod 1``,
-    where the jumps of ``Phi_b``, ``Phi_b'`` and ``Phi_b''`` are those of
-    ``phi_hat^2`` and its derivatives times ``1, 1/b, 1/b^2``.  Jumps from
-    different translates landing on one circle point are summed before
-    taking absolute values, so a continuous ``Phi_b`` has ``J = 0``.
+    where the jumps of ``Phi_b``, ``Phi_b'`` and ``Phi_b''`` (the columns of
+    the returned rows) are those of ``phi_hat^2`` and its derivatives times
+    ``1, 1/b, 1/b^2``.
     """
     pos, jumps = [], []
     for p in profile.pieces:
@@ -194,13 +168,30 @@ def _jump_masses(profile, b):
         for x, sign in ((p.lo, 1.0), (p.hi, -1.0)):
             pos.append(np.array([x]))
             jumps.append(sign * np.array([[c0 + c1 * x + c2 * x * x, (c1 + 2.0 * c2 * x) / b, 2.0 * c2 / b**2]]))
-    x = b * np.concatenate(pos)
+    return b * np.concatenate(pos), np.concatenate(jumps)
+
+
+def _cell_offsets(profile, b, m):
+    """Distance in ``xi`` from each breakpoint of ``Phi_b`` to its nearest ``m``-grid cell boundary, and its jumps."""
+    x, jumps = _breakpoints(profile, b)
+    r = x * m
+    return np.abs(r - np.round(r)) / m, jumps
+
+
+def _jump_masses(profile, b):
+    """Net jump, kink and curvature-jump masses ``(J, K, L)`` of ``Phi_b``.
+
+    Jumps from different translates landing on one circle point
+    (:func:`_breakpoints`) are summed before taking absolute values, so a
+    continuous ``Phi_b`` has ``J = 0``.
+    """
+    x, jumps = _breakpoints(profile, b)
     frac = x - np.floor(x)
     tol = _ROUNDOFF * max(1.0, float(np.max(np.abs(x))))  # positions this close coincide
     frac[frac > 1.0 - tol] -= 1.0  # the circle closes: 1 is 0
     order = np.argsort(frac, kind="stable")
     starts = np.concatenate(([0], np.flatnonzero(np.diff(frac[order]) > tol) + 1))
-    net = np.add.reduceat(np.concatenate(jumps)[order], starts, axis=0)
+    net = np.add.reduceat(jumps[order], starts, axis=0)
     return tuple(float(v) for v in np.sum(np.abs(net), axis=0))
 
 
@@ -229,31 +220,38 @@ def coefficient_error_bound(profile, ps, n):
       ``L (14 zeta(3) - 8) / (8 pi^3 M^3) <= L / (24 M^3)``.
 
     When ``ps.cell_constant`` holds, the sinc-corrected coefficient is exact
-    and only roundoff remains.  Roundoff of the FFT and of the closed-form
-    kernel is budgeted as ``256 eps log2(M)`` times ``c_0 = b ||phi||^2``,
-    plus the smallest normal float, below which relative roundoff fails.
+    for the step function whose jumps sit on the nearest cell boundaries
+    (no midpoint lies between a jump and its boundary).  Moving a jump
+    ``J_p`` by ``eps_p`` changes every coefficient by at most
+    ``|J_p| eps_p``, so the bound is ``sum_p |J_p| eps_p`` plus roundoff.
+    Roundoff of the FFT and of the closed-form kernel is budgeted as
+    ``256 eps log2(M)`` times ``c_0 = b ||phi||^2``, plus the smallest
+    normal float, below which relative roundoff fails.
     """
     n = np.abs(np.asarray(n, dtype=float))
     m = ps.grid_size
     roundoff = _ROUNDOFF * math.log2(m) * ps.b * profile.norm_squared() + np.finfo(float).tiny
     if ps.cell_constant:
-        return roundoff + np.zeros_like(n)
+        offsets, jumps = _cell_offsets(profile, ps.b, m)
+        return float(np.dot(offsets, np.abs(jumps[:, 0]))) + roundoff + np.zeros_like(n)
     jump, kink, curve = _jump_masses(profile, ps.b)
     alias = jump * (1.5 / m + 4.0 * math.log(2.0) / math.pi * n / m**2) + kink / (4.0 * m**2)
     return alias + curve / (24.0 * m**3) + roundoff
 
 
-def essential_bounds(ps, zero_thresh=None):
+def _zeros(ps):
+    """``(sup, mask)``: grid points at or below ``1e-8 * sup`` count as zeros."""
+    sup = float(np.max(ps.values))
+    return sup, ps.values <= 1e-8 * sup
+
+
+def essential_bounds(ps):
     """Grid essential bounds ``(inf over nonzero, sup, zero fraction)``.
 
-    ``zero_thresh`` defaults to ``1e-8 * sup``.  Grid points at or below the
-    threshold count as zeros; ``inf_nonzero`` is ``inf`` when every point is
-    a zero.
+    Grid points at or below ``1e-8 * sup`` count as zeros; ``inf_nonzero``
+    is ``inf`` when every point is a zero.
     """
-    sup = float(np.max(ps.values))
-    if zero_thresh is None:
-        zero_thresh = 1e-8 * sup
-    mask = ps.values <= zero_thresh
+    sup, mask = _zeros(ps)
     zero_fraction = float(np.mean(mask))
     if zero_fraction == 1.0:
         inf_nonzero = math.inf
@@ -262,18 +260,15 @@ def essential_bounds(ps, zero_thresh=None):
     return inf_nonzero, sup, zero_fraction
 
 
-def zero_count(ps, zero_thresh=None):
+def zero_count(ps):
     """Number of cyclic runs of grid zeros and their intervals in xi.
 
     Returns ``(count, intervals)`` where each interval is the union of the
-    grid cells whose midpoints sit at or below the threshold.  Refuses when
-    more than half the circle is at zero level, since run counting is then
-    meaningless.
+    grid cells whose midpoints are zeros in the sense of
+    :func:`essential_bounds`.  Refuses when more than half the circle is at
+    zero level, since run counting is then meaningless.
     """
-    sup = float(np.max(ps.values))
-    if zero_thresh is None:
-        zero_thresh = 1e-8 * sup
-    mask = ps.values <= zero_thresh
+    _, mask = _zeros(ps)
     frac = float(np.mean(mask))
     if frac > 0.5:
         raise ValueError(
@@ -355,14 +350,19 @@ def write_csv(ps, path):
             writer.writerow([format(x, ".12g"), format(v, ".12g")])
 
 
-def summary(ps, zero_thresh=None):
-    """JSON-ready summary of a periodization."""
-    inf_nz, sup, zf = essential_bounds(ps, zero_thresh)
+def summary(ps):
+    """JSON-ready summary of a periodization.
+
+    ``tail_bound`` is always 0 (the translate sum of a compactly supported
+    profile is finite); the key stays so that ``frameseq/1`` output keeps
+    its shape.
+    """
+    inf_nz, sup, zf = essential_bounds(ps)
     return {
         "b": ps.b,
         "grid_size": ps.grid_size,
         "truncation_range": ps.truncation_range,
-        "tail_bound": ps.tail_bound,
+        "tail_bound": 0.0,
         "inf_nonzero": inf_nz if math.isfinite(inf_nz) else None,
         "sup": sup,
         "zero_fraction": zf,

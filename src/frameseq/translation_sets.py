@@ -24,6 +24,7 @@ from .spectrum import TimeEnvelope
 
 __all__ = [
     "TranslationSet",
+    "as_indices",
     "density",
     "is_sparse",
     "SparsityDiagnostic",
@@ -58,18 +59,11 @@ class TranslationSet:
 
     @staticmethod
     def _make(kind, **params):
-        if kind not in _GENERATOR_KINDS:
-            raise ValueError(f"unknown translation-set kind: {kind!r}")
         return TranslationSet(kind=kind, params=tuple(sorted(params.items())))
 
     @classmethod
     def explicit(cls, points):
-        pts = tuple(float(p) for p in points)
-        if len(pts) == 0:
-            raise ValueError("explicit set needs at least one point")
-        if len(set(pts)) != len(pts):
-            raise ValueError("explicit set has repeated points")
-        return cls._make("explicit", points=tuple(sorted(pts)))
+        return cls._make("explicit", points=tuple(float(p) for p in as_indices(points).tolist()))
 
     @classmethod
     def integers(cls, half_width):
@@ -117,43 +111,32 @@ class TranslationSet:
         return dict(self.params)[key]
 
     def realize(self):
-        """Sorted numpy array of the realized points (int64 when integral)."""
+        """The realized points, normalized by :func:`as_indices`."""
         k = self.kind
         if k == "explicit":
-            pts = np.asarray(self._p("points"), dtype=float)
-            if np.allclose(pts, np.round(pts)):
-                return np.sort(np.round(pts).astype(np.int64))
-            return np.sort(pts)
+            return as_indices(self._p("points"))
         if k == "integers":
             n = self._p("half_width")
-            return np.arange(-n, n + 1, dtype=np.int64)
-        if k == "subgroup":
+            pts = np.arange(-n, n + 1, dtype=np.int64)
+        elif k == "subgroup":
             m, n = self._p("m"), self._p("half_width")
-            return m * np.arange(-n, n + 1, dtype=np.int64)
-        if k == "naturals":
-            return np.arange(1, self._p("n_max") + 1, dtype=np.int64)
-        if k == "squares":
-            n = np.arange(0, self._p("n_max") + 1, dtype=np.int64)
-            return n * n
-        if k == "powers":
-            p, nm = self._p("exponent"), self._p("n_max")
-            n = np.arange(0, nm + 1, dtype=np.int64)
-            return n**p
-        if k == "geometric":
-            return 2 ** np.arange(0, self._p("n_max") + 1, dtype=np.int64)
-        if k == "dyadic_blocks":
+            pts = m * np.arange(-n, n + 1, dtype=np.int64)
+        elif k == "naturals":
+            pts = np.arange(1, self._p("n_max") + 1, dtype=np.int64)
+        elif k in ("squares", "powers"):
+            p = 2 if k == "squares" else self._p("exponent")
+            pts = np.arange(0, self._p("n_max") + 1, dtype=np.int64) ** p
+        elif k == "geometric":
+            pts = 2 ** np.arange(0, self._p("n_max") + 1, dtype=np.int64)
+        else:
             from .constructions import DyadicBlocks
 
-            return DyadicBlocks(self._p("alpha"), self._p("n_max")).realize()
-        raise AssertionError(k)
+            pts = DyadicBlocks(self._p("alpha"), self._p("n_max")).realize()
+        return as_indices(pts)
 
     @property
     def is_integer(self):
         return self.realize().dtype == np.int64
-
-    def span(self):
-        lam = self.realize()
-        return float(lam[-1] - lam[0])
 
     # -- serialization ---------------------------------------------------------
 
@@ -169,23 +152,13 @@ class TranslationSet:
         if not isinstance(obj, dict) or len(obj) != 1:
             raise ValueError("translation-set object must have exactly one kind key")
         kind, params = next(iter(obj.items()))
-        if kind == "explicit":
-            return TranslationSet.explicit(params["points"])
-        if kind == "integers":
-            return TranslationSet.integers(params["half_width"])
-        if kind == "subgroup":
-            return TranslationSet.subgroup(params["m"], params["half_width"])
-        if kind == "naturals":
-            return TranslationSet.naturals(params["n_max"])
-        if kind == "squares":
-            return TranslationSet.squares(params["n_max"])
-        if kind == "powers":
-            return TranslationSet.powers(params["exponent"], params["n_max"])
-        if kind == "geometric":
-            return TranslationSet.geometric(params["n_max"])
-        if kind in ("dyadic_blocks", "dyadic"):
-            return TranslationSet.dyadic_blocks(params["alpha"], params["n_max"])
-        raise ValueError(f"unknown translation-set kind: {kind!r}")
+        kind = "dyadic_blocks" if kind == "dyadic" else kind
+        if kind not in _GENERATOR_KINDS:
+            raise ValueError(f"unknown translation-set kind: {kind!r}")
+        try:
+            return getattr(TranslationSet, kind)(**params)
+        except TypeError as exc:  # not a mapping, or missing or unknown parameter names
+            raise ValueError(f"bad parameters for translation-set kind {kind!r}: {exc}") from exc
 
     @staticmethod
     def from_token(token, window=None):
@@ -221,6 +194,48 @@ class TranslationSet:
         raise ValueError(f"unknown translation-set token: {token!r}")
 
 
+# float64 tells neighbouring integers apart up to 2^53, and int64 differences
+# of points this size cannot overflow
+_MAX_INDEX = 2.0**53
+
+
+def as_indices(lam, coeffs=None):
+    """The one normalizer of index sets: a :class:`TranslationSet` or array-like to points.
+
+    Returns a nonempty 1-d array, sorted with no repeats, of finite points
+    of magnitude at most ``2^53``, never rounded or moved.  Its dtype is
+    int64 exactly when every point is an integer (whatever the input dtype),
+    else float64; integer sets are the ones with a periodization route.
+    Anything else (empty or not 1-d, non-real, non-finite, beyond ``2^53``,
+    a repeated point) raises ``ValueError``.  With ``coeffs``, returns
+    ``(points, c)``: the complex coefficients, one per input point, permuted
+    with the points (a :class:`TranslationSet` is already in realized order).
+    """
+    if isinstance(lam, TranslationSet):
+        pts, order = lam.realize(), None
+    else:
+        arr = np.asarray(lam)
+        if arr.ndim != 1 or arr.size == 0:
+            raise ValueError("index set must be a nonempty 1-d array")
+        if arr.dtype.kind not in "iuf":
+            raise ValueError(f"index points must be real numbers, not {arr.dtype}")
+        x = arr.astype(float)
+        if not np.max(np.abs(x)) <= _MAX_INDEX:  # NaN fails too
+            raise ValueError("index points must be finite, of magnitude at most 2^53")
+        integer = arr.dtype.kind != "f" or bool(np.all(x == np.round(x)))
+        pts = arr.astype(np.int64, copy=False) if integer else x
+        order = np.argsort(pts, kind="stable")
+        pts = pts[order]
+        if np.any(pts[1:] == pts[:-1]):
+            raise ValueError("index set has repeated points")
+    if coeffs is None:
+        return pts
+    c = np.asarray(coeffs, dtype=complex)
+    if c.shape != pts.shape:
+        raise ValueError("coefficient vector length must match the index set")
+    return pts, c if order is None else c[order]
+
+
 # ----------------------------------------------------------------------------
 # sliding-window density
 # ----------------------------------------------------------------------------
@@ -245,20 +260,18 @@ def _density_sorted(lam, x):
 def density(lam, x):
     """Sliding-window density ``D(x)`` on the realized window.
 
-    ``lam`` may be a :class:`TranslationSet` or a sorted array.  For
+    ``lam`` may be a :class:`TranslationSet` or any array-like that
+    :func:`as_indices` accepts; repeated points are refused.  For
     generator-backed sets a window shorter than ``x`` is an error, because
     the windowed count would silently undercount the infinite set; explicit
     finite sets are counted exactly for any ``x``.
     """
-    if isinstance(lam, TranslationSet):
-        arr = lam.realize()
-        if lam.kind != "explicit" and x > float(arr[-1] - arr[0]):
-            raise ValueError(
-                f"realized window span {float(arr[-1] - arr[0]):g} is shorter than x = {x:g}; "
-                "enlarge the realization window"
-            )
-        return _density_sorted(arr, x)
-    arr = np.sort(np.asarray(lam))
+    arr = as_indices(lam)
+    if isinstance(lam, TranslationSet) and lam.kind != "explicit" and x > float(arr[-1] - arr[0]):
+        raise ValueError(
+            f"realized window span {float(arr[-1] - arr[0]):g} is shorter than x = {x:g}; "
+            "enlarge the realization window"
+        )
     return _density_sorted(arr, x)
 
 
@@ -270,7 +283,7 @@ def density_exponent_fit(lam, p_max=None, n_points=2):
     windows are excluded deliberately: transient dense prefixes would
     otherwise dominate the fit.
     """
-    arr = lam.realize() if isinstance(lam, TranslationSet) else np.sort(np.asarray(lam))
+    arr = as_indices(lam)
     span = float(arr[-1] - arr[0])
     if p_max is None:
         p_max = int(math.floor(math.log2(span)))
@@ -312,7 +325,7 @@ def is_sparse(ts, n_shifts=8):
     Gap statistics are reported alongside as a secondary signal for
     increasing sequences.
     """
-    lam = ts.realize() if isinstance(ts, TranslationSet) else np.sort(np.asarray(ts))
+    lam = as_indices(ts)
     if lam.dtype != np.int64:
         raise ValueError("sparsity check needs an integer translation set")
     half = lam[: max(2, lam.size // 2)]
@@ -458,7 +471,7 @@ def upper_bound_sufficient(env, ts, x_max=1e4, n_grid=256):
     ``undetermined``.  Non-power envelopes have no certified tail model and
     always report ``undetermined`` with the window integral attached.
     """
-    lam = ts.realize() if isinstance(ts, TranslationSet) else np.sort(np.asarray(ts))
+    lam = as_indices(ts)
     span = float(lam[-1] - lam[0])
     if x_max > span:
         raise ValueError(f"x_max {x_max:g} exceeds the realized window span {span:g}")
@@ -526,7 +539,7 @@ def upper_bound_necessary(env, ts, x_max=1e4, n_grid=256):
     violates the necessary condition; a flat running max is consistent with
     a bounded product.
     """
-    lam = ts.realize() if isinstance(ts, TranslationSet) else np.sort(np.asarray(ts))
+    lam = as_indices(ts)
     span = float(lam[-1] - lam[0])
     if x_max > span:
         raise ValueError(f"x_max {x_max:g} exceeds the realized window span {span:g}")
@@ -611,7 +624,7 @@ def interval_energy_test(env, ts, intervals):
     windowed proxy for the quadratic test; empty intervals are kept in the
     table with a note instead of failing.
     """
-    lam = ts.realize() if isinstance(ts, TranslationSet) else np.sort(np.asarray(ts))
+    lam = as_indices(ts)
     rows = []
     for lo, hi in intervals:
         if not (hi > lo):

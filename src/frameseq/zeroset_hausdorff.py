@@ -17,10 +17,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gram import Budgets, build_gram, frame_bound_estimates
+from .gram import EIGENSOLVE_CAP, Budgets, build_gram, frame_bound_estimates
 from .periodization import cyclic_runs
 from .spectrum import FourierProfile, TimeEnvelope, time_side_values
-from .translation_sets import TranslationSet, density, density_exponent_fit
+from .translation_sets import _density_sorted, as_indices, density_exponent_fit
 
 __all__ = [
     "CoverEstimate",
@@ -131,44 +131,45 @@ class CoefficientSumBound:
     normalized: bool
 
 
-def _as_indexed_coeffs(lam, coeffs):
-    lam = lam.realize() if isinstance(lam, TranslationSet) else np.sort(np.asarray(lam))
+def _unit_coeffs(lam, coeffs):
+    """Integer frequencies with their coefficients scaled to a unit vector, and whether scaled."""
+    lam, c = as_indices(lam, coeffs)
     if lam.dtype != np.int64:
         raise ValueError("coefficient checks need integer frequency sets")
-    c = np.asarray(coeffs, dtype=complex)
-    if c.shape != (lam.size,):
-        raise ValueError("coefficient vector length must match the frequency set")
-    return lam, c
+    nrm = float(np.linalg.norm(c))
+    if abs(nrm - 1.0) <= 1e-12:
+        return lam, c, False
+    if nrm == 0.0:
+        raise ValueError("zero coefficient vector")
+    return lam, c / nrm, True
 
 
 def coefficient_sum_bound_check(lam, coeffs, j_interval, tol=1e-12):
     """Check ``sum_{n in J} |corr(n)| <= D(|J|)`` for ``corr = coefficients of |f|^2``.
 
-    ``corr(n) = sum_k c_k conj(c_{k-n})`` is computed exactly for every lag
-    by one correlation of the coefficients laid out over the integer span.
-    Unnormalized input is normalized (the bound assumes a unit vector) and
-    flagged in the result.
+    ``corr(n) = sum_k c_k conj(c_{k-n})`` is summed exactly over the pairs
+    of frequencies whose difference lies in ``J``, found by binary search
+    in the sorted frequencies, so the cost is ``O(n min(n, |J|))`` whatever
+    the span.  Unnormalized input is normalized (the bound assumes a unit
+    vector) and flagged in the result.
     """
-    lam, c = _as_indexed_coeffs(lam, coeffs)
+    lam, c, normalized = _unit_coeffs(lam, coeffs)
     lo, hi = int(j_interval[0]), int(j_interval[1])
     if hi < lo:
         raise ValueError("empty integer interval")
-    nrm = float(np.linalg.norm(c))
-    normalized = False
-    if abs(nrm - 1.0) > 1e-12:
-        if nrm == 0.0:
-            raise ValueError("zero coefficient vector")
-        c = c / nrm
-        normalized = True
-    # corr(n) for every lag n in [-span, span], exact from the integer support
     span = int(lam[-1] - lam[0])
-    dense = np.zeros(span + 1, dtype=complex)
-    dense[lam - lam[0]] = c
-    corr = np.correlate(dense, dense, mode="full")  # corr[span + n] = corr(n)
-    lags = np.arange(max(lo, -span), min(hi, span) + 1)
-    lhs = float(np.sum(np.abs(corr[lags + span])))
+    lo_c, hi_c = max(lo, -span), min(hi, span)
+    # pair (i, j) has lag lam_i - lam_j in J exactly when j lies in [first_i, last_i)
+    first = np.searchsorted(lam, lam - hi_c, side="left")
+    counts = np.maximum(np.searchsorted(lam, lam - lo_c, side="right") - first, 0)
+    i = np.repeat(np.arange(lam.size), counts)
+    j = np.arange(i.size) + np.repeat(first - (np.cumsum(counts) - counts), counts)
+    where = np.unique(lam[i] - lam[j], return_inverse=True)[1]
+    w = c[i] * np.conj(c[j])
+    corr = np.bincount(where, w.real) + 1j * np.bincount(where, w.imag)
+    lhs = float(np.sum(np.abs(corr)))
     count = hi - lo + 1
-    rhs = float(density(lam, float(count)))
+    rhs = float(_density_sorted(lam, float(count)))
     return CoefficientSumBound(
         lhs=lhs,
         rhs=rhs,
@@ -211,21 +212,14 @@ def interval_mass_bound_check(lam, coeffs, interval):
     terms.  The reported ratio carries no constant: the testable property is
     its stability across interval scales, not a fixed bound.
     """
-    lam, c = _as_indexed_coeffs(lam, coeffs)
+    lam, c, normalized = _unit_coeffs(lam, coeffs)
     lo, hi = float(interval[0]), float(interval[1])
     if not (hi > lo):
         raise ValueError(f"bad interval [{lo}, {hi}]")
-    nrm = float(np.linalg.norm(c))
-    normalized = False
-    if abs(nrm - 1.0) > 1e-12:
-        if nrm == 0.0:
-            raise ValueError("zero coefficient vector")
-        c = c / nrm
-        normalized = True
     diffs = lam[:, None] - lam[None, :]
     mass = float(np.real(np.sum(np.outer(c, np.conj(c)) * _interval_transform(diffs, lo, hi))))
     ell = hi - lo
-    dval = int(density(lam, 1.0 / ell))
+    dval = _density_sorted(lam, 1.0 / ell)
     return IntervalMassBound(
         mass=mass,
         length=ell,
@@ -244,7 +238,7 @@ def interval_mass_scaling(lam, scales, n_trials=50, rng_seed=0, character=False)
     the growth diagnostic.  Scale-free inputs (characters on a saturated
     density window) give slope 0 up to round-off.
     """
-    lam_arr = lam.realize() if isinstance(lam, TranslationSet) else np.sort(np.asarray(lam))
+    lam_arr = as_indices(lam)
     rng = np.random.default_rng(rng_seed)
     rows = []
     for ell in scales:
@@ -353,9 +347,9 @@ def exactness_evidence(b, ts, a, profile=None, envelope=None, ps=None, budgets=N
     windows, a_ests = [], []
     lower_bounded = False
     if all_pass and profile is not None:
-        lam = ts.realize() if isinstance(ts, TranslationSet) else np.sort(np.asarray(ts))
+        lam = as_indices(ts)
         w = min(budgets.window, lam.size)
-        g = build_gram(profile, b, lam[: min(lam.size, min(8 * w, budgets.max_dim))], ps=ps)
+        g = build_gram(profile, b, lam[: min(lam.size, 8 * w, EIGENSOLVE_CAP)], ps=ps)
         k = w
         while k <= g.dim:
             fb = frame_bound_estimates(g.principal(k), kernel_tol=budgets.kernel_tol)

@@ -78,6 +78,12 @@ def test_gram_reports_route_and_bounds(capsys):
     assert not res["degenerate"]
 
 
+def test_gram_refuses_sets_over_the_dense_cap(capsys):
+    code, out, err = run(capsys, "gram", "--profile", "tent", "--b", "2", "--indices", "squares:3000")
+    assert code == 1 and not out
+    assert "3001 translates exceeds the dense cap 2048" in err
+
+
 def test_density_with_envelope(capsys):
     code, doc = run_json(
         capsys,

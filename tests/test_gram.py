@@ -48,8 +48,8 @@ def test_diagonal_invariant_of_spacing(taper):
 
 
 def test_non_integer_route_and_agreement(taper):
-    lam_f = np.arange(0.0, 9.0)
-    g_auto = build_gram(taper, 1.0, lam_f)
+    # half-integer points have the integer differences of np.arange(9) but no grid route
+    g_auto = build_gram(taper, 1.0, np.arange(9) + 0.5)
     assert g_auto.route == "autocorrelation" and g_auto.grid_size is None
     g_grid = build_gram(taper, 1.0, np.arange(0, 9, dtype=np.int64))
     # both routes read their entries off the same closed-form kernel

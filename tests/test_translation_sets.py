@@ -99,6 +99,11 @@ def test_token_and_json_roundtrip():
         back = TranslationSet.from_json(ts.to_json())
         assert np.array_equal(back.realize(), ts.realize())
     assert TranslationSet.from_token("Z", window=4) == TranslationSet.integers(4)
+    dyadic = TranslationSet.from_json({"dyadic": {"alpha": 0.5, "n_max": 8}})
+    assert dyadic == TranslationSet.dyadic_blocks(0.5, 8)
+    for bad in ({"wavelets": {}}, {"realize": {}}, {"squares": {"n": 4}}, {"squares": {}}, {"squares": 4}):
+        with pytest.raises(ValueError):
+            TranslationSet.from_json(bad)
     with pytest.raises(ValueError):
         TranslationSet.from_token("Z")
     with pytest.raises(ValueError):
