@@ -38,7 +38,6 @@ import numpy as np
 
 from .constructions import (
     box_profile,
-    gallery_profiles,
     indicator_profile,
     infimum_spectrum,
     plateau_taper_profile,
@@ -47,8 +46,10 @@ from .constructions import (
     verify_lower_collapse,
 )
 from .gram import (
-    Budgets,
+    BASE_GRID_CAP,
     EIGENSOLVE_CAP,
+    WINDOW_DOUBLINGS,
+    Budgets,
     InconsistencyError,
     build_gram,
     classify,
@@ -234,7 +235,7 @@ def _load_envelope(source):
 def _budgets(args):
     kw = {}
     if getattr(args, "grid", None):
-        kw["grid_size"] = check_grid_size(args.grid, "--grid")
+        kw["grid_size"] = check_grid_size(args.grid, "--grid", cap=BASE_GRID_CAP)
     if getattr(args, "window", None):
         if not (4 <= args.window <= EIGENSOLVE_CAP):
             raise UsageError(f"--window must lie in [4, {EIGENSOLVE_CAP}]")
@@ -250,7 +251,7 @@ def _budgets(args):
 def _cmd_analyze(args, cfg):
     profile, desc = _load_profile(args.profile)
     budgets = _budgets(args)
-    ts = _load_indices(args.indices, args.window or budgets.window * 2**budgets.doublings)
+    ts = _load_indices(args.indices, args.window or budgets.window << WINDOW_DOUBLINGS)
     report = classify(profile, args.b, ts, budgets=budgets)
     payload = {"profile": desc, "report": report.to_json(), "seed": args.seed}
     _emit(payload, cfg, args.out)
@@ -275,10 +276,9 @@ def _cmd_periodize(args, cfg):
 
 def _cmd_gram(args, cfg):
     profile, desc = _load_profile(args.profile)
-    budgets = _budgets(args)
-    ts = _load_indices(args.indices, args.window or budgets.window)
+    ts = _load_indices(args.indices, _budgets(args).window)
     op = build_gram(profile, args.b, ts, rng_seed=args.seed)
-    fb = frame_bound_estimates(op, kernel_tol=budgets.kernel_tol)
+    fb = frame_bound_estimates(op)
     payload = {
         "profile": desc,
         "seed": args.seed,
@@ -488,11 +488,12 @@ def _suite_gallery_pairs(budgets):
 def _suite_weighted_norm(seed):
     rng = np.random.default_rng(seed)
     profile = plateau_taper_profile(2.0, 1.0)
+    ps = periodize(profile, 1.0, grid_size=2**20)
     worst = 0.0
     for _ in range(10):
         lam = np.sort(rng.choice(48, size=12, replace=False)).astype(np.int64)
         c = rng.normal(size=12) + 1j * rng.normal(size=12)
-        res = weighted_norm_identity_check(profile, 1.0, lam, c)
+        res = weighted_norm_identity_check(profile, 1.0, lam, c, ps=ps)
         worst = max(worst, res["deviation"])
     return {"name": "weighted-norm-identity", "passed": worst < 1e-8, "max_deviation": worst}
 
@@ -576,7 +577,7 @@ def _build_parser():
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, profile=True, indices=False, spacing=True):
+    def common(sp, profile=True, indices=False, spacing=True, grid=True):
         if profile:
             sp.add_argument("--profile", required=True, help="profile token or JSON file")
         if spacing:
@@ -584,7 +585,8 @@ def _build_parser():
         if indices:
             sp.add_argument("--indices", default="Z", help="index-set token")
         sp.add_argument("--window", type=int, default=None, help="index window / Gram window")
-        sp.add_argument("--grid", type=int, default=None, help="periodization grid size")
+        if grid:
+            sp.add_argument("--grid", type=int, default=None, help="periodization grid size")
         sp.add_argument("--seed", type=int, default=0, help="root seed, recorded in output")
         sp.add_argument("--out", default=None, help="write the JSON report here")
 
@@ -598,7 +600,7 @@ def _build_parser():
     sp.set_defaults(func=_cmd_periodize)
 
     sp = sub.add_parser("gram", help="finite Gram window estimates")
-    common(sp, indices=True)
+    common(sp, indices=True, grid=False)
     sp.set_defaults(func=_cmd_gram)
 
     sp = sub.add_parser("density", help="window densities and growth tests")

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .periodization import PeriodizedSpectrum, periodize
+from .periodization import PeriodizedSpectrum, check_grid_size, periodize
 from .spectrum import FourierProfile, Piece
 
 __all__ = [
@@ -218,7 +218,7 @@ def block_wave(alpha, n, grid_size):
     n = int(n)
     if n < 1:
         raise ValueError("block index must be >= 1")
-    M = int(grid_size)
+    M = check_grid_size(grid_size)
     if M < 2 ** (n + 2):
         raise ValueError(f"grid {M} too coarse for block {n}; need >= {2 ** (n + 2)}")
     m = int(_block_exponents(alpha, n)[-1])
@@ -274,7 +274,7 @@ def infimum_spectrum(alpha, n_max, grid_size):
     raises.
     """
     n_max = int(n_max)
-    M = int(grid_size)
+    M = check_grid_size(grid_size)
     if M < 2 ** (n_max + 2):
         raise ValueError(f"grid {M} too coarse for n_max={n_max}; need >= {2 ** (n_max + 2)}")
     phi = np.ones(M)

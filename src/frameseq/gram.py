@@ -25,6 +25,8 @@ import numpy as np
 
 from .periodization import (
     GRID_CAP,
+    check_grid_size,
+    check_spacing,
     coefficient_error_bound,
     essential_bounds,
     fourier_coeff,
@@ -46,9 +48,15 @@ __all__ = [
     "classify",
     "truncation_decay",
     "weighted_norm_identity_check",
+    "window_ladder",
+    "nested_window_bounds",
 ]
 
 EIGENSOLVE_CAP = 2048
+REFINEMENTS = 2  # grid doublings of the refinement scan behind the trend rules
+WINDOW_DOUBLINGS = 3  # nested Gram windows w, 2w, ..., w 2^WINDOW_DOUBLINGS
+KERNEL_TOL = 1e-6  # relative eigenvalue cut of the frame-bound estimates
+BASE_GRID_CAP = GRID_CAP >> REFINEMENTS  # largest base grid whose refinements stay within GRID_CAP
 
 
 class InconsistencyError(RuntimeError):
@@ -57,11 +65,11 @@ class InconsistencyError(RuntimeError):
 
 @dataclass(frozen=True)
 class Budgets:
-    grid_size: int = 4096  # base periodization grid; refined by doubling
-    refinements: int = 2  # number of grid doublings for trend rules
+    grid_size: int = 4096  # base periodization grid; doubled REFINEMENTS times
     window: int = 64  # base Gram window (half width on lattices)
-    doublings: int = 3  # Gram window doublings for trend rules
-    kernel_tol: float = 1e-6  # relative eigenvalue cut
+
+    def __post_init__(self):
+        check_grid_size(self.grid_size, cap=BASE_GRID_CAP)
 
 
 @dataclass
@@ -100,10 +108,19 @@ def _real_if_close(vals):
     return vals
 
 
-def _entry_table(profile, b, span):
-    """Entries ``conj(<phi, phi(. - d b)>)`` for ``d`` in ``[-span, span]``, index ``d + span``."""
-    half = np.conj(autocorrelations(profile, b * np.arange(span + 1)))
-    return _real_if_close(np.concatenate((np.conj(half[:0:-1]), half)))
+def _check_grid(profile, b, span, ps):
+    """The periodization grid that checks integer Gram entries up to shift ``span``.
+
+    ``ps`` itself when it has spacing ``b`` and ``2 span < M`` (so no
+    checked coefficient aliases), else a fresh grid of
+    ``next_pow2(max(4096, 2 span + 2))`` points, refused above ``GRID_CAP``.
+    """
+    if ps is not None and ps.b == b and 2 * span < ps.grid_size:
+        return ps
+    m = _next_pow2(max(4096, 2 * span + 2))
+    if m > GRID_CAP:
+        raise ValueError(f"span {span} needs a check grid of {m} points beyond the cap {GRID_CAP}")
+    return periodize(profile, b, grid_size=m)
 
 
 def build_gram(profile, b, lam, ps=None, rng_seed=0):
@@ -115,9 +132,9 @@ def build_gram(profile, b, lam, ps=None, rng_seed=0):
     closed-form kernel: integer index sets through a table over the shifts
     ``[-span, span]``, other sets through their distinct ``|lam_j - lam_i|``.
     On integer sets a deterministic 5% sample of the distinct shifts, plus
-    the largest, is re-derived as Fourier coefficients of the periodization
-    grid ``ps`` (or of a fresh grid of ``next_pow2(max(4096, 2 span + 2))``
-    points when ``ps`` has another spacing or is too coarse); a deviation
+    the largest, is re-derived as Fourier coefficients of the check grid
+    (``ps`` when it has spacing ``b`` and more than ``2 span`` points, else a
+    fresh grid of ``next_pow2(max(4096, 2 span + 2))`` points); a deviation
     beyond the alias budget of
     :func:`~frameseq.periodization.coefficient_error_bound` raises
     :class:`InconsistencyError`.  Non-integer sets have no periodization
@@ -125,8 +142,7 @@ def build_gram(profile, b, lam, ps=None, rng_seed=0):
     """
     if not isinstance(profile, FourierProfile):
         raise TypeError("build_gram needs a FourierProfile")
-    if b <= 0:
-        raise ValueError("spacing b must be positive")
+    b = check_spacing(b)
     lam = as_indices(lam)
     n = lam.size
     if n > EIGENSOLVE_CAP:
@@ -139,19 +155,17 @@ def build_gram(profile, b, lam, ps=None, rng_seed=0):
         g = vals[inv.reshape(n, n)]
         if np.iscomplexobj(g):
             g = np.where(diffs < 0, np.conj(g), g)
-        return GramOperator(matrix=g, b=float(b), indices=lam, route="autocorrelation")
+        return GramOperator(matrix=g, b=b, indices=lam, route="autocorrelation")
 
     span = int(lam[-1] - lam[0])
-    if ps is None or ps.b != b or 2 * span >= ps.grid_size:
-        m = _next_pow2(max(4096, 2 * span + 2))
-        if m > GRID_CAP:
-            raise ValueError(f"span {span} needs a check grid of {m} points beyond the cap {GRID_CAP}")
-        ps = periodize(profile, b, grid_size=m)
-    cm = _entry_table(profile, b, span)
-    g = cm[diffs + span]
+    ps = _check_grid(profile, b, span, ps)
+    cm = np.conj(autocorrelations(profile, b * np.arange(span + 1)))  # shifts 0..span
+    cm = _real_if_close(np.concatenate((np.conj(cm[:0:-1]), cm)))  # shift d at index d + span
+    diffs += span  # in place: now the index of each entry's shift in cm
+    g = cm[diffs]
 
     # dual-route spot check on a deterministic sample of the shifts
-    pos = np.unique(diffs[diffs > 0])
+    pos = np.unique(diffs[diffs > span]) - span
     if pos.size:
         rng = np.random.default_rng(rng_seed)
         sample = rng.choice(pos, size=math.ceil(0.05 * pos.size), replace=False)
@@ -170,7 +184,7 @@ def build_gram(profile, b, lam, ps=None, rng_seed=0):
             )
     return GramOperator(
         matrix=g,
-        b=float(b),
+        b=b,
         indices=lam,
         route="periodization-grid",
         grid_size=ps.grid_size,
@@ -202,7 +216,7 @@ class FrameBounds:
     degenerate: bool
 
 
-def frame_bound_estimates(g, kernel_tol=1e-6):
+def frame_bound_estimates(g, kernel_tol=KERNEL_TOL):
     """Extremal eigenvalues of the Gram window; kernel cut is relative.
 
     ``A_est`` is the smallest eigenvalue strictly above
@@ -218,26 +232,15 @@ def frame_bound_estimates(g, kernel_tol=1e-6):
     b_est = float(eigs[-1])
     cut = kernel_tol * max(b_est, 0.0)
     above = eigs[eigs > cut]
-    if above.size == 0:
-        return FrameBounds(
-            A_est=0.0,
-            B_est=b_est,
-            min_eigenvalue=float(eigs[0]),
-            numerical_rank=0,
-            kernel_dim=g.dim,
-            dim=g.dim,
-            kernel_tol=kernel_tol,
-            degenerate=True,
-        )
     return FrameBounds(
-        A_est=float(above[0]),
+        A_est=float(above[0]) if above.size else 0.0,
         B_est=b_est,
         min_eigenvalue=float(eigs[0]),
         numerical_rank=int(above.size),
         kernel_dim=int(g.dim - above.size),
         dim=g.dim,
         kernel_tol=kernel_tol,
-        degenerate=False,
+        degenerate=above.size == 0,
     )
 
 
@@ -307,7 +310,7 @@ def _phi_refinement_scan(profile, b, budgets):
     the Gram cross-check reuses.
     """
     rows = []
-    for k in range(budgets.refinements + 1):
+    for k in range(REFINEMENTS + 1):
         m = budgets.grid_size * (1 << k)
         ps = periodize(profile, b, grid_size=m)
         inf_nz, sup, zf = essential_bounds(ps)
@@ -367,7 +370,7 @@ def _lattice_rules(rows, b):
     return "undetermined", None, fine["sup"] / b, evidence
 
 
-def _gram_agreement(profile, b, lam, ps, budgets, evidence):
+def _gram_agreement(profile, b, lam, ps, evidence):
     """Cross-validate the Gram window against the periodization bounds.
 
     Finite windows of the lattice form live inside the convex hull of the
@@ -377,7 +380,7 @@ def _gram_agreement(profile, b, lam, ps, budgets, evidence):
     are spot-checked against the same grid ``ps``.
     """
     g = build_gram(profile, b, lam, ps=ps)
-    fb = frame_bound_estimates(g, kernel_tol=budgets.kernel_tol)
+    fb = frame_bound_estimates(g)
     b_phi = float(np.max(ps.values)) / b
     slack = 1e-9 * max(1.0, b_phi)
     if fb.B_est > b_phi + slack:
@@ -438,7 +441,7 @@ def classify(profile, b, ts, budgets=None):
             if kind == "integers"
             else np.arange(1, w + 1, dtype=np.int64)
         )
-        fb = _gram_agreement(profile, b, lam, ps, budgets, evidence)
+        fb = _gram_agreement(profile, b, lam, ps, evidence)
         if kind == "naturals" and label in ("frame sequence (non-exact)", "not a frame sequence"):
             evidence.append(
                 {
@@ -466,7 +469,7 @@ def classify(profile, b, ts, budgets=None):
     evidence = []
     if lam.dtype != np.int64:
         g = build_gram(profile, b, lam[: min(lam.size, 256)])
-        fb = frame_bound_estimates(g, kernel_tol=budgets.kernel_tol)
+        fb = frame_bound_estimates(g)
         evidence.append(
             {
                 "rule": "eigenvalue-window-trend",
@@ -491,83 +494,75 @@ def classify(profile, b, ts, budgets=None):
     rows, ps = _phi_refinement_scan(profile, b, budgets)
     label0, _, _, ev0 = _lattice_rules(rows, b)
     evidence.extend(ev0[:1])  # keep the constant-spectrum check
+    windows = window_ladder(lam.size, budgets.window)
     if label0 == "orthonormal":
-        fb = _gram_agreement(profile, b, lam[: min(lam.size, 2 * budgets.window)], ps, budgets, evidence)
-        return FrameReport(
-            classification="orthonormal",
-            A_est=1.0,
-            B_est=1.0,
-            numerical_rank=fb.numerical_rank,
-            evidence=evidence,
-            b=float(b),
-            index_kind=kind,
-            grid_sizes=[r["grid"] for r in rows],
-            windows=[],
-            notes=["constant periodized spectrum; any subfamily of the lattice family is orthonormal"],
-        )
-
-    w0 = min(budgets.window, lam.size)
-    windows = []
-    k = w0
-    while k <= lam.size and k <= EIGENSOLVE_CAP and len(windows) <= budgets.doublings:
-        windows.append(k)
-        k *= 2
-    if len(windows) < 3:
-        return FrameReport(
-            classification="undetermined",
-            A_est=None,
-            B_est=None,
-            numerical_rank=None,
-            evidence=evidence,
-            b=float(b),
-            index_kind=kind,
-            grid_sizes=[r["grid"] for r in rows],
-            windows=windows,
-            notes=["not enough nested windows for a trend verdict"],
-        )
-    a_seq, b_seq, ranks = [], [], []
-    g_full = build_gram(profile, b, lam[: windows[-1]], ps=ps)
-    for w in windows:
-        fb = frame_bound_estimates(g_full.principal(w), kernel_tol=budgets.kernel_tol)
-        a_seq.append(fb.A_est)
-        b_seq.append(fb.B_est)
-        ranks.append(fb.numerical_rank)
-    evidence.append(
-        {
-            "rule": "eigenvalue-window-trend",
-            "windows": windows,
-            "A_est": [float(x) for x in a_seq],
-            "B_est": [float(x) for x in b_seq],
-            "numerical_rank": ranks,
-            **_check_evidence(g_full),
-        }
-    )
-    a_fall = a_seq[-1] / a_seq[0] if a_seq[0] > 0 else 0.0
-    b_grow = b_seq[-1] / b_seq[0] if b_seq[0] > 0 else float("inf")
-    if b_grow >= 1.5:
-        label = "not a frame sequence"
-        a_val = None
-    elif a_fall <= 0.5 and b_grow <= 1.2:
-        label = "upper bound only"
-        a_val = None
-    elif a_fall >= 0.8 and b_grow <= 1.2:
-        label = "exact frame sequence"
-        a_val = a_seq[-1]
+        fb = _gram_agreement(profile, b, lam[: min(lam.size, 2 * budgets.window)], ps, evidence)
+        label, a_val, b_val, rank, windows = "orthonormal", 1.0, 1.0, fb.numerical_rank, []
+        note = "constant periodized spectrum; any subfamily of the lattice family is orthonormal"
+    elif len(windows) < 3:
+        label, a_val, b_val, rank = "undetermined", None, None, None
+        note = "not enough nested windows for a trend verdict"
     else:
-        label = "undetermined"
-        a_val = None
+        g_full, fbs = nested_window_bounds(profile, b, lam, windows, ps=ps)
+        a_seq = [fb.A_est for fb in fbs]
+        b_seq = [fb.B_est for fb in fbs]
+        ranks = [fb.numerical_rank for fb in fbs]
+        evidence.append(
+            {
+                "rule": "eigenvalue-window-trend",
+                "windows": windows,
+                "A_est": [float(x) for x in a_seq],
+                "B_est": [float(x) for x in b_seq],
+                "numerical_rank": ranks,
+                **_check_evidence(g_full),
+            }
+        )
+        a_fall = a_seq[-1] / a_seq[0] if a_seq[0] > 0 else 0.0
+        b_grow = b_seq[-1] / b_seq[0] if b_seq[0] > 0 else float("inf")
+        if b_grow >= 1.5:
+            label, a_val = "not a frame sequence", None
+        elif a_fall <= 0.5 and b_grow <= 1.2:
+            label, a_val = "upper bound only", None
+        elif a_fall >= 0.8 and b_grow <= 1.2:
+            label, a_val = "exact frame sequence", a_seq[-1]
+        else:
+            label, a_val = "undetermined", None
+        b_val, rank = b_seq[-1], ranks[-1]
+        note = "generic-set verdicts are windowed eigenvalue trends, not lattice theorems"
     return FrameReport(
         classification=label,
         A_est=a_val,
-        B_est=b_seq[-1],
-        numerical_rank=ranks[-1],
+        B_est=b_val,
+        numerical_rank=rank,
         evidence=evidence,
         b=float(b),
         index_kind=kind,
         grid_sizes=[r["grid"] for r in rows],
         windows=windows,
-        notes=["generic-set verdicts are windowed eigenvalue trends, not lattice theorems"],
+        notes=[note],
     )
+
+
+def window_ladder(n, window):
+    """Nested window sizes ``w, 2w, ..., w 2^WINDOW_DOUBLINGS`` for a set of ``n`` points.
+
+    ``w = min(window, n)``; rungs larger than ``n`` or ``EIGENSOLVE_CAP``
+    are dropped.  This is the one ladder behind every windowed trend.
+    """
+    w = min(window, n)
+    return [w << k for k in range(WINDOW_DOUBLINGS + 1) if w << k <= min(n, EIGENSOLVE_CAP)]
+
+
+def nested_window_bounds(profile, b, lam, sizes, ps=None):
+    """Frame-bound estimates of the leading principal windows of ``lam`` of the given sizes.
+
+    The Gram matrix of the largest window is built (and spot-checked
+    against ``ps``) once; each smaller window is its leading principal
+    submatrix.  Returns that Gram operator and one
+    :class:`FrameBounds` per size, in the order of ``sizes``.
+    """
+    g = build_gram(profile, b, as_indices(lam)[: max(sizes)], ps=ps)
+    return g, [frame_bound_estimates(g.principal(k)) for k in sizes]
 
 
 def truncation_decay(profile, b, n_list, budgets=None):
@@ -584,42 +579,37 @@ def truncation_decay(profile, b, n_list, budgets=None):
             "truncation decay applies to non-exact frame sequences over the lattice; "
             f"this family classifies as {report.classification!r}"
         )
-    rows = []
-    n_max = max(n_list)
-    g_big = build_gram(profile, b, np.arange(1, n_max + 1, dtype=np.int64))
-    for n in sorted(n_list):
-        fb = frame_bound_estimates(g_big.principal(n), kernel_tol=budgets.kernel_tol)
-        rows.append({"N": int(n), "A_est": float(fb.A_est), "numerical_rank": fb.numerical_rank})
-    return rows
+    sizes = sorted(int(n) for n in n_list)
+    _, fbs = nested_window_bounds(profile, b, np.arange(1, sizes[-1] + 1, dtype=np.int64), sizes)
+    return [
+        {"N": n, "A_est": float(fb.A_est), "numerical_rank": fb.numerical_rank} for n, fb in zip(sizes, fbs)
+    ]
 
 
-def weighted_norm_identity_check(profile, b, lam, coeffs, ps=None, grid_size=2**20):
+def weighted_norm_identity_check(profile, b, lam, coeffs, ps=None):
     """Two routes to ``|sum_n c_n tau_{lam_n b} phi|^2``; returns their gap.
 
-    The left side is the Gram quadratic form with entries from the
-    closed-form autocorrelation kernel.  The right side is the grid mean of
+    The left side is the quadratic form of :func:`build_gram`, whose
+    closed-form entries are spot-checked against the check grid that
+    :func:`build_gram` chooses (``ps`` when it is fine enough, else a fresh
+    grid).  The right side is the mean over that same grid of
     ``|f|^2 Phi_b / b`` with ``f(xi) = sum c_n e^{2 pi i lam_n xi}``,
     evaluated through the coefficient identity (exact for trigonometric
     degree below half the grid), so it touches only grid values of the
-    periodization.  Agreement is two independent numerical paths agreeing.
-    The points and their coefficients are sorted together by
-    :func:`~frameseq.translation_sets.as_indices`.
+    periodization.  The points and their coefficients are sorted together
+    by :func:`~frameseq.translation_sets.as_indices`.
     """
     lam, c = as_indices(lam, coeffs)
     if lam.dtype != np.int64:
         raise ValueError("the grid route needs integer indices")
-
-    diffs = lam[None, :] - lam[:, None]
     span = int(lam[-1] - lam[0])
-    lhs = float(np.real(np.conj(c) @ _entry_table(profile, b, span)[diffs + span] @ c))
+    ps = _check_grid(profile, b, span, ps)
+    lhs = float(np.real(np.conj(c) @ build_gram(profile, b, lam, ps=ps).matrix @ c))
 
-    if ps is None or ps.b != b or 2 * span >= ps.grid_size:
-        if 2 * span >= grid_size:
-            raise ValueError("coefficient span too large for the requested grid")
-        ps = periodize(profile, b, grid_size=grid_size)
     # the transform of a translate carries e^{-2 pi i}, so the trig sum is
     # f(xi) = sum c_n e^{-2 pi i lam_n xi}; its (i, j) cross term has grid
     # mean against Phi equal to conj(cm[lam_j - lam_i])
+    diffs = lam[None, :] - lam[:, None]
     outer = np.outer(c, np.conj(c))
     cm = fourier_coeff(ps, np.arange(-span, span + 1))
     rhs = float(np.real(np.sum(outer * np.conj(cm[diffs + span])))) / b

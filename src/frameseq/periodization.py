@@ -23,6 +23,7 @@ __all__ = [
     "GRID_CAP",
     "PeriodizedSpectrum",
     "check_grid_size",
+    "check_spacing",
     "periodize",
     "periodize_at",
     "fourier_coeff",
@@ -74,12 +75,20 @@ class PeriodizedSpectrum:
         return self._fft
 
 
-def check_grid_size(m, what="grid_size"):
-    """``m`` as an int when it is a power of two in [16, GRID_CAP], else ValueError."""
+def check_grid_size(m, what="grid_size", cap=GRID_CAP):
+    """``m`` as an int when it is a power of two in [16, cap], else ValueError."""
     m = int(m)
-    if m < 16 or m > GRID_CAP or m & (m - 1):
-        raise ValueError(f"{what} must be a power of two in [16, {GRID_CAP}]")
+    if m < 16 or m > cap or m & (m - 1):
+        raise ValueError(f"{what} must be a power of two in [16, {cap}]")
     return m
+
+
+def check_spacing(b):
+    """``b`` as a float when it is a positive finite spacing, else ValueError."""
+    b = float(b)
+    if not 0.0 < b < math.inf:
+        raise ValueError("spacing b must be positive and finite")
+    return b
 
 
 def _cover_range(profile, b, xi_min, xi_max):
@@ -91,8 +100,7 @@ def _cover_range(profile, b, xi_min, xi_max):
 
 def periodize_at(profile, b, xi):
     """``Phi_b`` evaluated exactly at arbitrary points ``xi`` (vectorized)."""
-    if b <= 0:
-        raise ValueError("spacing b must be positive")
+    b = check_spacing(b)
     xi = np.asarray(xi, dtype=float)
     n_lo, n_hi = _cover_range(profile, b, float(xi.min()), float(xi.max()))
     out = np.zeros_like(xi)
@@ -108,15 +116,14 @@ def periodize(profile, b, grid_size=4096):
     Profiles are compactly supported, so the translate sum is finite and
     the truncation range covers the support exactly.
     """
-    if b <= 0:
-        raise ValueError("spacing b must be positive")
+    b = check_spacing(b)
     m = check_grid_size(grid_size)
     grid = (np.arange(m) + 0.5) / m
     values = periodize_at(profile, b, grid)
     n_lo, n_hi = _cover_range(profile, b, 0.0, 1.0)
     steps = all(p.affine is None for p in profile.pieces)
     return PeriodizedSpectrum(
-        b=float(b),
+        b=b,
         grid_size=m,
         values=values,
         truncation_range=max(abs(n_lo), abs(n_hi)),

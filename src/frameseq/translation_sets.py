@@ -16,11 +16,9 @@ G * D is necessary; both directions are probed here on finite windows.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-
-from .spectrum import TimeEnvelope
 
 __all__ = [
     "TranslationSet",
@@ -593,13 +591,19 @@ def _pair_g_sum(env, pts):
         return 0.0
     g0 = float(g_function(env, 0.0))
     if pts.dtype == np.int64:
-        # difference multiplicities via correlation of the indicator
-        lo = int(pts[0])
-        span = int(pts[-1]) - lo
-        ind = np.zeros(span + 1)
-        ind[(pts - lo).astype(int)] = 1.0
-        corr = np.correlate(ind, ind, mode="full")[span:]  # lag 0 .. span
-        counts = np.rint(corr).astype(np.int64)
+        # difference multiplicities: autocorrelation of the indicator by FFT,
+        # zero-padded past 2 span so that no lag wraps around
+        span = int(pts[-1] - pts[0])
+        nfft = 1 << (2 * span).bit_length()
+        ind = np.zeros(nfft)
+        ind[pts - pts[0]] = 1.0
+        spec = np.fft.rfft(ind)
+        corr = np.fft.irfft(spec * np.conj(spec), nfft)[: span + 1]  # lag 0 .. span
+        counts = np.rint(corr)
+        residue = float(np.max(np.abs(corr - counts)))
+        if residue >= 0.25:
+            raise RuntimeError(f"pair counts off integers by {residue:.3g}: FFT roundoff")
+        counts = counts.astype(np.int64)
         ds = np.flatnonzero(counts[1:]) + 1
         if ds.size == 0:
             return n * g0

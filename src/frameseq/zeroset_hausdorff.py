@@ -17,9 +17,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gram import EIGENSOLVE_CAP, Budgets, build_gram, frame_bound_estimates
+from .gram import Budgets, nested_window_bounds, window_ladder
 from .periodization import cyclic_runs
-from .spectrum import FourierProfile, TimeEnvelope, time_side_values
+from .spectrum import time_side_values
 from .translation_sets import _density_sorted, as_indices, density_exponent_fit
 
 __all__ = [
@@ -348,14 +348,10 @@ def exactness_evidence(b, ts, a, profile=None, envelope=None, ps=None, budgets=N
     lower_bounded = False
     if all_pass and profile is not None:
         lam = as_indices(ts)
-        w = min(budgets.window, lam.size)
-        g = build_gram(profile, b, lam[: min(lam.size, 8 * w, EIGENSOLVE_CAP)], ps=ps)
-        k = w
-        while k <= g.dim:
-            fb = frame_bound_estimates(g.principal(k), kernel_tol=budgets.kernel_tol)
-            windows.append(int(k))
-            a_ests.append(float(fb.A_est))
-            k *= 2
+        windows = window_ladder(lam.size, budgets.window)
+        if windows:
+            _, fbs = nested_window_bounds(profile, b, lam, windows, ps=ps)
+            a_ests = [float(fb.A_est) for fb in fbs]
         lower_bounded = len(a_ests) >= 2 and a_ests[-1] >= 0.7 * a_ests[0] and a_ests[-1] > 0
         if lower_bounded:
             verdict = "exactness evidence established"

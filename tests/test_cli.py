@@ -205,3 +205,45 @@ def test_reports_are_deterministic(capsys, tmp_path):
     )
     capsys.readouterr()
     assert f1.read_bytes() != f2.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify", "blocks", "--nmax", "30"),
+        ("gallery", "blocks", "--nmax", "30"),
+        ("analyze", "--profile", "blocks:0.5:30"),
+    ],
+)
+def test_blocks_grid_beyond_the_cap_is_refused_before_allocation(capsys, argv):
+    # n_max = 30 asks for a 2^32-point grid; the grid check refuses it first
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and not out
+    assert "Traceback" not in err and "must be a power of two in [16, 4194304]" in err
+
+
+def test_gram_has_no_grid_option(capsys):
+    code, out, err = run(capsys, "gram", "--profile", "tent", "--grid", "64")
+    assert code == 1 and "unrecognized arguments: --grid 64" in err
+
+
+@pytest.mark.parametrize("command", ["analyze", "gallery"])
+def test_grid_is_validated_against_the_finest_refinement(capsys, command):
+    # the refinement scan doubles the grid twice, so 2^21 would need 2^23 points
+    argv = ["gallery", "taper"] if command == "gallery" else ["analyze", "--profile", "box"]
+    code, out, err = run(capsys, *argv, "--grid", str(2**21))
+    assert code == 1 and not out
+    assert "--grid must be a power of two in [16, 1048576]" in err
+
+
+def test_largest_base_grid_runs(capsys):
+    code, doc = run_json(capsys, "analyze", "--profile", "box", "--grid", str(2**20), "--window", "8")
+    assert code == 0 and doc["result"]["report"]["grid_sizes"] == [2**20, 2**21, 2**22]
+
+
+@pytest.mark.parametrize("command", ["analyze", "gram", "periodize"])
+@pytest.mark.parametrize("b", ["nan", "inf", "-inf", "0"])
+def test_spacing_must_be_positive_and_finite(capsys, command, b):
+    code, out, err = run(capsys, command, "--profile", "tent", f"--b={b}")
+    assert code == 1 and not out
+    assert "spacing b must be positive and finite" in err

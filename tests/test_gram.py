@@ -13,8 +13,9 @@ from frameseq.gram import (
     frame_bound_estimates,
     truncation_decay,
     weighted_norm_identity_check,
+    window_ladder,
 )
-from frameseq.periodization import periodize
+from frameseq.periodization import PeriodizedSpectrum, periodize
 from frameseq.spectrum import autocorrelation
 from frameseq.translation_sets import TranslationSet
 
@@ -233,19 +234,20 @@ def test_weighted_norm_delta_and_parseval(box, taper):
     lam = np.arange(0, 6, dtype=np.int64)
     delta = np.zeros(6, dtype=complex)
     delta[0] = 1.0
-    res = weighted_norm_identity_check(taper, 1.0, lam, delta, grid_size=2**16)
+    res = weighted_norm_identity_check(taper, 1.0, lam, delta, ps=periodize(taper, 1.0, grid_size=2**16))
     assert abs(res["lhs"] - taper.norm_squared()) < 1e-12
     assert res["deviation"] < 1e-10
     c = np.array([1.0, -2.0, 0.5, 1j, 0.0, 3.0])
-    res_box = weighted_norm_identity_check(box, 1.0, lam, c, grid_size=2**16)
+    res_box = weighted_norm_identity_check(box, 1.0, lam, c, ps=periodize(box, 1.0, grid_size=2**16))
     assert abs(res_box["lhs"] - float(np.sum(np.abs(c) ** 2))) < 1e-10
 
 
 def test_weighted_norm_random_vectors(taper, rng):
+    ps = periodize(taper, 1.0, grid_size=2**18)
     for _ in range(25):
         lam = np.sort(rng.choice(48, size=12, replace=False)).astype(np.int64)
         c = rng.normal(size=12) + 1j * rng.normal(size=12)
-        res = weighted_norm_identity_check(taper, 1.0, lam, c, grid_size=2**18)
+        res = weighted_norm_identity_check(taper, 1.0, lam, c, ps=ps)
         assert res["deviation"] < 1e-8
 
 
@@ -254,3 +256,26 @@ def test_weighted_norm_refusals(taper):
         weighted_norm_identity_check(taper, 1.0, np.array([0.5, 1.5]), np.ones(2))
     with pytest.raises(ValueError):
         weighted_norm_identity_check(taper, 1.0, np.arange(3), np.ones(4))
+
+
+def test_weighted_norm_tampered_grid_raises(taper):
+    # the kernel side is spot-checked against the grid the right side reads,
+    # so a grid bumped at shift 11 (the extreme one, always checked) is caught
+    ps = periodize(taper, 2.0, grid_size=4096)
+    bumped = ps.values + 1e-2 * np.cos(2 * np.pi * 11 * ps.grid())
+    tampered = PeriodizedSpectrum(b=ps.b, grid_size=ps.grid_size, values=bumped, truncation_range=ps.truncation_range)
+    with pytest.raises(InconsistencyError, match="shift 11"):
+        weighted_norm_identity_check(taper, 2.0, np.arange(12), np.ones(12), ps=tampered)
+
+
+def test_window_ladder_caps():
+    assert window_ladder(10_000, 64) == [64, 128, 256, 512]
+    assert window_ladder(81, 16) == [16, 32, 64]
+    assert window_ladder(300, 512) == [300]
+    assert window_ladder(100_000, 1024) == [1024, 2048]  # EIGENSOLVE_CAP
+
+
+def test_budgets_grid_leaves_room_for_the_refinements():
+    assert Budgets(grid_size=2**20).grid_size == 2**20
+    with pytest.raises(ValueError, match=r"power of two in \[16, 1048576\]"):
+        Budgets(grid_size=2**21)

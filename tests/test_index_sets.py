@@ -27,8 +27,9 @@ def test_unsorted_points_keep_their_coefficients():
     assert abs(mass - 0.2) < 1e-12
     lhs = coefficient_sum_bound_check(lam, c, (1, 4)).lhs
     assert lhs == coefficient_sum_bound_check(lam_s, c_s, (1, 4)).lhs == 0.0
-    norm = weighted_norm_identity_check(TAPER21, 1.0, lam, c, grid_size=4096)
-    norm_s = weighted_norm_identity_check(TAPER21, 1.0, lam_s, c_s, grid_size=4096)
+    ps = periodize(TAPER21, 1.0, grid_size=4096)
+    norm = weighted_norm_identity_check(TAPER21, 1.0, lam, c, ps=ps)
+    norm_s = weighted_norm_identity_check(TAPER21, 1.0, lam_s, c_s, ps=ps)
     assert norm["lhs"] == norm_s["lhs"] and norm["rhs"] == norm_s["rhs"]
 
 

@@ -10,6 +10,7 @@ from frameseq.spectrum import TimeEnvelope
 from frameseq.translation_sets import (
     TranslationSet,
     _density_sorted,
+    _pair_g_sum,
     density,
     density_exponent_fit,
     g_equivalence_check,
@@ -244,3 +245,16 @@ def test_pair_sum_integer_vs_direct():
         for q in arr:
             direct += g_function(env, abs(p - q))
     assert abs(rows_int[0].pair_sum - direct) < 1e-8 * direct
+
+
+@given(
+    pts=st.lists(st.integers(-3000, 3000), min_size=1, max_size=40, unique=True),
+    a=st.sampled_from([0.6, 0.75, 1.5]),
+)
+@settings(max_examples=60, deadline=None)
+def test_pair_sum_fft_counts_match_brute_force(pts, a):
+    # independent oracle: G summed over every ordered pair, one pair at a time
+    env = TimeEnvelope.power(a)
+    lam = np.sort(np.array(pts, dtype=np.int64))
+    direct = sum(float(g_function(env, float(abs(p - q)))) for p in pts for q in pts)
+    assert abs(_pair_g_sum(env, lam) - direct) <= 1e-9 * direct
