@@ -46,7 +46,6 @@ from .constructions import (
     verify_lower_collapse,
 )
 from .gram import (
-    BASE_GRID_CAP,
     EIGENSOLVE_CAP,
     WINDOW_DOUBLINGS,
     Budgets,
@@ -201,6 +200,8 @@ def _load_profile(source):
             grid = int(args[2]) if len(args) == 3 else max(2 ** (n_max + 2), 2**14)
             built = infimum_spectrum(float(args[0]), n_max, grid)
             return built.profile, {"token": source, "grid": grid}
+    except InconsistencyError:
+        raise
     except (ValueError, RuntimeError) as exc:
         raise UsageError(f"cannot build profile {source!r}: {exc}") from exc
     raise UsageError(f"unknown profile {source!r} (not a token, not a file)")
@@ -235,7 +236,7 @@ def _load_envelope(source):
 def _budgets(args):
     kw = {}
     if getattr(args, "grid", None):
-        kw["grid_size"] = check_grid_size(args.grid, "--grid", cap=BASE_GRID_CAP)
+        kw["grid_size"] = check_grid_size(args.grid, "--grid")
     if getattr(args, "window", None):
         if not (4 <= args.window <= EIGENSOLVE_CAP):
             raise UsageError(f"--window must lie in [4, {EIGENSOLVE_CAP}]")
@@ -577,21 +578,23 @@ def _build_parser():
     )
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, profile=True, indices=False, spacing=True, grid=True):
+    # each subcommand takes --window and --grid only where it reads them
+    def common(sp, profile=True, indices=False, spacing=True, window=False, grid=True):
         if profile:
             sp.add_argument("--profile", required=True, help="profile token or JSON file")
         if spacing:
             sp.add_argument("--b", type=float, default=1.0, help="translation spacing")
         if indices:
             sp.add_argument("--indices", default="Z", help="index-set token")
-        sp.add_argument("--window", type=int, default=None, help="index window / Gram window")
+        if window:
+            sp.add_argument("--window", type=int, default=None, help="index window / Gram window")
         if grid:
             sp.add_argument("--grid", type=int, default=None, help="periodization grid size")
         sp.add_argument("--seed", type=int, default=0, help="root seed, recorded in output")
         sp.add_argument("--out", default=None, help="write the JSON report here")
 
     sp = sub.add_parser("analyze", help="classify a translate family")
-    common(sp, indices=True)
+    common(sp, indices=True, window=True)
     sp.set_defaults(func=_cmd_analyze)
 
     sp = sub.add_parser("periodize", help="periodized spectrum summary")
@@ -600,11 +603,11 @@ def _build_parser():
     sp.set_defaults(func=_cmd_periodize)
 
     sp = sub.add_parser("gram", help="finite Gram window estimates")
-    common(sp, indices=True, grid=False)
+    common(sp, indices=True, window=True, grid=False)
     sp.set_defaults(func=_cmd_gram)
 
     sp = sub.add_parser("density", help="window densities and growth tests")
-    common(sp, profile=False, spacing=False, indices=True)
+    common(sp, profile=False, spacing=False, indices=True, window=True, grid=False)
     sp.add_argument("--xmax", type=float, default=1e4)
     sp.add_argument("--envelope", default=None, help="power:<a> or exp:<delta>:<rate>")
     sp.add_argument("--csv", default=None)
@@ -623,7 +626,7 @@ def _build_parser():
     sp.add_argument("--b", dest="b_small", type=float, default=None)
     sp.add_argument("--alpha", type=float, default=None)
     sp.add_argument("--nmax", type=int, default=None)
-    common(sp, profile=False, spacing=False)
+    common(sp, profile=False, spacing=False, window=True)
     sp.set_defaults(func=_cmd_gallery)
 
     sp = sub.add_parser("verify", help="end-to-end counterexample verification")
@@ -636,7 +639,7 @@ def _build_parser():
     sp.set_defaults(func=_cmd_verify)
 
     sp = sub.add_parser("selftest", help="run the deterministic invariant suites")
-    common(sp, profile=False, spacing=False)
+    common(sp, profile=False, spacing=False, grid=False)
     sp.set_defaults(func=_cmd_selftest)
 
     return p

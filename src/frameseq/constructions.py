@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .periodization import PeriodizedSpectrum, check_grid_size, periodize
+from .periodization import InconsistencyError, PeriodizedSpectrum, check_grid_size, periodize
 from .spectrum import FourierProfile, Piece
 
 __all__ = [
@@ -142,6 +142,14 @@ def ramp_plateau_profile(a, b):
 # ----------------------------------------------------------------------------
 
 
+def _check_alpha(alpha):
+    """``alpha`` as a float when it lies in (0, 1), else ValueError."""
+    alpha = float(alpha)
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must lie in (0, 1), got {alpha:g}")
+    return alpha
+
+
 def _block_exponents(alpha, n_max):
     ns = np.arange(1, n_max + 1)
     return np.maximum(np.floor(alpha * ns - np.sqrt(ns)).astype(int), 0)
@@ -162,8 +170,7 @@ class DyadicBlocks:
     m: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        if not (0.0 < self.alpha < 1.0):
-            raise ValueError("alpha must lie in (0, 1)")
+        self.alpha = _check_alpha(self.alpha)
         self.n_max = int(self.n_max)
         if not (1 <= self.n_max <= 24):
             raise ValueError("n_max must lie in [1, 24]")
@@ -171,7 +178,7 @@ class DyadicBlocks:
         start = math.ceil(1.0 / (4.0 * self.alpha**2)) + 1
         tail = self.m[start - 1 :]
         if tail.size > 1 and np.any(np.diff(tail) < 0):
-            raise AssertionError("block exponents decreased in the stable range")
+            raise InconsistencyError("block exponents decreased in the stable range")
 
     def block(self, n):
         """The ``n``-th block as a sorted integer array."""
@@ -184,7 +191,7 @@ class DyadicBlocks:
     def realize(self):
         lam = np.concatenate([self.block(n) for n in range(1, self.n_max + 1)])
         if np.any(np.diff(lam) <= 0):
-            raise AssertionError("realized index set is not strictly increasing")
+            raise InconsistencyError("realized index set is not strictly increasing")
         return lam
 
 
@@ -215,6 +222,7 @@ def block_wave(alpha, n, grid_size):
     mean of ``|values|^2`` must equal 1 (midpoint sums of low-degree
     exponentials are exact); deviation beyond 1e-9 raises.
     """
+    alpha = _check_alpha(alpha)
     n = int(n)
     if n < 1:
         raise ValueError("block index must be >= 1")
@@ -234,7 +242,7 @@ def block_wave(alpha, n, grid_size):
     values = coeffs[0] * phase * ratio
     norm_dev = abs(float(np.mean(np.abs(values) ** 2)) - 1.0)
     if norm_dev > 1e-9:
-        raise AssertionError(f"block wave norm deviates by {norm_dev:.3e} on the grid")
+        raise InconsistencyError(f"block wave norm deviates by {norm_dev:.3e} on the grid")
     return BlockWave(
         alpha=float(alpha),
         n=n,
@@ -273,6 +281,7 @@ def infimum_spectrum(alpha, n_max, grid_size):
     spacing 1 must reproduce the spectrum to 1e-12; a larger deviation
     raises.
     """
+    alpha = _check_alpha(alpha)
     n_max = int(n_max)
     M = check_grid_size(grid_size)
     if M < 2 ** (n_max + 2):
@@ -295,12 +304,12 @@ def infimum_spectrum(alpha, n_max, grid_size):
             }
         )
     if not np.all(phi > 0.0):
-        raise AssertionError("spectrum hit zero on the grid")
+        raise InconsistencyError("spectrum hit zero on the grid")
     profile = FourierProfile(pieces=[Piece(0.0, 1.0, samples=np.sqrt(phi))])
     check = periodize(profile, 1.0, grid_size=M)
     dev = float(np.max(np.abs(check.values - phi)))
     if dev > 1e-12:
-        raise AssertionError(f"periodized profile deviates from the spectrum by {dev:.3e}")
+        raise InconsistencyError(f"periodized profile deviates from the spectrum by {dev:.3e}")
     ps = PeriodizedSpectrum(
         b=1.0,
         grid_size=M,

@@ -10,10 +10,11 @@ budget derived from the jumps and kinks of ``Phi_b``; that agreement is the
 structural self-check of the package, and a disagreement raises
 :class:`InconsistencyError` rather than a warning.
 
-Classification runs on the periodization side (grid refinement trends) for
-lattice index sets, where the decision rules are exact, and on Gram
-eigenvalue trends over nested windows for generic integer sets, where only
-windowed evidence is available.
+Lattice index sets are decided from the exact cell bounds of ``Phi_b``
+(:func:`~frameseq.periodization.exact_bounds`), checked against one grid
+and one Gram window.  Generic integer sets inherit the lattice bounds as a
+theorem where the lattice family is exact, and otherwise read eigenvalue
+trends over nested windows, where only windowed evidence is available.
 """
 
 from __future__ import annotations
@@ -25,10 +26,12 @@ import numpy as np
 
 from .periodization import (
     GRID_CAP,
+    InconsistencyError,
     check_grid_size,
     check_spacing,
     coefficient_error_bound,
     essential_bounds,
+    exact_bounds,
     fourier_coeff,
     periodize,
 )
@@ -53,23 +56,18 @@ __all__ = [
 ]
 
 EIGENSOLVE_CAP = 2048
-REFINEMENTS = 2  # grid doublings of the refinement scan behind the trend rules
 WINDOW_DOUBLINGS = 3  # nested Gram windows w, 2w, ..., w 2^WINDOW_DOUBLINGS
 KERNEL_TOL = 1e-6  # relative eigenvalue cut of the frame-bound estimates
-BASE_GRID_CAP = GRID_CAP >> REFINEMENTS  # largest base grid whose refinements stay within GRID_CAP
-
-
-class InconsistencyError(RuntimeError):
-    """The two computational routes disagree beyond tolerance."""
+_ROW_BLOCK = 2**16  # Gram entries per block of rows that build_gram fills at a time
 
 
 @dataclass(frozen=True)
 class Budgets:
-    grid_size: int = 4096  # base periodization grid; doubled REFINEMENTS times
+    grid_size: int = 4096  # least size of the one check grid
     window: int = 64  # base Gram window (half width on lattices)
 
     def __post_init__(self):
-        check_grid_size(self.grid_size, cap=BASE_GRID_CAP)
+        check_grid_size(self.grid_size)
 
 
 @dataclass
@@ -108,16 +106,16 @@ def _real_if_close(vals):
     return vals
 
 
-def _check_grid(profile, b, span, ps):
+def _check_grid(profile, b, span, ps, grid_size=4096):
     """The periodization grid that checks integer Gram entries up to shift ``span``.
 
     ``ps`` itself when it has spacing ``b`` and ``2 span < M`` (so no
     checked coefficient aliases), else a fresh grid of
-    ``next_pow2(max(4096, 2 span + 2))`` points, refused above ``GRID_CAP``.
+    ``max(grid_size, next_pow2(2 span + 2))`` points, refused above ``GRID_CAP``.
     """
     if ps is not None and ps.b == b and 2 * span < ps.grid_size:
         return ps
-    m = _next_pow2(max(4096, 2 * span + 2))
+    m = max(grid_size, _next_pow2(2 * span + 2))
     if m > GRID_CAP:
         raise ValueError(f"span {span} needs a check grid of {m} points beyond the cap {GRID_CAP}")
     return periodize(profile, b, grid_size=m)
@@ -147,9 +145,8 @@ def build_gram(profile, b, lam, ps=None, rng_seed=0):
     n = lam.size
     if n > EIGENSOLVE_CAP:
         raise ValueError(f"window of {n} translates exceeds the dense cap {EIGENSOLVE_CAP}")
-    diffs = lam[None, :] - lam[:, None]  # entry (i, j) holds the shift lam_j - lam_i
-
     if lam.dtype != np.int64:
+        diffs = lam[None, :] - lam[:, None]  # entry (i, j) holds the shift lam_j - lam_i
         uniq, inv = np.unique(np.abs(diffs).ravel(), return_inverse=True)
         vals = _real_if_close(np.conj(autocorrelations(profile, b * uniq)))
         g = vals[inv.reshape(n, n)]
@@ -161,11 +158,18 @@ def build_gram(profile, b, lam, ps=None, rng_seed=0):
     ps = _check_grid(profile, b, span, ps)
     cm = np.conj(autocorrelations(profile, b * np.arange(span + 1)))  # shifts 0..span
     cm = _real_if_close(np.concatenate((np.conj(cm[:0:-1]), cm)))  # shift d at index d + span
-    diffs += span  # in place: now the index of each entry's shift in cm
-    g = cm[diffs]
+    # entry (i, j) holds shift lam_j - lam_i, read from cm in blocks of rows
+    # so that no n-by-n index array is held next to the matrix
+    g = np.empty((n, n), dtype=cm.dtype)
+    seen = np.zeros(cm.size, dtype=bool)
+    rows = max(1, _ROW_BLOCK // n)
+    for i in range(0, n, rows):
+        idx = lam[None, :] - lam[i : i + rows, None] + span
+        np.take(cm, idx, out=g[i : i + rows], mode="clip")  # in range; "clip" skips a buffered copy
+        seen[idx] = True
 
     # dual-route spot check on a deterministic sample of the shifts
-    pos = np.unique(diffs[diffs > span]) - span
+    pos = np.flatnonzero(seen[span + 1 :]) + 1
     if pos.size:
         rng = np.random.default_rng(rng_seed)
         sample = rng.choice(pos, size=math.ceil(0.05 * pos.size), replace=False)
@@ -298,105 +302,80 @@ class FrameReport:
         }
 
 
-def _phi_refinement_scan(profile, b, budgets):
-    """Essential bounds across doubling grids; the raw material of trend rules.
+def _cell_evidence(eb, ps):
+    """Check the grid ``ps`` against the exact cells ``eb``; the evidence row of both.
 
-    ``inf_positive`` is the minimum over strictly positive grid values: the
-    quantity whose refinement trend separates a spectrum bounded away from
-    zero on its support (stable) from one vanishing continuously (collapsing
-    like a power of the grid step).  The thresholded ``inf_nonzero`` from
-    ``essential_bounds`` is unsuitable for the trend because the threshold
-    itself truncates the collapse.  Also returns the finest grid, which
-    the Gram cross-check reuses.
+    Grid values must equal the cell quadratics within the cells' budget, and
+    the grid's exact zeros must cover the zero cells' measure to within
+    one midpoint per cell; a miss raises :class:`InconsistencyError`.
     """
-    rows = []
-    for k in range(REFINEMENTS + 1):
-        m = budgets.grid_size * (1 << k)
-        ps = periodize(profile, b, grid_size=m)
-        inf_nz, sup, zf = essential_bounds(ps)
-        positive = ps.values[ps.values > 0.0]
-        rows.append(
-            {
-                "grid": m,
-                "inf_nonzero": float(inf_nz),
-                "inf_positive": float(positive.min()) if positive.size else 0.0,
-                "sup": float(sup),
-                "zero_fraction": float(zf),
-                "max_dev_from_b": float(np.max(np.abs(ps.values / b - 1.0))),
-            }
+    m = ps.grid_size
+    dev = eb.grid_deviation(ps)
+    if dev > eb.budget:
+        raise InconsistencyError(
+            f"grid of {m} points deviates from the exact cells of Phi_b by {dev:.3e} > budget {eb.budget:.3e}"
         )
-    return rows, ps
+    zf = float(np.mean(ps.values == 0.0))
+    if abs(zf - eb.zero_measure) > eb.cells / m:
+        raise InconsistencyError(
+            f"grid zero fraction {zf:.12g} against exact zero measure {eb.zero_measure:.12g} "
+            f"beyond cells/M = {eb.cells}/{m}"
+        )
+    return {
+        "rule": "exact-cell-bounds",
+        "cells": eb.cells,
+        "ess_inf": eb.inf,
+        "ess_inf_nonzero": eb.inf_nonzero,
+        "ess_sup": eb.sup,
+        "zero_measure": eb.zero_measure,
+        "budget": eb.budget,
+        "check_grid": m,
+        "max_grid_deviation": dev,
+        "grid_zero_fraction": zf,
+    }
 
 
-def _lattice_rules(rows, b):
-    """Decision on a full lattice from grid-refinement trends.
-
-    Returns (classification, A, B, evidence_rows).
-    """
-    evidence = []
-    infs = [r["inf_positive"] for r in rows]
-    zfs = [r["zero_fraction"] for r in rows]
-    fine = rows[-1]
-
-    # constant spectrum (everywhere, zeros included): orthonormal translates
-    dev = max(r["max_dev_from_b"] for r in rows)
-    evidence.append({"rule": "periodization-constant", "max_rel_dev": float(dev)})
-    if dev <= 1e-9:
-        return "orthonormal", 1.0, 1.0, evidence
-
-    ratio = infs[-1] / infs[-2] if infs[-2] > 0 else 0.0
-    evidence.append(
-        {
-            "rule": "infimum-refinement-trend",
-            "inf_positive": infs,
-            "last_ratio": float(ratio),
-            "zero_fraction": zfs,
-        }
-    )
-    collapsing = infs[-1] <= 0.55 * infs[-2] or infs[-1] <= 0.0
-    stable = infs[-1] >= 0.9 * infs[-2] and infs[-1] > 0.0
-
-    if collapsing:
-        return "not a frame sequence", None, fine["sup"] / b, evidence
-    if stable:
-        a_val = fine["inf_positive"] / b
-        b_val = fine["sup"] / b
-        if zfs[-1] < 0.005:
-            evidence.append({"rule": "zero-set-fraction", "value": zfs[-1], "verdict": "null"})
-            return "exact frame sequence", a_val, b_val, evidence
-        if zfs[-1] >= 0.01 and abs(zfs[-1] - zfs[0]) <= 0.1 * zfs[-1] + 1e-12:
-            evidence.append({"rule": "zero-set-fraction", "value": zfs[-1], "verdict": "positive"})
-            return "frame sequence (non-exact)", a_val, b_val, evidence
-    return "undetermined", None, fine["sup"] / b, evidence
+def _lattice_verdict(eb):
+    """Verdict on the full lattice with its bounds ``(classification, A, B)``, from the exact cells."""
+    b = eb.b
+    if eb.constant and abs(eb.sup - b) <= eb.budget:
+        return "orthonormal", 1.0, 1.0
+    if eb.zero_measure == 0.0 and eb.inf > eb.budget:
+        return "exact frame sequence", eb.inf / b, eb.sup / b
+    if eb.zero_measure > 0.0 and eb.inf_nonzero > eb.budget:
+        return "frame sequence (non-exact)", eb.inf_nonzero / b, eb.sup / b
+    return "not a frame sequence", None, eb.sup / b
 
 
-def _gram_agreement(profile, b, lam, ps, evidence):
-    """Cross-validate the Gram window against the periodization bounds.
+def _check_eigenvalues(eb, g, fb):
+    """Raise unless the window's eigenvalues lie in the lattice interval; returns the interval."""
+    lo, hi = eb.eigenvalue_interval(g.dim, g.norm_phi_sq)
+    if not lo <= fb.min_eigenvalue <= fb.B_est <= hi:
+        raise InconsistencyError(
+            f"Gram window of {g.dim} eigenvalues [{fb.min_eigenvalue:.12g}, {fb.B_est:.12g}] "
+            f"outside the periodization interval [{lo:.12g}, {hi:.12g}]"
+        )
+    return [float(lo), float(hi)]
 
-    Finite windows of the lattice form live inside the convex hull of the
-    grid symbol values, so the eigenvalue estimates must sit below the sup
-    bound and above the grid minimum.  A violation is an implementation
-    fault, not a math ambiguity, hence the hard error.  The Gram entries
-    are spot-checked against the same grid ``ps``.
+
+def _gram_agreement(profile, b, lam, ps, eb, evidence):
+    """Cross-validate one Gram window against the exact periodization bounds.
+
+    Every eigenvalue of the window lies in ``[ess inf, ess sup] / b`` of
+    ``Phi_b``; a violation is an implementation fault, not a math
+    ambiguity, hence the hard error.  The Gram entries are spot-checked
+    against the same grid ``ps``.
     """
     g = build_gram(profile, b, lam, ps=ps)
     fb = frame_bound_estimates(g)
-    b_phi = float(np.max(ps.values)) / b
-    slack = 1e-9 * max(1.0, b_phi)
-    if fb.B_est > b_phi + slack:
-        raise InconsistencyError(
-            f"Gram upper estimate {fb.B_est:.12g} exceeds periodization bound {b_phi:.12g}"
-        )
-    if fb.min_eigenvalue < -1e-8 * max(g.norm_phi_sq, 1e-300):
-        raise InconsistencyError(
-            f"Gram window not positive semidefinite: min eigenvalue {fb.min_eigenvalue:.3e}"
-        )
+    _check_eigenvalues(eb, g, fb)
     evidence.append(
         {
             "rule": "pathway-agreement",
             "window": int(lam.size),
             "B_gram": float(fb.B_est),
-            "B_phi": float(b_phi),
+            "A_phi": eb.inf / b,
+            "B_phi": eb.sup / b,
             "min_eigenvalue": float(fb.min_eigenvalue),
             **_check_evidence(g),
         }
@@ -407,12 +386,14 @@ def _gram_agreement(profile, b, lam, ps, evidence):
 def classify(profile, b, ts, budgets=None):
     """Frame-property decision for the translate family on the index set.
 
-    Lattice sets (all integers, a subgroup, the naturals) are decided by
-    grid-refinement trends of the periodized spectrum, with a Gram window
-    cross-check.  Generic integer sets fall back to eigenvalue trends over
-    nested windows and are honestly ``undetermined`` when those trends
-    conflict.  Non-integer explicit sets carry no lattice structure and are
-    always ``undetermined`` (with window evidence attached).
+    Lattice sets (all integers, a subgroup, the naturals) are decided from
+    the exact cell bounds of the periodized spectrum, checked against one
+    grid and one Gram window.  A generic integer set inherits exactness
+    from an exact lattice family (every window's eigenvalues lie within
+    the lattice bounds); otherwise it is decided by eigenvalue trends over
+    nested windows and is honestly ``undetermined`` when those trends
+    conflict.  Non-integer explicit sets carry no lattice structure and
+    are always ``undetermined`` (with window evidence attached).
     """
     budgets = budgets or Budgets()
     if not isinstance(ts, TranslationSet):
@@ -432,16 +413,17 @@ def classify(profile, b, ts, budgets=None):
         return inner
 
     if kind in ("integers", "naturals"):
-        rows, ps = _phi_refinement_scan(profile, b, budgets)
-        label, a_val, b_val, evidence = _lattice_rules(rows, b)
-        grids = [r["grid"] for r in rows]
         w = budgets.window
         lam = (
             np.arange(-w, w + 1, dtype=np.int64)
             if kind == "integers"
             else np.arange(1, w + 1, dtype=np.int64)
         )
-        fb = _gram_agreement(profile, b, lam, ps, evidence)
+        eb = exact_bounds(profile, b)
+        ps = _check_grid(profile, b, int(lam[-1] - lam[0]), None, budgets.grid_size)
+        evidence = [_cell_evidence(eb, ps)]
+        label, a_val, b_val = _lattice_verdict(eb)
+        fb = _gram_agreement(profile, b, lam, ps, eb, evidence)
         if kind == "naturals" and label in ("frame sequence (non-exact)", "not a frame sequence"):
             evidence.append(
                 {
@@ -459,12 +441,12 @@ def classify(profile, b, ts, budgets=None):
             evidence=evidence,
             b=float(b),
             index_kind=kind,
-            grid_sizes=grids,
+            grid_sizes=[ps.grid_size],
             windows=[int(lam.size)],
             notes=[],
         )
 
-    # generic sets: eigenvalue trends over nested windows
+    # generic sets: lattice bounds where they decide, else eigenvalue trends over nested windows
     lam = ts.realize()
     evidence = []
     if lam.dtype != np.int64:
@@ -491,17 +473,16 @@ def classify(profile, b, ts, budgets=None):
             notes=["no lattice structure for a periodization decision; window evidence only"],
         )
 
-    rows, ps = _phi_refinement_scan(profile, b, budgets)
-    label0, _, _, ev0 = _lattice_rules(rows, b)
-    evidence.extend(ev0[:1])  # keep the constant-spectrum check
-    windows = window_ladder(lam.size, budgets.window)
-    if label0 == "orthonormal":
-        fb = _gram_agreement(profile, b, lam[: min(lam.size, 2 * budgets.window)], ps, evidence)
-        label, a_val, b_val, rank, windows = "orthonormal", 1.0, 1.0, fb.numerical_rank, []
+    eb = exact_bounds(profile, b)
+    lattice, _, _ = _lattice_verdict(eb)
+    windows = [] if lattice == "orthonormal" else window_ladder(lam.size, budgets.window)
+    lam = lam[: windows[-1] if windows else min(lam.size, 2 * budgets.window)]
+    ps = _check_grid(profile, b, int(lam[-1] - lam[0]), None, budgets.grid_size)
+    evidence.append(_cell_evidence(eb, ps))
+    if lattice == "orthonormal":
+        fb = _gram_agreement(profile, b, lam, ps, eb, evidence)
+        label, a_val, b_val, rank = "orthonormal", 1.0, 1.0, fb.numerical_rank
         note = "constant periodized spectrum; any subfamily of the lattice family is orthonormal"
-    elif len(windows) < 3:
-        label, a_val, b_val, rank = "undetermined", None, None, None
-        note = "not enough nested windows for a trend verdict"
     else:
         g_full, fbs = nested_window_bounds(profile, b, lam, windows, ps=ps)
         a_seq = [fb.A_est for fb in fbs]
@@ -514,21 +495,27 @@ def classify(profile, b, ts, budgets=None):
                 "A_est": [float(x) for x in a_seq],
                 "B_est": [float(x) for x in b_seq],
                 "numerical_rank": ranks,
+                "lattice_interval": _check_eigenvalues(eb, g_full, fbs[-1]),
                 **_check_evidence(g_full),
             }
         )
+        # B <= ess sup Phi_b / b on every integer set, so B growth alone decides nothing
         a_fall = a_seq[-1] / a_seq[0] if a_seq[0] > 0 else 0.0
         b_grow = b_seq[-1] / b_seq[0] if b_seq[0] > 0 else float("inf")
-        if b_grow >= 1.5:
-            label, a_val = "not a frame sequence", None
-        elif a_fall <= 0.5 and b_grow <= 1.2:
-            label, a_val = "upper bound only", None
-        elif a_fall >= 0.8 and b_grow <= 1.2:
-            label, a_val = "exact frame sequence", a_seq[-1]
-        else:
-            label, a_val = "undetermined", None
-        b_val, rank = b_seq[-1], ranks[-1]
         note = "generic-set verdicts are windowed eigenvalue trends, not lattice theorems"
+        if lattice == "exact frame sequence" and a_fall > 0.5:
+            label = "exact frame sequence"
+            note = "subset of an exact lattice family: a Riesz sequence within the lattice bounds"
+        elif len(windows) < 3:
+            label, note = "undetermined", "not enough nested windows for a trend verdict"
+        elif a_fall <= 0.5 and b_grow <= 1.2:
+            label = "upper bound only"
+        elif a_fall >= 0.8 and b_grow <= 1.2:
+            label = "exact frame sequence"
+        else:
+            label = "undetermined"
+        a_val = a_seq[-1] if label == "exact frame sequence" else None
+        b_val, rank = b_seq[-1], ranks[-1]
     return FrameReport(
         classification=label,
         A_est=a_val,
@@ -537,7 +524,7 @@ def classify(profile, b, ts, budgets=None):
         evidence=evidence,
         b=float(b),
         index_kind=kind,
-        grid_sizes=[r["grid"] for r in rows],
+        grid_sizes=[ps.grid_size],
         windows=windows,
         notes=[note],
     )

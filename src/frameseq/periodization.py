@@ -21,13 +21,16 @@ GRID_CAP = 2**22
 
 __all__ = [
     "GRID_CAP",
+    "InconsistencyError",
     "PeriodizedSpectrum",
+    "ExactBounds",
     "check_grid_size",
     "check_spacing",
     "periodize",
     "periodize_at",
     "fourier_coeff",
     "coefficient_error_bound",
+    "exact_bounds",
     "essential_bounds",
     "zero_count",
     "cyclic_runs",
@@ -36,6 +39,10 @@ __all__ = [
     "write_csv",
     "summary",
 ]
+
+
+class InconsistencyError(RuntimeError):
+    """The two computational routes disagree beyond tolerance."""
 
 
 @dataclass
@@ -75,11 +82,11 @@ class PeriodizedSpectrum:
         return self._fft
 
 
-def check_grid_size(m, what="grid_size", cap=GRID_CAP):
-    """``m`` as an int when it is a power of two in [16, cap], else ValueError."""
+def check_grid_size(m, what="grid_size"):
+    """``m`` as an int when it is a power of two in [16, GRID_CAP], else ValueError."""
     m = int(m)
-    if m < 16 or m > cap or m & (m - 1):
-        raise ValueError(f"{what} must be a power of two in [16, {cap}]")
+    if m < 16 or m > GRID_CAP or m & (m - 1):
+        raise ValueError(f"{what} must be a power of two in [16, {GRID_CAP}]")
     return m
 
 
@@ -152,6 +159,7 @@ def fourier_coeff(ps, n):
 
 
 _ROUNDOFF = 256.0 * np.finfo(float).eps
+_BLOCK = 2**15  # points per block where a sweep over many cells or grid points keeps its temporaries small
 
 
 def _breakpoints(profile, b):
@@ -185,21 +193,178 @@ def _cell_offsets(profile, b, m):
     return np.abs(r - np.round(r)) / m, jumps
 
 
-def _jump_masses(profile, b):
-    """Net jump, kink and curvature-jump masses ``(J, K, L)`` of ``Phi_b``.
+def _circle_breakpoints(profile, b):
+    """Distinct breakpoints of ``Phi_b`` on the circle, their net jumps, and the merge tolerance.
 
-    Jumps from different translates landing on one circle point
-    (:func:`_breakpoints`) are summed before taking absolute values, so a
-    continuous ``Phi_b`` has ``J = 0``.
+    Breakpoints from different translates (:func:`_breakpoints`) that land
+    within roundoff of one circle point are one breakpoint, whose jump rows
+    are summed.  Positions come sorted in ``[-tol, 1 - tol]``.
     """
     x, jumps = _breakpoints(profile, b)
     frac = x - np.floor(x)
     tol = _ROUNDOFF * max(1.0, float(np.max(np.abs(x))))  # positions this close coincide
     frac[frac > 1.0 - tol] -= 1.0  # the circle closes: 1 is 0
     order = np.argsort(frac, kind="stable")
-    starts = np.concatenate(([0], np.flatnonzero(np.diff(frac[order]) > tol) + 1))
-    net = np.add.reduceat(jumps[order], starts, axis=0)
+    frac = frac[order]
+    starts = np.concatenate(([0], np.flatnonzero(np.diff(frac) > tol) + 1))
+    pos, net = frac[starts], np.add.reduceat(jumps[order], starts, axis=0)
+    if pos.size > 1 and pos[0] + 1.0 - pos[-1] <= tol:  # the last one coincides with the first
+        net[0] += net[-1]
+        pos, net = pos[:-1], net[:-1]
+    return pos, net, tol
+
+
+def _jump_masses(profile, b):
+    """Net jump, kink and curvature-jump masses ``(J, K, L)`` of ``Phi_b``.
+
+    Jumps from different translates landing on one circle point
+    (:func:`_circle_breakpoints`) are summed before taking absolute values,
+    so a continuous ``Phi_b`` has ``J = 0``.
+    """
+    _, net, _ = _circle_breakpoints(profile, b)
     return tuple(float(v) for v in np.sum(np.abs(net), axis=0))
+
+
+@dataclass
+class ExactBounds:
+    """``Phi_b`` as one quadratic per cell between its breakpoints (see :func:`exact_bounds`).
+
+    Cell ``k`` is ``[starts[k], starts[k] + widths[k])`` on the circle; on it
+    ``Phi_b = c0 + c1 s + c2 s^2`` with ``(c0, c1, c2) = coeffs[k]`` and
+    ``s`` the offset from the cell's midpoint in units of its width.
+    """
+
+    b: float
+    starts: np.ndarray
+    widths: np.ndarray
+    coeffs: np.ndarray
+    zero: np.ndarray  # cells on which Phi_b vanishes identically
+    inf: float  # ess inf over the circle (0 when a cell is a zero cell)
+    inf_nonzero: float  # ess inf over the cells that are not zero cells
+    sup: float
+    zero_measure: float
+    budget: float  # roundoff of a fitted value against a sample of Phi_b
+    tol: float  # breakpoint positions are known to this accuracy
+
+    @property
+    def cells(self):
+        return int(self.starts.size)
+
+    @property
+    def constant(self):
+        return self.sup - self.inf <= self.budget
+
+    def _locate(self, xi, shift=0.0):
+        """The cell holding each point ``xi + shift``, and the offset of ``xi`` from its midpoint in widths."""
+        lo = self.starts[0]
+        at = (xi + shift - lo) % 1.0 + lo
+        k = np.searchsorted(self.starts, at, side="right") - 1
+        return k, (at - shift - self.starts[k]) / self.widths[k] - 0.5
+
+    def _quadratic(self, k, s):
+        c0, c1, c2 = self.coeffs[k].T
+        return c0 + s * (c1 + s * c2)
+
+    def grid_deviation(self, ps):
+        """Largest gap between the grid values of ``ps`` and the cell quadratics.
+
+        A midpoint within ``tol`` of a breakpoint may belong to either
+        neighbouring cell, so such a point takes the nearer of the two.
+        Large grids go in blocks of ``_BLOCK`` points, so the temporaries
+        stay small.
+        """
+        m, worst = ps.grid_size, 0.0
+        for j in range(0, m, _BLOCK):
+            xi = (np.arange(j, min(j + _BLOCK, m)) + 0.5) / m
+            values = ps.values[j : j + _BLOCK]
+            k, s = self._locate(xi)
+            dev = np.abs(values - self._quadratic(k, s))
+            near = np.flatnonzero((0.5 - np.abs(s)) * self.widths[k] <= self.tol)
+            for shift in (-self.tol, self.tol):
+                other = self._quadratic(*self._locate(xi[near], shift))
+                dev[near] = np.minimum(dev[near], np.abs(values[near] - other))
+            worst = max(worst, float(np.max(dev)))
+        return worst
+
+    def eigenvalue_interval(self, dim, entry):
+        """Interval holding every eigenvalue of a ``dim``-point integer Gram window.
+
+        A principal window of the Toeplitz form with symbol ``Phi_b / b``
+        has its eigenvalues in ``[inf, sup] / b``.  Roundoff of at most
+        ``256 eps`` times the largest entry ``entry`` in each of the
+        window's entries moves an eigenvalue by at most ``dim`` times that,
+        and the bounds carry their own ``budget``.
+        """
+        slack = dim * _ROUNDOFF * max(entry, self.sup / self.b) + self.budget / self.b
+        return self.inf / self.b - slack, self.sup / self.b + slack
+
+
+def exact_bounds(profile, b):
+    """Essential bounds, zero-set measure and constancy of ``Phi_b`` from its quadratic cells.
+
+    Every ``phi_hat^2`` here is piecewise quadratic, so ``Phi_b`` is one
+    quadratic on each cell between consecutive breakpoints on the circle
+    (:func:`_circle_breakpoints`).  Three interior samples from
+    :func:`periodize_at`, at ``s = -1/4, 0, 1/4``, fix it; its extremes on
+    the closed cell sit at the ends or at the vertex.  A cell is a zero cell
+    when its samples are exactly 0: every translate term vanishes there, and
+    a quadratic that is not identically zero has at most two roots.
+
+    The budget is derived.  A sample sums ``T`` translate terms, each the
+    square of at most ``S = max phi_hat^2`` at a point known to relative
+    roundoff ``rho = 256 eps``, so it is off by at most
+    ``delta = T rho (S + D X)``, with ``D`` the largest slope of
+    ``phi_hat^2`` and ``X`` the largest ``|x|`` of the support.  The
+    quadratic through three samples magnifies their errors at most 7 times
+    on the cell (its Lebesgue constant).  The cell ends are known to
+    ``tol = rho max(1, b X)``, which moves each term by at most ``tol D / b``.
+    A fitted value against a sample of ``Phi_b`` is therefore within
+    ``budget = 9 T rho (S + D max(X, 1/b))``; cells whose extreme is within
+    ``budget`` of 0 touch zero, and ``Phi_b`` is constant when its range
+    is within ``budget``.
+    """
+    b = check_spacing(b)
+    pos, _, tol = _circle_breakpoints(profile, b)
+    widths = np.diff(pos, append=pos[0] + 1.0)
+    xi = (pos[:, None] + widths[:, None] * np.array([0.25, 0.5, 0.75])).ravel()
+    f = np.concatenate([periodize_at(profile, b, xi[j : j + _BLOCK]) for j in range(0, xi.size, _BLOCK)])
+    f = f.reshape(-1, 3)
+    c1 = 2.0 * (f[:, 2] - f[:, 0])
+    c2 = 8.0 * (f[:, 0] - 2.0 * f[:, 1] + f[:, 2])
+    coeffs = np.column_stack((f[:, 1], c1, c2))
+    left = f[:, 1] - 0.5 * c1 + 0.25 * c2
+    inside = np.abs(c1) < np.abs(c2)  # the vertex -c1 / (2 c2) lies inside the cell
+    vertex = np.where(inside, f[:, 1] - c1 * c1 / (4.0 * np.where(inside, c2, 1.0)), left)
+    extremes = np.column_stack((left, f[:, 1] + 0.5 * c1 + 0.25 * c2, vertex))
+    lo, hi = extremes.min(axis=1), extremes.max(axis=1)
+    zero = np.all(f == 0.0, axis=1)
+
+    n_lo, n_hi = _cover_range(profile, b, 0.0, 1.0)
+    s_max = d_max = 0.0
+    for p in profile.pieces:
+        poly = p._poly(2)
+        if poly is None:
+            s_max = max(s_max, float(np.max(p.samples)) ** 2)
+            continue
+        q0, q1, q2 = poly  # phi_hat^2 = q0 + q1 x + q2 x^2, convex: extremes at the piece ends
+        for x in (p.lo, p.hi):
+            s_max = max(s_max, q0 + q1 * x + q2 * x * x)
+            d_max = max(d_max, abs(q1 + 2.0 * q2 * x))
+    x_max = max(abs(v) for v in profile.support())
+    budget = 9.0 * (n_hi - n_lo + 1) * _ROUNDOFF * (s_max + d_max * max(x_max, 1.0 / b))
+    return ExactBounds(
+        b=b,
+        starts=pos,
+        widths=widths,
+        coeffs=coeffs,
+        zero=zero,
+        inf=float(lo.min()),
+        inf_nonzero=float(lo[~zero].min()),
+        sup=float(hi.max()),
+        zero_measure=float(widths[zero].sum()),
+        budget=budget,
+        tol=tol,
+    )
 
 
 def coefficient_error_bound(profile, ps, n):

@@ -229,16 +229,16 @@ def test_gram_has_no_grid_option(capsys):
 
 @pytest.mark.parametrize("command", ["analyze", "gallery"])
 def test_grid_is_validated_against_the_finest_refinement(capsys, command):
-    # the refinement scan doubles the grid twice, so 2^21 would need 2^23 points
+    # --grid sets the one check grid, so it is capped by GRID_CAP = 2^22 itself
     argv = ["gallery", "taper"] if command == "gallery" else ["analyze", "--profile", "box"]
-    code, out, err = run(capsys, *argv, "--grid", str(2**21))
+    code, out, err = run(capsys, *argv, "--grid", str(2**23))
     assert code == 1 and not out
-    assert "--grid must be a power of two in [16, 1048576]" in err
+    assert "--grid must be a power of two in [16, 4194304]" in err
 
 
 def test_largest_base_grid_runs(capsys):
-    code, doc = run_json(capsys, "analyze", "--profile", "box", "--grid", str(2**20), "--window", "8")
-    assert code == 0 and doc["result"]["report"]["grid_sizes"] == [2**20, 2**21, 2**22]
+    code, doc = run_json(capsys, "analyze", "--profile", "box", "--grid", str(2**22), "--window", "8")
+    assert code == 0 and doc["result"]["report"]["grid_sizes"] == [2**22]
 
 
 @pytest.mark.parametrize("command", ["analyze", "gram", "periodize"])
@@ -247,3 +247,58 @@ def test_spacing_must_be_positive_and_finite(capsys, command, b):
     code, out, err = run(capsys, command, "--profile", "tent", f"--b={b}")
     assert code == 1 and not out
     assert "spacing b must be positive and finite" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("selftest", "--window", "8"),
+        ("selftest", "--grid", "64"),
+        ("density", "--indices", "Z", "--grid", "64"),
+        ("periodize", "--profile", "tent", "--window", "8"),
+        ("hausdorff", "--profile", "tent", "--alpha", "0.5", "--window", "8"),
+        ("verify", "blocks", "--window", "8"),
+    ],
+)
+def test_flags_a_command_does_not_read_are_refused(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and not out
+    assert f"unrecognized arguments: {' '.join(argv[-2:])}" in err
+
+
+def test_config_holds_only_the_given_options(capsys):
+    # options left out are dropped, so the hash of a run without them never moves
+    code, doc = run_json(capsys, "density", "--indices", "Z", "--window", "100", "--xmax", "100")
+    assert code == 0
+    assert doc["config"] == {"command": "density", "indices": "Z", "window": 100, "xmax": 100.0, "seed": 0}
+
+
+@pytest.mark.parametrize("token", ["blocks:1.5:4", "blocks:0:4", "blocks:-0.5:4"])
+def test_blocks_alpha_outside_the_unit_interval_is_refused(capsys, token):
+    code, out, err = run(capsys, "periodize", "--profile", token)
+    assert code == 1 and not out
+    assert "Traceback" not in err and "alpha must lie in (0, 1)" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("periodize", "--profile", "blocks:0.5:4"),
+        ("verify", "blocks", "--nmin", "4", "--nmax", "5"),
+    ],
+)
+def test_failed_construction_check_exits_3(capsys, monkeypatch, argv):
+    # a periodized blocks profile that misses its spectrum fails infimum_spectrum's own check
+    import frameseq.constructions as constructions
+
+    real = constructions.periodize
+
+    def off(profile, b, grid_size):
+        ps = real(profile, b, grid_size)
+        ps.values = ps.values + 1e-6
+        return ps
+
+    monkeypatch.setattr(constructions, "periodize", off)
+    code, out, err = run(capsys, *argv)
+    assert code == 3 and not out
+    assert "Traceback" not in err and "inconsistency: periodized profile deviates" in err

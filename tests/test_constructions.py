@@ -96,6 +96,14 @@ def test_block_wave_grid_refusal():
         block_wave(0.5, 0, 2**8)
 
 
+@pytest.mark.parametrize("alpha", [1.5, 1.0, 0.0, -0.5, float("nan")])
+def test_alpha_outside_the_unit_interval_is_refused(alpha):
+    # refused before the 2^22-point grid is built
+    for build in (lambda: block_wave(alpha, 2, 2**22), lambda: infimum_spectrum(alpha, 4, 2**22)):
+        with pytest.raises(ValueError, match=r"alpha must lie in \(0, 1\)"):
+            build()
+
+
 def test_infimum_spectrum_structure():
     bs = infimum_spectrum(0.5, 10, 2**14)
     phi = bs.spectrum.values

@@ -1,6 +1,10 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+import frameseq.gram as gram
+import frameseq.periodization as periodization
 from frameseq.constructions import indicator_profile
 from frameseq.gram import (
     EIGENSOLVE_CAP,
@@ -16,7 +20,7 @@ from frameseq.gram import (
     window_ladder,
 )
 from frameseq.periodization import PeriodizedSpectrum, periodize
-from frameseq.spectrum import autocorrelation
+from frameseq.spectrum import FourierProfile, Piece, autocorrelation
 from frameseq.translation_sets import TranslationSet
 
 TAPER_AC_1 = -0.101321183642338 + 0.223658011958294j  # frozen quad oracle
@@ -102,6 +106,45 @@ def test_classify_squares_gets_checked_window(taper):
     trend = rep.evidence[-1]
     assert trend["rule"] == "eigenvalue-window-trend" and trend["checked_shifts"] > 0
     assert trend["max_check_deviation"] <= trend["check_budget"]
+
+
+def test_subset_of_an_exact_family_is_exact():
+    # Phi_1 is 4 on [0, 0.1) and 1 elsewhere: the lattice family is exact with A = 1, B = 4,
+    # so every integer subset is a Riesz sequence, although its window B climbs 1.3 -> 4.0
+    profile = FourierProfile([Piece(0.0, 0.1, const=2.0), Piece(0.1, 1.0, const=1.0)])
+    lam = np.concatenate([10 * np.arange(64), 640 + np.arange(1024)])
+    rep = classify(profile, 1.0, TranslationSet.explicit(lam))
+    assert rep.classification == "exact frame sequence"
+    trend = rep.evidence[-1]
+    assert trend["rule"] == "eigenvalue-window-trend"
+    assert trend["B_est"][0] < 1.5 and trend["B_est"][-1] > 3.9
+    lo, hi = trend["lattice_interval"]
+    assert lo <= min(trend["A_est"]) and max(trend["B_est"]) <= hi
+    assert abs(lo - 1.0) < 1e-9 and abs(hi - 4.0) < 1e-9
+
+
+def test_grid_checks_the_exact_cells(monkeypatch):
+    # with the breakpoint at 1/3 dropped, one cell's quadratic no longer fits Phi_1
+    third = indicator_profile(0.0, 1.0 / 3.0)
+    assert classify(third, 1.0, TranslationSet.integers(16)).evidence[0]["cells"] == 2
+    real = periodization._breakpoints
+
+    def drop_last(profile, b):
+        x, jumps = real(profile, b)
+        return x[:-1], jumps[:-1]
+
+    monkeypatch.setattr(periodization, "_breakpoints", drop_last)
+    with pytest.raises(InconsistencyError, match="exact cells"):
+        classify(third, 1.0, TranslationSet.integers(16))
+
+
+@pytest.mark.parametrize("ts", [TranslationSet.integers(64), TranslationSet.squares(80)])
+def test_window_eigenvalues_are_checked_against_the_lattice_bounds(monkeypatch, taper, ts):
+    # raise the lattice infimum of taper(2, 1) at b = 2 from 1/2 to 3/4: every window now breaks it
+    real = gram.exact_bounds
+    monkeypatch.setattr(gram, "exact_bounds", lambda p, b: replace(real(p, b), inf=1.5))
+    with pytest.raises(InconsistencyError, match="outside the periodization interval"):
+        classify(taper, 2.0, ts)
 
 
 def test_build_gram_refusals(box):
@@ -276,6 +319,7 @@ def test_window_ladder_caps():
 
 
 def test_budgets_grid_leaves_room_for_the_refinements():
-    assert Budgets(grid_size=2**20).grid_size == 2**20
-    with pytest.raises(ValueError, match=r"power of two in \[16, 1048576\]"):
-        Budgets(grid_size=2**21)
+    # the budget grid is the one check grid, capped by GRID_CAP = 2^22
+    assert Budgets(grid_size=2**22).grid_size == 2**22
+    with pytest.raises(ValueError, match=r"power of two in \[16, 4194304\]"):
+        Budgets(grid_size=2**23)

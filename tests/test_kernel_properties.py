@@ -1,4 +1,4 @@
-"""Property tests of the closed-form kernel and of the grid route's alias budget.
+"""Property tests of the closed-form kernel, the grid route's alias budget and the exact cell bounds.
 
 Profiles are drawn at random from const, affine and sampled pieces, on
 dyadic or generic breakpoints, so that both branches of the sampled-piece
@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from frameseq.gram import build_gram
-from frameseq.periodization import coefficient_error_bound, fourier_coeff, periodize
+from frameseq.periodization import coefficient_error_bound, exact_bounds, fourier_coeff, periodize
 from frameseq.spectrum import FourierProfile, Piece, autocorrelations
 
 values = st.floats(0.0, 2.0)
@@ -110,3 +110,34 @@ def test_grid_deviation_within_budget(profile, b, m):
     exact = b * np.conj(autocorrelations(profile, b * ns))
     dev = np.abs(fourier_coeff(ps, ns) - exact)
     assert np.all(dev <= coefficient_error_bound(profile, ps, ns))
+
+
+def _phi_slope(profile, b):
+    """Bound on the slope of Phi_b in xi: every translate term that meets [0, 1) at its steepest."""
+    lo, hi = profile.support()
+    translates = math.ceil(b * (hi - lo)) + 2
+    steepest = 0.0
+    for p in profile.pieces:
+        if p.affine is not None:
+            s, c = p.affine
+            steepest = max(steepest, *(abs(2.0 * s * (s * x + c)) for x in (p.lo, p.hi)))
+    return translates * steepest / b
+
+
+@given(profile=profiles(), b=st.sampled_from([0.5, 1.0, 2.0, 0.75]) | st.floats(0.3, 3.0))
+@settings(max_examples=60, deadline=None)
+# the tent at b = 2: two translates sum to a cell whose minimum is its vertex
+@example(profile=FourierProfile([Piece(0.0, 0.5, affine=(2.0, 0.0)), Piece(0.5, 1.0, affine=(-2.0, 2.0))]), b=2.0)
+def test_exact_bounds_hold_every_grid(profile, b):
+    eb = exact_bounds(profile, b)
+    slope = _phi_slope(profile, b)
+    for m in (2**10, 2**12, 2**14, 2**16):
+        ps = periodize(profile, b, m)
+        lo, hi = float(ps.values.min()), float(ps.values.max())
+        assert eb.inf - eb.budget <= lo and hi <= eb.sup + eb.budget
+        assert eb.grid_deviation(ps) <= eb.budget
+        assert abs(float(np.mean(ps.values == 0.0)) - eb.zero_measure) <= eb.cells / m
+        if eb.widths.min() >= 4.0 / m:
+            # each point of a cell has a midpoint of the same cell within 1/M
+            assert lo - eb.inf <= slope / m + eb.budget
+            assert eb.sup - hi <= slope / m + eb.budget

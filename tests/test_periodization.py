@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from frameseq.constructions import indicator_profile
+from frameseq.constructions import indicator_profile, ramp_plateau_profile
 from frameseq.periodization import (
     dilation_identity_deviation,
     essential_bounds,
+    exact_bounds,
     fourier_coeff,
     periodize,
     periodize_at,
@@ -146,3 +147,31 @@ def test_periodize_validation(box):
         periodize(box, 0.0, 256)
     with pytest.raises(ValueError):
         periodize(box, 1.0, 100)  # not a power of two
+
+
+def test_exact_bounds_closed_forms(tent, taper):
+    # taper(2, 1) at b = 2: Phi_2 = 1 + (1 - xi)^2 on one cell, so A = 1/2 and B = 1
+    eb = exact_bounds(taper, 2.0)
+    assert eb.cells == 1 and eb.zero_measure == 0.0
+    assert abs(eb.inf / 2 - 0.5) <= eb.budget and abs(eb.sup / 2 - 1.0) <= eb.budget
+    # tent at b = 2: Phi_2 = xi^2 + (1 - xi)^2, its minimum at the vertex xi = 1/2
+    eb = exact_bounds(tent, 2.0)
+    assert abs(eb.inf / 2 - 0.25) <= eb.budget and abs(eb.sup / 2 - 0.5) <= eb.budget
+    # tent at b = 1 touches zero at xi = 0 without a zero cell
+    eb = exact_bounds(tent, 1.0)
+    assert abs(eb.inf) <= eb.budget and eb.zero_measure == 0.0 and not eb.zero.any()
+    # ramp(3, 2) at b = 2: xi^2 / 4 plus the plateau on [0, 2 eps), zero on [2/3, 1);
+    # the infimum sits at xi = 2 eps, so A = eps^2 / 2 (1/72 up to the plateau's resolution)
+    ramp, eps = ramp_plateau_profile(3.0, 2.0)
+    eb = exact_bounds(ramp, 2.0)
+    assert eb.cells == 3 and abs(eb.zero_measure - 1.0 / 3.0) < 1e-15
+    assert abs(eb.inf_nonzero / 2 - eps * eps / 2) <= eb.budget
+    assert abs(eb.inf_nonzero / 2 - 1.0 / 72.0) < 1e-7
+
+
+def test_exact_bounds_constant_and_zero_cells(box, half):
+    eb = exact_bounds(box, 1.0)
+    assert eb.constant and eb.cells == 1 and eb.inf == eb.sup == 1.0
+    eb = exact_bounds(half, 1.0)
+    assert not eb.constant and eb.zero.tolist() == [False, True]
+    assert eb.inf == 0.0 and eb.inf_nonzero == 1.0 and eb.zero_measure == 0.5
