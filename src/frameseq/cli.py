@@ -304,7 +304,7 @@ def _cmd_density(args, cfg):
     ts = _load_indices(args.indices, args.window)
     lam = ts.realize()
     xs = [2.0**k for k in range(0, int(math.log2(max(args.xmax, 2.0))) + 1)]
-    rows = [(x, int(density(lam, x))) for x in xs]
+    rows = zip(xs, density(lam, xs).tolist())
     exponent, windows = density_exponent_fit(ts)
     payload = {
         "seed": args.seed,

@@ -20,6 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .spectrum import QuadratureError
+
 __all__ = [
     "TranslationSet",
     "as_indices",
@@ -240,23 +242,60 @@ def as_indices(lam, coeffs=None):
 
 
 def _density_sorted(lam, x):
-    """Exact sup over t of |lam intersect [t, t+x]| for a sorted array."""
-    if x < 0:
+    """Exact ``sup_t |lam intersect [t, t + x]|`` for a sorted array, at one x or a whole grid.
+
+    With ``m_k = min_i (lam[i+k] - lam[i])`` the count is
+    ``D(x) = 1 + max{k : m_k <= x}``, because the sup is attained with the
+    window's left endpoint on a set point.  ``m_k`` is nondecreasing in
+    ``k`` (in floating point too: rounding is monotone), so each window is
+    found by bisection over ``k``, and each ``m_k`` is one O(n) vector
+    operation, taken once per call.  The windows of a grid bisect together:
+    a round probes each distinct ``k`` once, and since ``D`` is
+    nondecreasing in ``x`` every round's brackets are shared along the
+    sorted windows.  Integer sets compare their integer gaps with
+    ``floor(x)``.  Returns an int for a scalar ``x``, else an int64 array
+    of ``x``'s shape.
+    """
+    xs = np.asarray(x, dtype=float)
+    if not (xs >= 0).all():  # NaN fails too
         raise ValueError("window length x must be >= 0")
     lam = np.asarray(lam)
     if lam.dtype == np.int64:
-        if x >= lam[-1] - lam[0]:
-            return int(lam.size)
-        # exact for integer points, and an int64 needle array keeps
-        # searchsorted from recasting lam to float on every call
-        x = math.floor(x)
-    # the sup is attained with the window's left endpoint on a set point
-    right = np.searchsorted(lam, lam + x, side="right")
-    return int(np.max(right - np.arange(lam.size)))
+        xs = np.floor(np.minimum(xs, lam[-1] - lam[0])).astype(np.int64)
+    gaps = {0: 0}
+
+    def m(k):
+        if k not in gaps:
+            gaps[k] = (lam[k:] - lam[:-k]).min()
+        return gaps[k]
+
+    if xs.ndim == 0:  # one window bisects in Python scalars
+        lo, hi, v = 0, lam.size, xs.item()
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            lo, hi = (mid, hi) if m(mid) <= v else (lo, mid)
+        return lo + 1
+    order = np.argsort(xs, axis=None)
+    u = xs.ravel()[order]
+    # m_lo <= u < m_hi, with m_n read as +inf; both bounds, and so the
+    # probes, are nondecreasing along the sorted windows, and a settled
+    # window (hi = lo + 1) probes lo again and stays as it is
+    lo = np.zeros(u.size, dtype=np.int64)
+    hi = np.full(u.size, lam.size, dtype=np.int64)
+    new = np.ones(u.size, dtype=bool)
+    while (hi - lo > 1).any():
+        mid = (lo + hi) // 2
+        np.not_equal(mid[1:], mid[:-1], out=new[1:])
+        below = np.array([m(k) for k in mid[new].tolist()])[np.cumsum(new) - 1] <= u
+        lo = np.maximum.accumulate(np.where(below, mid, lo))
+        hi = np.minimum.accumulate(np.where(below, hi, mid)[::-1])[::-1]
+    out = np.empty(u.size, dtype=np.int64)
+    out[order] = lo + 1
+    return out.reshape(xs.shape)
 
 
 def density(lam, x):
-    """Sliding-window density ``D(x)`` on the realized window.
+    """Sliding-window density ``D(x)`` on the realized window, at one x or a grid.
 
     ``lam`` may be a :class:`TranslationSet` or any array-like that
     :func:`as_indices` accepts; repeated points are refused.  For
@@ -265,9 +304,10 @@ def density(lam, x):
     finite sets are counted exactly for any ``x``.
     """
     arr = as_indices(lam)
-    if isinstance(lam, TranslationSet) and lam.kind != "explicit" and x > float(arr[-1] - arr[0]):
+    span = float(arr[-1] - arr[0])
+    if isinstance(lam, TranslationSet) and lam.kind != "explicit" and np.max(x) > span:
         raise ValueError(
-            f"realized window span {float(arr[-1] - arr[0]):g} is shorter than x = {x:g}; "
+            f"realized window span {span:g} is shorter than x = {np.max(x):g}; "
             "enlarge the realization window"
         )
     return _density_sorted(arr, x)
@@ -277,9 +317,9 @@ def density_exponent_fit(lam, p_max=None, n_points=2):
     """Tail growth exponent of ``D`` over the largest dyadic windows.
 
     Returns the least-squares slope of ``log2 D(2^p)`` against ``p`` over the
-    top ``n_points`` dyadic windows that fit in the realization.  Small-scale
-    windows are excluded deliberately: transient dense prefixes would
-    otherwise dominate the fit.
+    top ``n_points`` dyadic windows that fit in the realization, all taken
+    in one density sweep.  Small-scale windows are excluded deliberately:
+    transient dense prefixes would otherwise dominate the fit.
     """
     arr = as_indices(lam)
     span = float(arr[-1] - arr[0])
@@ -288,7 +328,7 @@ def density_exponent_fit(lam, p_max=None, n_points=2):
     ps = np.arange(p_max - n_points + 1, p_max + 1, dtype=float)
     if ps[0] < 1:
         raise ValueError("not enough dyadic scales in the window for a tail fit")
-    ds = np.array([_density_sorted(arr, 2.0**p) for p in ps], dtype=float)
+    ds = _density_sorted(arr, 2.0**ps).astype(float)
     slope = float(np.polyfit(ps, np.log2(ds), 1)[0])
     return slope, {"p": ps, "density": ds}
 
@@ -375,27 +415,133 @@ def _power_intF2_tail(a, x):
     return out
 
 
-# quadratures are held to a relative tolerance: the integrals past a large
-# knot are far below quad's default absolute tolerance of 1.49e-8
-_QUAD_TOL = {"epsabs": 0.0, "epsrel": 1e-11}
+# QUADPACK's 21-point Gauss-Kronrod rule (dqk21) on [-1, 1]: the positive
+# Kronrod nodes largest first with their weights, as QUADPACK lists them
+# (the second, fourth, ... are the nodes of the embedded 10-point Gauss
+# rule), then the whole rule in increasing node order
+_GK_X = np.array([
+    0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
+    0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
+    0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
+    0.562757134668604683339000099272694, 0.433395394129247190799265943165784,
+    0.294392862701460198131126603103866, 0.148874338981631210884826001129720,
+])
+_GK_WK = np.array([
+    0.011694638867371874278064396062192, 0.032558162307964727478818972459390,
+    0.054755896574351996031381300244580, 0.075039674810919952767043140916190,
+    0.093125454583697605535065465083366, 0.109387158802297641899210590325805,
+    0.123491976262065851077208980244000, 0.134709217311473325928054001771707,
+    0.142775938577060080797094273138717, 0.147739104901338491374841515972068,
+])
+_GK_WG = np.array([
+    0.066671344308688137593568809893332, 0.149451349150580593145776339657697,
+    0.219086362515982043995534934228163, 0.269266719309996355091226921569469,
+    0.295524224714752870173892994651338,
+])
+_GK_NODES = np.concatenate((-_GK_X, [0.0], _GK_X[::-1]))
+_GK_KRONROD = np.concatenate((_GK_WK, [0.149445554002916905664936468389821], _GK_WK[::-1]))
+_GK_GAUSS = np.zeros(21)
+_GK_GAUSS[1:10:2] = _GK_WG
+_GK_GAUSS[11:20:2] = _GK_WG[::-1]
+
+_EPS = np.finfo(float).eps
+_TINY = np.finfo(float).tiny
+_SUBNORMAL = np.finfo(float).smallest_subnormal
+# every gap integral is held to this relative tolerance
+_QUAD_RTOL = 1e-11
+# gaps are integrated this many at a time: a gap holds about 1.2 KB in its
+# first round, so memory stays bounded whatever the number of knots
+_GAP_BLOCK = 1 << 14
+
+
+def _gk21(f, a, b):
+    """QUADPACK's G10-K21 estimates of the integrals of ``f`` over each ``[a_i, b_i]``.
+
+    ``f`` maps a 1-d array of points to an ``(m, points)`` array of ``m``
+    integrands; it is called once.  Returns the Kronrod values and QUADPACK's
+    error estimates, each of shape ``(m, len(a))``.
+    """
+    half = 0.5 * (b - a)
+    pts = (0.5 * (a + b))[:, None] + half[:, None] * _GK_NODES
+    vals = f(pts.ravel()).reshape(-1, a.size, 21)
+    resk = vals @ _GK_KRONROD
+    err = np.abs((resk - vals @ _GK_GAUSS) * half)
+    resasc = np.abs(vals - 0.5 * resk[..., None]) @ _GK_KRONROD * half
+    resabs = np.abs(vals) @ _GK_KRONROD * half
+    scale = np.minimum(1.0, np.divide(200.0 * err, resasc, out=np.zeros_like(err), where=resasc > 0)) ** 1.5
+    err = np.where((resasc > 0) & (err > 0), resasc * scale, err)
+    err = np.where(resabs > _TINY / (50.0 * _EPS), np.maximum(50.0 * _EPS * resabs, err), err)
+    return resk * half, err
+
+
+def _integrate_gaps(f, knots):
+    """Integrals of ``f`` over every gap between consecutive sorted ``knots``.
+
+    Adaptive G10-K21 over all gaps at once, with one call of ``f`` per
+    round.  Each gap has a tolerance ``max(_QUAD_RTOL |I|, tiny (hi - lo))``
+    per integrand, ``tiny`` the smallest normal double (never below the
+    smallest subnormal).  A piece's load is its largest error estimate over
+    that tolerance; a gap is done when its pieces' loads sum to at most 1.
+    In every other gap, each piece whose load is at or above the gap's
+    average is bisected.  When such a piece cannot be halved in floating
+    point, :class:`QuadratureError` names the gap.  Returns the integrals,
+    shape ``(m, len(knots) - 1)``.  Every gap is refined on its own, so
+    taking the gaps in blocks of ``_GAP_BLOCK`` changes them only by
+    rounding.
+    """
+    if knots.size - 1 > _GAP_BLOCK:
+        blocks = range(0, knots.size - 1, _GAP_BLOCK)
+        return np.concatenate([_integrate_gaps(f, knots[i : i + _GAP_BLOCK + 1]) for i in blocks], axis=1)
+    lo, hi = knots[:-1], knots[1:]
+    n = lo.size
+    floor = np.maximum(_TINY * (hi - lo), _SUBNORMAL)
+    a, b, gap = lo, hi, np.arange(n)
+    res, err = _gk21(f, a, b)
+    out = np.empty((res.shape[0], n))
+    while True:
+        total = np.array([np.bincount(gap, r, minlength=n) for r in res])
+        tol = np.maximum(_QUAD_RTOL * np.abs(total), floor)
+        load = np.max(err / tol[:, gap], axis=0)
+        missed = np.bincount(gap, load, minlength=n) > 1.0
+        live = missed[gap]
+        settled = np.unique(gap[~live])
+        out[:, settled] = total[:, settled]
+        if not live.any():
+            return out
+        a, b, gap, res, err, load = a[live], b[live], gap[live], res[:, live], err[:, live], load[live]
+        split = load >= np.bincount(gap, load, minlength=n)[gap] / np.bincount(gap, minlength=n)[gap]
+        mid = 0.5 * (a[split] + b[split])
+        stuck = (mid <= a[split]) | (mid >= b[split])
+        if np.any(stuck):
+            g = gap[split][np.argmax(stuck)]
+            raise QuadratureError(
+                f"quadrature on the gap [{lo[g]:.17g}, {hi[g]:.17g}] misses its tolerance "
+                f"{np.max(tol[:, g]):.3g}: a piece it must split is at the resolution of doubles"
+            )
+        new_res, new_err = _gk21(f, np.concatenate((a[split], mid)), np.concatenate((mid, b[split])))
+        keep = ~split
+        a = np.concatenate((a[keep], a[split], mid))
+        b = np.concatenate((b[keep], mid, b[split]))
+        gap = np.concatenate((gap[keep], gap[split], gap[split]))
+        res = np.concatenate((res[:, keep], new_res), axis=1)
+        err = np.concatenate((err[:, keep], new_err), axis=1)
 
 
 def _tail_F2_doubling(env, x, rel_tol=1e-10, k_max=80):
-    """integral_x^inf F^2 by doubling windows; relies on monotone decay."""
-    from scipy import integrate
+    """``integral_x^inf F^2`` over doubling windows; relies on monotone decay.
 
-    total = 0.0
-    lo = x
-    for _ in range(k_max):
-        hi = 2.0 * max(lo, 0.5)
-        val, _ = integrate.quad(lambda t: float(env.F(t)) ** 2, lo, hi, limit=200, **_QUAD_TOL)
-        total += val
-        # crude but safe bound for what is left, using monotonicity
-        rest_cap = float(env.F(hi)) ** 2 * hi * 2.0
-        lo = hi
-        if rest_cap < rel_tol * max(total, 1e-300):
-            return total + rest_cap
-    return total
+    The windows ``[x, 2 max(x, 1/2)]``, ``[2 max(x, 1/2), ...]``, ... are
+    integrated in one call.  The running sum stops at the first window
+    whose right end ``h`` bounds what is left, ``F(h)^2 2 h``, below
+    ``rel_tol`` times the sum, and returns the sum plus that bound.
+    """
+    edges = np.concatenate(([x], 2.0 * max(x, 0.5) * 2.0 ** np.arange(k_max)))
+    total = np.cumsum(_integrate_gaps(lambda t: env.F(t)[None] ** 2, edges)[0])
+    rest_cap = env.F(edges[1:]) ** 2 * edges[1:] * 2.0
+    stop = np.flatnonzero(rest_cap < rel_tol * np.maximum(total, 1e-300))
+    if stop.size == 0:
+        return float(total[-1])
+    return float(total[stop[0]] + rest_cap[stop[0]])
 
 
 def g_function(env, x):
@@ -403,12 +549,19 @@ def g_function(env, x):
 
     ``G(0)`` equals the squared L2 norm of the envelope.  Other kinds take
     one cumulative quadrature over the sorted knots ``{0, 1} U x``: ``F``
-    and ``F^2`` are integrated once over each gap between consecutive
-    knots, a forward running sum gives ``int_0^x F`` at every knot, and a
-    backward one, seeded by a doubling tail bound past the largest knot,
-    gives ``int_x^inf F^2``.  Each gap integral is held to a relative
-    tolerance of 1e-11, so ``G`` carries a relative quadrature error of
-    about 1e-10.
+    and ``F^2`` are integrated over every gap between consecutive knots by
+    one vectorized adaptive Gauss-Kronrod kernel (QUADPACK's G10-K21 rule
+    and error estimate, one ``F`` call per bisection round), a forward
+    running sum gives ``int_0^x F`` at every knot, and a backward one,
+    seeded by a doubling tail bound past the largest knot, gives
+    ``int_x^inf F^2``.  Each gap integral ``I`` is held to
+    ``max(1e-11 |I|, tiny * width)``, ``tiny`` the smallest normal double
+    (2.2e-308): values of ``F`` or ``F^2`` below it carry no relative
+    precision, so the part of an integral they make up is only known to
+    that bound times the gap's width.  ``G`` thus carries a relative
+    quadrature error of about 1e-10 wherever ``F^2`` does not underflow.
+    A gap that misses its tolerance raises :class:`QuadratureError`; no
+    value is returned uncertified.
     """
     scalar = np.isscalar(x) or np.ndim(x) == 0
     x = np.atleast_1d(np.asarray(x, dtype=float))
@@ -417,14 +570,13 @@ def g_function(env, x):
     if env.kind == "power":
         out = env.F(x) * _power_int0F(env.a, x) + _power_intF2_tail(env.a, x)
     else:
-        from scipy import integrate
-
         knots, where = np.unique(np.concatenate(([0.0, 1.0], x.ravel())), return_inverse=True)
-        gaps_F = np.empty(knots.size - 1)
-        gaps_F2 = np.empty(knots.size - 1)
-        for i, (lo, hi) in enumerate(zip(knots[:-1].tolist(), knots[1:].tolist())):
-            gaps_F[i] = integrate.quad(lambda t: float(env.F(t)), lo, hi, limit=400, **_QUAD_TOL)[0]
-            gaps_F2[i] = integrate.quad(lambda t: float(env.F(t)) ** 2, lo, hi, limit=200, **_QUAD_TOL)[0]
+
+        def f_and_f2(t):
+            f = env.F(t)
+            return np.stack((f, f * f))
+
+        gaps_F, gaps_F2 = _integrate_gaps(f_and_f2, knots)
         int0F = np.concatenate(([0.0], np.cumsum(gaps_F)))
         # backward sum from the tail inward: the smallest terms are added first
         tail = np.cumsum(np.concatenate(([_tail_F2_doubling(env, knots[-1])], gaps_F2[::-1])))[::-1]
@@ -462,9 +614,11 @@ def upper_bound_sufficient(env, ts, x_max=1e4, n_grid=256):
     """Windowed test of ``integral_1^inf G(x) D(x) dx / x < inf``.
 
     The window integral is a trapezoid sum in ``u = log x`` (so ``dx/x``
-    becomes ``du`` exactly).  For power envelopes the integrand's tail
-    exponent is the sum of the closed-form G slope and the fitted density
-    growth over the top decade; the verdict is ``converges`` when it is
+    becomes ``du`` exactly) over ``n_grid`` points; ``D`` comes from one
+    density sweep over the whole grid and ``G`` from one :func:`g_function`
+    call.  For power envelopes the integrand's tail exponent is the sum of
+    the closed-form G slope and the fitted density growth over the top
+    decade; the verdict is ``converges`` when it is
     clearly negative, ``diverges`` when clearly nonnegative, otherwise
     ``undetermined``.  Non-power envelopes have no certified tail model and
     always report ``undetermined`` with the window integral attached.
@@ -475,7 +629,7 @@ def upper_bound_sufficient(env, ts, x_max=1e4, n_grid=256):
         raise ValueError(f"x_max {x_max:g} exceeds the realized window span {span:g}")
     u = np.linspace(0.0, math.log(x_max), n_grid)
     xs = np.exp(u)
-    dvals = np.array([_density_sorted(lam, xv) for xv in xs], dtype=float)
+    dvals = _density_sorted(lam, xs).astype(float)
     gvals = np.asarray(g_function(env, xs))
     integrand = gvals * dvals
     integral = float(np.trapezoid(integrand, u))
@@ -531,9 +685,10 @@ class NecessityResult:
 def upper_bound_necessary(env, ts, x_max=1e4, n_grid=256):
     """Windowed test of ``sup_{x>1} G(x) D(x) < inf`` (necessary condition).
 
-    Reports the running product on a log grid and the growth factors of the
-    running max from the quarter window and the half window to the full
-    window.  A product still growing by a clear factor at the window edge
+    Reports the running product on a log grid of ``n_grid`` points (``D``
+    from one density sweep, ``G`` from one :func:`g_function` call) and the
+    growth factors of the running max from the quarter window and the half
+    window to the full window.  A product still growing by a clear factor at the window edge
     violates the necessary condition; a flat running max is consistent with
     a bounded product.
     """
@@ -542,7 +697,7 @@ def upper_bound_necessary(env, ts, x_max=1e4, n_grid=256):
     if x_max > span:
         raise ValueError(f"x_max {x_max:g} exceeds the realized window span {span:g}")
     xs = np.geomspace(1.0, x_max, n_grid)
-    dvals = np.array([_density_sorted(lam, xv) for xv in xs], dtype=float)
+    dvals = _density_sorted(lam, xs).astype(float)
     gvals = np.asarray(g_function(env, xs))
     product = gvals * dvals
     running = np.maximum.accumulate(product)
@@ -585,31 +740,45 @@ class IntervalEnergyRow:
 
 
 def _pair_g_sum(env, pts):
-    """sum over all ordered pairs (x, y) in pts of G(|x - y|), diagonal included."""
+    """sum over all ordered pairs (x, y) in pts of G(|x - y|), diagonal included.
+
+    Integer sets with more pairs ``n (n - 1) / 2`` than lags (the span)
+    count each lag's pairs by FFT; every other set sums its pairs directly.
+    """
     n = pts.size
-    if n == 0:
-        return 0.0
+    if pts.dtype == np.int64 and n * (n - 1) // 2 >= pts[-1] - pts[0]:
+        return _pair_g_sum_fft(env, pts)
+    return _pair_g_sum_direct(env, pts)
+
+
+def _pair_g_sum_fft(env, pts):
+    """:func:`_pair_g_sum` for an integer set, from the lag multiplicities."""
+    n = pts.size
     g0 = float(g_function(env, 0.0))
-    if pts.dtype == np.int64:
-        # difference multiplicities: autocorrelation of the indicator by FFT,
-        # zero-padded past 2 span so that no lag wraps around
-        span = int(pts[-1] - pts[0])
-        nfft = 1 << (2 * span).bit_length()
-        ind = np.zeros(nfft)
-        ind[pts - pts[0]] = 1.0
-        spec = np.fft.rfft(ind)
-        corr = np.fft.irfft(spec * np.conj(spec), nfft)[: span + 1]  # lag 0 .. span
-        counts = np.rint(corr)
-        residue = float(np.max(np.abs(corr - counts)))
-        if residue >= 0.25:
-            raise RuntimeError(f"pair counts off integers by {residue:.3g}: FFT roundoff")
-        counts = counts.astype(np.int64)
-        ds = np.flatnonzero(counts[1:]) + 1
-        if ds.size == 0:
-            return n * g0
-        gv = np.asarray(g_function(env, ds.astype(float)))
-        return n * g0 + 2.0 * float(np.dot(counts[ds], gv))
-    total = n * g0
+    # difference multiplicities: autocorrelation of the indicator by FFT,
+    # zero-padded past 2 span so that no lag wraps around
+    span = int(pts[-1] - pts[0])
+    nfft = 1 << (2 * span).bit_length()
+    ind = np.zeros(nfft)
+    ind[pts - pts[0]] = 1.0
+    spec = np.fft.rfft(ind)
+    corr = np.fft.irfft(spec * np.conj(spec), nfft)[: span + 1]  # lag 0 .. span
+    counts = np.rint(corr)
+    residue = float(np.max(np.abs(corr - counts)))
+    if residue >= 0.25:
+        raise RuntimeError(f"pair counts off integers by {residue:.3g}: FFT roundoff")
+    counts = counts.astype(np.int64)
+    ds = np.flatnonzero(counts[1:]) + 1
+    if ds.size == 0:
+        return n * g0
+    gv = np.asarray(g_function(env, ds.astype(float)))
+    return n * g0 + 2.0 * float(np.dot(counts[ds], gv))
+
+
+def _pair_g_sum_direct(env, pts):
+    """:func:`_pair_g_sum` from the ``n (n - 1) / 2`` pair distances, in row blocks."""
+    n = pts.size
+    total = n * float(g_function(env, 0.0))
     block = 512
     for i in range(0, n, block):
         chunk = pts[i : i + block]

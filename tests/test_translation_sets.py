@@ -1,4 +1,6 @@
 import math
+import time
+import warnings
 
 import numpy as np
 import pytest
@@ -6,11 +8,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from frameseq.spectrum import TimeEnvelope
+from frameseq import translation_sets
+from frameseq.spectrum import QuadratureError, TimeEnvelope
 from frameseq.translation_sets import (
     TranslationSet,
     _density_sorted,
+    _integrate_gaps,
     _pair_g_sum,
+    _pair_g_sum_direct,
+    _pair_g_sum_fft,
+    _tail_F2_doubling,
     density,
     density_exponent_fit,
     g_equivalence_check,
@@ -38,6 +45,44 @@ def brute_density(points, x):
 @settings(max_examples=200, deadline=None)
 def test_density_matches_brute_force(pts, x):
     assert density(np.array(sorted(pts)), float(x)) == brute_density(pts, x)
+
+
+def _brute_sweep(lam, x):
+    # the sweep's definition, pair by pair: max over i of #{j : 0 <= lam_j - lam_i <= x}
+    return max(sum(1 for q in lam if 0 <= q - p <= x) for p in lam)
+
+
+@given(
+    pts=st.one_of(
+        st.lists(st.integers(-60, 60), min_size=1, max_size=25, unique=True),
+        st.lists(st.floats(-60.0, 60.0, allow_subnormal=False), min_size=1, max_size=25, unique=True),
+    ),
+    xs=st.lists(st.floats(0.0, 150.0), min_size=1, max_size=12),
+)
+@settings(max_examples=200, deadline=None)
+def test_density_sweep_matches_brute_force(pts, xs):
+    lam = np.sort(np.array(pts))
+    if lam.dtype.kind == "i":
+        lam = lam.astype(np.int64)
+    span = float(lam[-1] - lam[0])
+    grid = np.array(xs + [0.0, span, span + 0.5, 2.0 * span + 1.0])
+    got = _density_sorted(lam, grid)
+    assert got.dtype == np.int64 and got.shape == grid.shape
+    assert got.tolist() == [_brute_sweep(lam, x) for x in grid]
+    # one window at a time bisects in Python scalars and must agree
+    assert [_density_sorted(lam, float(x)) for x in grid] == got.tolist()
+    assert got[-3] == lam.size  # x >= span holds the whole set
+
+
+def test_density_sweep_single_point_and_refusals():
+    for lam in (np.array([7], dtype=np.int64), np.array([0.25])):
+        assert _density_sorted(lam, [0.0, 1.0, 1e300]).tolist() == [1, 1, 1]
+    for bad in (-1.0, [0.5, -0.5], math.nan):
+        with pytest.raises(ValueError):
+            _density_sorted(np.arange(4), bad)
+    # the generator guard reads the largest window of a grid
+    with pytest.raises(ValueError):
+        density(TranslationSet.squares(10), [1.0, 500.0])
 
 
 def test_density_closed_interval_convention():
@@ -182,6 +227,91 @@ def test_g_function_sweep_matches_pointwise_quadrature(delta, rate, xs):
 def test_density_integer_path_matches_float(pts, x):
     lam = np.array(sorted(pts), dtype=np.int64)
     assert _density_sorted(lam, x) == _density_sorted(lam.astype(float), x)
+
+
+def _exponential_closed_forms(delta, x):
+    """G for F = exp(-delta x) and for F = exp(-delta sqrt x), in closed form."""
+    x = np.asarray(x, dtype=float)
+    g_one = np.exp(-delta * x) * -np.expm1(-delta * x) / delta + np.exp(-2 * delta * x) / (2 * delta)
+    u = np.sqrt(x)
+    int0 = 2.0 * (1.0 - np.exp(-delta * u) * (1.0 + delta * u)) / delta**2
+    g_half = np.exp(-delta * u) * int0 + np.exp(-2 * delta * u) * (1.0 + 2 * delta * u) / (2 * delta**2)
+    return g_one, g_half
+
+
+@pytest.mark.parametrize("delta", [0.3, 0.8, 1.7])
+def test_g_function_exponential_closed_forms(delta):
+    xs = np.array([0.0, 1e-3, 0.5, 1.0, 2.0, 7.5, 30.0, 200.0])
+    g_one, g_half = _exponential_closed_forms(delta, xs)
+    # beta = 1: F = e^{-delta x}, smooth at 0
+    got = g_function(TimeEnvelope.exponential(delta, {"power": {"beta": 1.0}}), xs)
+    assert np.allclose(got, g_one, rtol=1e-11, atol=0.0)
+    # beta = 1/2: F = e^{-delta sqrt x} has a sqrt endpoint singularity at 0
+    got = g_function(TimeEnvelope.exponential(delta, {"power": {"beta": 0.5}}), xs)
+    assert np.allclose(got, g_half, rtol=1e-11, atol=0.0)
+
+
+@pytest.mark.parametrize("x", [0.0, 0.3, 5.0, 40.0])
+def test_tail_doubling_closed_form(x):
+    # int_x^inf e^{-2 delta t} dt = e^{-2 delta x} / (2 delta); the doubling sum
+    # adds a bound on what it leaves out, so it can only overshoot, by rel_tol at most
+    for delta in (0.3, 1.7):
+        want = math.exp(-2 * delta * x) / (2 * delta)
+        got = _tail_F2_doubling(TimeEnvelope.exponential(delta, {"power": {"beta": 1.0}}), x)
+        assert want * (1 - 1e-13) <= got <= want * (1 + 1e-10)
+
+
+def test_underflowing_envelope_is_certified_without_warnings():
+    # F = exp(-delta x / log(e + x)) underflows on the far gaps of this grid;
+    # its gap integrals used to come back uncertified with a roundoff warning
+    env = TimeEnvelope.exponential(0.8067238953787923, {"xlog": {}})
+    ts = TranslationSet.integers(5000)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        suff = upper_bound_sufficient(env, ts, x_max=1e4, n_grid=86)
+        nec = upper_bound_necessary(env, ts, x_max=1e4, n_grid=86)
+    assert suff.verdict == "undetermined" and np.isfinite(suff.integral) and suff.integral > 0
+    assert nec.verdict == "consistent with bounded product"
+    assert np.all(np.isfinite(nec.product)) and nec.sup_estimate > 0
+
+
+def test_gap_blocks_give_the_same_numbers(monkeypatch):
+    # every gap is refined on its own, so integrating the gaps in blocks
+    # (which bounds memory for many knots) moves G only by the rounding of
+    # the rule's dot products
+    env = TimeEnvelope.exponential(0.6, {"power": {"beta": 0.5}})
+    xs = np.geomspace(1e-3, 300.0, 40)
+    whole = g_function(env, xs)
+    monkeypatch.setattr(translation_sets, "_GAP_BLOCK", 3)
+    assert np.allclose(g_function(env, xs), whole, rtol=1e-14, atol=0.0)
+
+
+def test_quadrature_miss_raises_naming_the_gap():
+    # a pole capped at 1e300 cannot be integrated to 1e-11: the pieces around
+    # it shrink to the resolution of doubles and the gap is named
+    with pytest.raises(QuadratureError, match=r"gap \[0, 1\]"):
+        _integrate_gaps(lambda t: 1.0 / np.maximum(np.abs(t - 0.3), 1e-300)[None], np.array([0.0, 1.0, 2.0]))
+
+
+def test_pair_sum_sparse_set_skips_the_fft():
+    # 25 points spread over 2^23: 300 pairs against a 2^24-point FFT
+    env = TimeEnvelope.power(0.75)
+    ts = TranslationSet.explicit([0] + [2**k for k in range(24)])
+    t0 = time.perf_counter()
+    rows = interval_energy_test(env, ts, [(0, 2**23)])
+    assert time.perf_counter() - t0 < 0.5
+    pts = ts.realize()
+    direct = sum(float(g_function(env, float(abs(p - q)))) for p in pts.tolist() for q in pts.tolist())
+    assert rows[0].count == 25 and abs(rows[0].pair_sum - direct) <= 1e-12 * direct
+
+
+@pytest.mark.parametrize(
+    "env", [TimeEnvelope.power(0.75), TimeEnvelope.exponential(0.5, {"xlog": {}})], ids=["power", "exp"]
+)
+def test_pair_sum_paths_agree(env):
+    for pts in (TranslationSet.squares(30).realize(), TranslationSet.integers(20).realize()):
+        fft, direct = _pair_g_sum_fft(env, pts), _pair_g_sum_direct(env, pts)
+        assert abs(fft - direct) <= 1e-12 * direct
 
 
 def test_g_equivalence():
