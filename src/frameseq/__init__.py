@@ -35,11 +35,10 @@ from .gram import (
 from .periodization import (
     PeriodizedSpectrum,
     dilation_identity_deviation,
-    essential_bounds,
+    exact_bounds,
     fourier_coeff,
     periodize,
     periodize_at,
-    zero_count,
 )
 from .spectrum import (
     FourierProfile,
@@ -93,7 +92,7 @@ __all__ = [
     "density",
     "density_exponent_fit",
     "dilation_identity_deviation",
-    "essential_bounds",
+    "exact_bounds",
     "exactness_evidence",
     "fourier_coeff",
     "frame_bound_estimates",
@@ -118,5 +117,4 @@ __all__ = [
     "upper_bound_sufficient",
     "verify_lower_collapse",
     "weighted_norm_identity_check",
-    "zero_count",
 ]

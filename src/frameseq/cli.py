@@ -56,13 +56,13 @@ from .gram import (
     weighted_norm_identity_check,
 )
 from .periodization import (
+    cell_evidence,
     check_grid_size,
     dilation_identity_deviation,
-    essential_bounds,
+    exact_bounds,
     periodize,
     summary,
     write_csv,
-    zero_count,
 )
 from .spectrum import FourierProfile, TimeEnvelope
 from .translation_sets import (
@@ -263,12 +263,16 @@ def _cmd_periodize(args, cfg):
     profile, desc = _load_profile(args.profile)
     grid = check_grid_size(args.grid or 4096, "--grid")
     ps = periodize(profile, args.b, grid_size=grid)
-    payload = {"profile": desc, "summary": summary(ps), "seed": args.seed}
-    _, _, zf = essential_bounds(ps)
-    if zf <= 0.5:
-        count, intervals = zero_count(ps)
-        payload["zero_runs"] = count
-        payload["zero_intervals"] = intervals
+    eb = exact_bounds(profile, ps.b)
+    intervals = eb.zero_runs()
+    payload = {
+        "profile": desc,
+        "summary": summary(ps, eb),
+        "zero_runs": len(intervals),
+        "zero_intervals": intervals,
+        "evidence": [cell_evidence(eb, ps)],
+        "seed": args.seed,
+    }
     if args.csv:
         write_csv(ps, args.csv)
     _emit(payload, cfg, args.out)

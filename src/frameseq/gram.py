@@ -27,10 +27,10 @@ import numpy as np
 from .periodization import (
     GRID_CAP,
     InconsistencyError,
+    cell_evidence,
     check_grid_size,
     check_spacing,
     coefficient_error_bound,
-    essential_bounds,
     exact_bounds,
     fourier_coeff,
     periodize,
@@ -43,11 +43,9 @@ __all__ = [
     "Budgets",
     "GramOperator",
     "FrameBounds",
-    "PhiBounds",
     "FrameReport",
     "build_gram",
     "frame_bound_estimates",
-    "bounds_from_phi",
     "classify",
     "truncation_decay",
     "weighted_norm_identity_check",
@@ -249,27 +247,6 @@ def frame_bound_estimates(g, kernel_tol=KERNEL_TOL):
 
 
 @dataclass
-class PhiBounds:
-    A: float  # inf of the nonzero grid values, divided by b
-    B: float  # sup divided by b
-    zero_fraction: float
-    grid_size: int
-    b: float
-
-
-def bounds_from_phi(ps):
-    """Frame-bound candidates read off the periodized spectrum grid."""
-    inf_nz, sup, zf = essential_bounds(ps)
-    return PhiBounds(
-        A=float(inf_nz / ps.b) if np.isfinite(inf_nz) else float("inf"),
-        B=float(sup / ps.b),
-        zero_fraction=float(zf),
-        grid_size=ps.grid_size,
-        b=ps.b,
-    )
-
-
-@dataclass
 class FrameReport:
     classification: str
     A_est: float | None
@@ -300,39 +277,6 @@ class FrameReport:
             "evidence": self.evidence,
             "notes": list(self.notes),
         }
-
-
-def _cell_evidence(eb, ps):
-    """Check the grid ``ps`` against the exact cells ``eb``; the evidence row of both.
-
-    Grid values must equal the cell quadratics within the cells' budget, and
-    the grid's exact zeros must cover the zero cells' measure to within
-    one midpoint per cell; a miss raises :class:`InconsistencyError`.
-    """
-    m = ps.grid_size
-    dev = eb.grid_deviation(ps)
-    if dev > eb.budget:
-        raise InconsistencyError(
-            f"grid of {m} points deviates from the exact cells of Phi_b by {dev:.3e} > budget {eb.budget:.3e}"
-        )
-    zf = float(np.mean(ps.values == 0.0))
-    if abs(zf - eb.zero_measure) > eb.cells / m:
-        raise InconsistencyError(
-            f"grid zero fraction {zf:.12g} against exact zero measure {eb.zero_measure:.12g} "
-            f"beyond cells/M = {eb.cells}/{m}"
-        )
-    return {
-        "rule": "exact-cell-bounds",
-        "cells": eb.cells,
-        "ess_inf": eb.inf,
-        "ess_inf_nonzero": eb.inf_nonzero,
-        "ess_sup": eb.sup,
-        "zero_measure": eb.zero_measure,
-        "budget": eb.budget,
-        "check_grid": m,
-        "max_grid_deviation": dev,
-        "grid_zero_fraction": zf,
-    }
 
 
 def _lattice_verdict(eb):
@@ -421,7 +365,7 @@ def classify(profile, b, ts, budgets=None):
         )
         eb = exact_bounds(profile, b)
         ps = _check_grid(profile, b, int(lam[-1] - lam[0]), None, budgets.grid_size)
-        evidence = [_cell_evidence(eb, ps)]
+        evidence = [cell_evidence(eb, ps)]
         label, a_val, b_val = _lattice_verdict(eb)
         fb = _gram_agreement(profile, b, lam, ps, eb, evidence)
         if kind == "naturals" and label in ("frame sequence (non-exact)", "not a frame sequence"):
@@ -478,7 +422,7 @@ def classify(profile, b, ts, budgets=None):
     windows = [] if lattice == "orthonormal" else window_ladder(lam.size, budgets.window)
     lam = lam[: windows[-1] if windows else min(lam.size, 2 * budgets.window)]
     ps = _check_grid(profile, b, int(lam[-1] - lam[0]), None, budgets.grid_size)
-    evidence.append(_cell_evidence(eb, ps))
+    evidence.append(cell_evidence(eb, ps))
     if lattice == "orthonormal":
         fb = _gram_agreement(profile, b, lam, ps, eb, evidence)
         label, a_val, b_val, rank = "orthonormal", 1.0, 1.0, fb.numerical_rank

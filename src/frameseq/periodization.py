@@ -31,11 +31,9 @@ __all__ = [
     "fourier_coeff",
     "coefficient_error_bound",
     "exact_bounds",
-    "essential_bounds",
-    "zero_count",
+    "cell_evidence",
     "cyclic_runs",
     "dilation_identity_deviation",
-    "smoothness_diagnostic",
     "write_csv",
     "summary",
 ]
@@ -286,6 +284,15 @@ class ExactBounds:
             worst = max(worst, float(np.max(dev)))
         return worst
 
+    def zero_runs(self):
+        """The zero set of ``Phi_b`` as ``(lo, hi)`` intervals, one per maximal cyclic run of zero cells.
+
+        A run through ``xi = 0`` is reported from its start, with ``hi > 1``.
+        """
+        starts, lengths = cyclic_runs(self.zero)
+        edges = np.concatenate((self.starts, self.starts + 1.0))  # left cell edges, twice round the circle
+        return [(float(edges[s]), float(edges[s + n])) for s, n in zip(starts.tolist(), lengths.tolist())]
+
     def eigenvalue_interval(self, dim, entry):
         """Interval holding every eigenvalue of a ``dim``-point integer Gram window.
 
@@ -367,6 +374,39 @@ def exact_bounds(profile, b):
     )
 
 
+def cell_evidence(eb, ps):
+    """Check the grid ``ps`` against the exact cells ``eb``; the ``exact-cell-bounds`` evidence row.
+
+    Grid values must equal the cell quadratics within the cells' budget, and
+    the grid's exact zeros must cover the zero cells' measure to within
+    one midpoint per cell; a miss raises :class:`InconsistencyError`.
+    """
+    m = ps.grid_size
+    dev = eb.grid_deviation(ps)
+    if dev > eb.budget:
+        raise InconsistencyError(
+            f"grid of {m} points deviates from the exact cells of Phi_b by {dev:.3e} > budget {eb.budget:.3e}"
+        )
+    zf = float(np.mean(ps.values == 0.0))
+    if abs(zf - eb.zero_measure) > eb.cells / m:
+        raise InconsistencyError(
+            f"grid zero fraction {zf:.12g} against exact zero measure {eb.zero_measure:.12g} "
+            f"beyond cells/M = {eb.cells}/{m}"
+        )
+    return {
+        "rule": "exact-cell-bounds",
+        "cells": eb.cells,
+        "ess_inf": eb.inf,
+        "ess_inf_nonzero": eb.inf_nonzero,
+        "ess_sup": eb.sup,
+        "zero_measure": eb.zero_measure,
+        "budget": eb.budget,
+        "check_grid": m,
+        "max_grid_deviation": dev,
+        "grid_zero_fraction": zf,
+    }
+
+
 def coefficient_error_bound(profile, ps, n):
     """Bound on ``|fourier_coeff(ps, n) - Phi_b_hat(n)|`` for ``ps = periodize(profile, b, M)``.
 
@@ -411,49 +451,6 @@ def coefficient_error_bound(profile, ps, n):
     return alias + curve / (24.0 * m**3) + roundoff
 
 
-def _zeros(ps):
-    """``(sup, mask)``: grid points at or below ``1e-8 * sup`` count as zeros."""
-    sup = float(np.max(ps.values))
-    return sup, ps.values <= 1e-8 * sup
-
-
-def essential_bounds(ps):
-    """Grid essential bounds ``(inf over nonzero, sup, zero fraction)``.
-
-    Grid points at or below ``1e-8 * sup`` count as zeros; ``inf_nonzero``
-    is ``inf`` when every point is a zero.
-    """
-    sup, mask = _zeros(ps)
-    zero_fraction = float(np.mean(mask))
-    if zero_fraction == 1.0:
-        inf_nonzero = math.inf
-    else:
-        inf_nonzero = float(np.min(ps.values[~mask]))
-    return inf_nonzero, sup, zero_fraction
-
-
-def zero_count(ps):
-    """Number of cyclic runs of grid zeros and their intervals in xi.
-
-    Returns ``(count, intervals)`` where each interval is the union of the
-    grid cells whose midpoints are zeros in the sense of
-    :func:`essential_bounds`.  Refuses when more than half the circle is at
-    zero level, since run counting is then meaningless.
-    """
-    _, mask = _zeros(ps)
-    frac = float(np.mean(mask))
-    if frac > 0.5:
-        raise ValueError(
-            f"zero fraction {frac:.3f} > 0.5: most of the circle is at zero level, "
-            "run counting is not meaningful"
-        )
-    m = ps.grid_size
-    starts, lengths = cyclic_runs(mask)
-    # a wrapped run is reported with hi > 1, meaning it continues past xi = 1
-    intervals = [(s / m, (s + n) / m) for s, n in zip(starts.tolist(), lengths.tolist())]
-    return len(intervals), intervals
-
-
 def cyclic_runs(mask):
     """Starts and lengths of the True runs of a cyclic boolean mask.
 
@@ -490,28 +487,6 @@ def dilation_identity_deviation(profile, b, m_factor, grid_size=4096):
     return float(np.max(np.abs(ps_coarse.values - acc)))
 
 
-def smoothness_diagnostic(ps, n_max=64):
-    """Decay-rate diagnostic of the coefficients ``|Phi_b_hat(n)|``.
-
-    Fits the log-log slope of coefficient magnitude against n; a steep slope
-    or coefficients at the roundoff floor indicate a smooth periodization.
-    """
-    ns = np.arange(1, n_max + 1)
-    mags = np.abs(fourier_coeff(ps, ns))
-    scale = max(float(np.max(mags)), 1e-300)
-    good = mags > max(1e-14, 1e-10 * scale)
-    if good.sum() >= 4:
-        slope = float(np.polyfit(np.log(ns[good]), np.log(mags[good]), 1)[0])
-    else:
-        slope = -math.inf
-    return {
-        "n": ns,
-        "magnitude": mags,
-        "decay_exponent": slope,
-        "rapidly_decaying": bool(slope < -2.5 or not good.any()),
-    }
-
-
 def write_csv(ps, path):
     """Emit rows ``(xi_j, Phi_b(xi_j))`` with 12-significant-digit floats."""
     grid = ps.grid()
@@ -522,21 +497,23 @@ def write_csv(ps, path):
             writer.writerow([format(x, ".12g"), format(v, ".12g")])
 
 
-def summary(ps):
-    """JSON-ready summary of a periodization.
+def summary(ps, eb):
+    """JSON-ready summary of a periodization ``ps`` and its exact cells ``eb``.
 
+    ``inf_nonzero``, ``sup`` and ``zero_fraction`` are the cells' ess inf
+    off the zero cells, ess sup and zero-set measure, so they do not move
+    with the grid; check ``ps`` against ``eb`` with :func:`cell_evidence`.
     ``tail_bound`` is always 0 (the translate sum of a compactly supported
     profile is finite); the key stays so that ``frameseq/1`` output keeps
     its shape.
     """
-    inf_nz, sup, zf = essential_bounds(ps)
     return {
         "b": ps.b,
         "grid_size": ps.grid_size,
         "truncation_range": ps.truncation_range,
         "tail_bound": 0.0,
-        "inf_nonzero": inf_nz if math.isfinite(inf_nz) else None,
-        "sup": sup,
-        "zero_fraction": zf,
+        "inf_nonzero": eb.inf_nonzero,
+        "sup": eb.sup,
+        "zero_fraction": eb.zero_measure,
         "mean": ps.mean(),
     }

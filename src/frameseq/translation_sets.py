@@ -452,6 +452,9 @@ _QUAD_RTOL = 1e-11
 # gaps are integrated this many at a time: a gap holds about 1.2 KB in its
 # first round, so memory stays bounded whatever the number of knots
 _GAP_BLOCK = 1 << 14
+# the direct pair sum takes this many pairs at a time, so its memory does
+# not grow with the set; G's temporaries at this size are a few hundred KB
+_PAIR_BLOCK = 1 << 14
 
 
 def _gk21(f, a, b):
@@ -627,6 +630,8 @@ def upper_bound_sufficient(env, ts, x_max=1e4, n_grid=256):
     span = float(lam[-1] - lam[0])
     if x_max > span:
         raise ValueError(f"x_max {x_max:g} exceeds the realized window span {span:g}")
+    if not x_max > 1.0:
+        raise ValueError(f"x_max {x_max:g} leaves no window [1, x_max] to integrate over")
     u = np.linspace(0.0, math.log(x_max), n_grid)
     xs = np.exp(u)
     dvals = _density_sorted(lam, xs).astype(float)
@@ -696,6 +701,8 @@ def upper_bound_necessary(env, ts, x_max=1e4, n_grid=256):
     span = float(lam[-1] - lam[0])
     if x_max > span:
         raise ValueError(f"x_max {x_max:g} exceeds the realized window span {span:g}")
+    if not x_max >= 4.0:
+        raise ValueError(f"x_max {x_max:g} < 4 leaves the quarter window [1, x_max / 4] empty")
     xs = np.geomspace(1.0, x_max, n_grid)
     dvals = _density_sorted(lam, xs).astype(float)
     gvals = np.asarray(g_function(env, xs))
@@ -776,16 +783,25 @@ def _pair_g_sum_fft(env, pts):
 
 
 def _pair_g_sum_direct(env, pts):
-    """:func:`_pair_g_sum` from the ``n (n - 1) / 2`` pair distances, in row blocks."""
+    """:func:`_pair_g_sum` over sorted ``pts`` from the ``n (n - 1) / 2`` pair distances.
+
+    The distances ``pts[j] - pts[i]`` for ``j > i`` are written row by row
+    into one buffer of ``_PAIR_BLOCK`` pairs, and ``G`` is summed each time
+    it fills, so memory does not grow with the set.
+    """
     n = pts.size
     total = n * float(g_function(env, 0.0))
-    block = 512
-    for i in range(0, n, block):
-        chunk = pts[i : i + block]
-        diffs = np.abs(chunk[:, None] - pts[None, :])
-        mask = np.triu(np.ones((chunk.size, n), dtype=bool), k=i + 1)
-        vals = np.asarray(g_function(env, diffs[mask]))
-        total += 2.0 * float(np.sum(vals))
+    buf = np.empty(min(_PAIR_BLOCK, n * (n - 1) // 2))
+    fill = 0
+    for i in range(n - 1):
+        j = i + 1
+        while j < n:
+            take = min(n - j, buf.size - fill)
+            np.subtract(pts[j : j + take], pts[i], out=buf[fill : fill + take])
+            fill, j = fill + take, j + take
+            if fill == buf.size or (i == n - 2 and j == n):
+                total += 2.0 * float(np.sum(g_function(env, buf[:fill])))
+                fill = 0
     return total
 
 

@@ -61,8 +61,28 @@ def test_periodize_summary_and_csv(capsys, tmp_path):
     assert code == 0
     assert doc["result"]["summary"]["sup"] == 1.0
     assert doc["result"]["zero_runs"] == 1
+    assert doc["result"]["zero_intervals"] == [[0.5, 1.0]]
+    (row,) = doc["result"]["evidence"]
+    assert row["rule"] == "exact-cell-bounds" and row["check_grid"] == 1024
     header = csv_path.read_text().splitlines()[0]
     assert header == "xi,phi"
+
+
+def test_periodize_bounds_do_not_move_with_the_grid(capsys):
+    # the tent at b = 1 touches zero at xi = 0 without vanishing on a set of positive measure
+    for grid in ("4096", "4194304"):
+        code, doc = run_json(capsys, "periodize", "--profile", "tent", "--grid", grid)
+        assert code == 0
+        s = doc["result"]["summary"]
+        assert (s["sup"], s["inf_nonzero"], s["zero_fraction"]) == (1.0, 0.0, 0.0)
+        assert doc["result"]["zero_runs"] == 0 and doc["result"]["zero_intervals"] == []
+
+
+def test_periodize_reports_runs_over_most_of_the_circle(capsys):
+    code, doc = run_json(capsys, "periodize", "--profile", "indicator:0:0.25")
+    assert code == 0
+    assert doc["result"]["summary"]["zero_fraction"] == 0.75
+    assert doc["result"]["zero_runs"] == 1 and doc["result"]["zero_intervals"] == [[0.25, 1.0]]
 
 
 def test_gram_reports_route_and_bounds(capsys):

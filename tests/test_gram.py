@@ -3,6 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import frameseq.cli as cli
 import frameseq.gram as gram
 import frameseq.periodization as periodization
 from frameseq.constructions import indicator_profile
@@ -11,7 +12,6 @@ from frameseq.gram import (
     Budgets,
     GramOperator,
     InconsistencyError,
-    bounds_from_phi,
     build_gram,
     classify,
     frame_bound_estimates,
@@ -123,10 +123,13 @@ def test_subset_of_an_exact_family_is_exact():
     assert abs(lo - 1.0) < 1e-9 and abs(hi - 4.0) < 1e-9
 
 
-def test_grid_checks_the_exact_cells(monkeypatch):
+def test_grid_checks_the_exact_cells(monkeypatch, capsys):
     # with the breakpoint at 1/3 dropped, one cell's quadratic no longer fits Phi_1
     third = indicator_profile(0.0, 1.0 / 3.0)
     assert classify(third, 1.0, TranslationSet.integers(16)).evidence[0]["cells"] == 2
+    argv = ["periodize", "--profile", "indicator:0:0.333333333333333"]
+    assert cli.main(argv) == cli.EXIT_OK
+    capsys.readouterr()
     real = periodization._breakpoints
 
     def drop_last(profile, b):
@@ -136,6 +139,10 @@ def test_grid_checks_the_exact_cells(monkeypatch):
     monkeypatch.setattr(periodization, "_breakpoints", drop_last)
     with pytest.raises(InconsistencyError, match="exact cells"):
         classify(third, 1.0, TranslationSet.integers(16))
+    # periodize runs the same check, and its mismatch is the inconsistency exit
+    assert cli.main(argv) == cli.EXIT_INCONSISTENT
+    captured = capsys.readouterr()
+    assert not captured.out and "exact cells" in captured.err
 
 
 @pytest.mark.parametrize("ts", [TranslationSet.integers(64), TranslationSet.squares(80)])
@@ -180,12 +187,6 @@ def test_eigenvalue_window_interlacing(taper):
     for prev, cur in zip(bounds, bounds[1:]):
         assert cur.A_est <= prev.A_est + 1e-12
         assert cur.B_est >= prev.B_est - 1e-12
-
-
-def test_bounds_from_phi(half):
-    pb = bounds_from_phi(periodize(half, 1.0, 2048))
-    assert pb.A == 1.0 and pb.B == 1.0
-    assert abs(pb.zero_fraction - 0.5) < 1e-12
 
 
 # ---------------------------------------------------------------------------

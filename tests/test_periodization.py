@@ -7,16 +7,14 @@ from scipy.integrate import quad
 from frameseq.constructions import indicator_profile, ramp_plateau_profile
 from frameseq.periodization import (
     dilation_identity_deviation,
-    essential_bounds,
     exact_bounds,
     fourier_coeff,
     periodize,
     periodize_at,
-    smoothness_diagnostic,
     summary,
     write_csv,
-    zero_count,
 )
+from frameseq.spectrum import FourierProfile, Piece
 
 
 def test_box_periodization_constant(box):
@@ -84,31 +82,28 @@ def test_cell_constant_flag_and_exact_coeffs(half, taper):
     assert not periodize(taper, 2.0, 256).cell_constant
 
 
-def test_essential_bounds_half(half):
-    ps = periodize(half, 1.0, 1024)
-    inf_nz, sup, zf = essential_bounds(ps)
-    assert inf_nz == 1.0 and sup == 1.0
-    assert abs(zf - 0.5) < 1e-12
-
-
 def test_zero_count_interior_and_wrapped():
-    mid = indicator_profile(0.25, 0.75)
-    ps = periodize(mid, 1.0, 1024)
-    count, intervals = zero_count(ps)
-    assert count == 1
-    (lo, hi), = intervals
-    # zero set wraps through xi = 1: reported as one run continuing past 1
-    assert hi > 1.0 and abs((hi - lo) - 0.5) < 1e-2
-
-    count2, intervals2 = zero_count(periodize(indicator_profile(0.0, 0.5), 1.0, 1024))
-    assert count2 == 1
-    assert abs(intervals2[0][0] - 0.5) < 1e-3
+    # the zero cells of indicator(1/4, 3/4) at b = 1 wrap through xi = 1: one run continuing past 1
+    (lo, hi), = exact_bounds(indicator_profile(0.25, 0.75), 1.0).zero_runs()
+    assert (lo, hi) == (0.75, 1.25)
+    assert exact_bounds(indicator_profile(0.0, 0.5), 1.0).zero_runs() == [(0.5, 1.0)]
+    # a Phi_b that only touches zero has no zero run
+    assert exact_bounds(indicator_profile(0.0, 1.0), 1.0).zero_runs() == []
 
 
-def test_zero_count_refuses_mostly_zero():
-    ps = periodize(indicator_profile(0.0, 0.25), 1.0, 1024)
-    with pytest.raises(ValueError):
-        zero_count(ps)
+def test_zero_run_through_zero_spans_several_cells():
+    # const 0 pieces add breakpoints inside the zero set: cells [0.5, 0.8), [0.8, 0.9),
+    # [0.9, 0.95) and [0.95, 1.05) are zero cells, one run through xi = 0
+    profile = FourierProfile([
+        Piece(-0.05, 0.05, const=0.0),
+        Piece(0.05, 0.5, const=1.0),
+        Piece(0.8, 0.9, const=0.0),
+    ])
+    eb = exact_bounds(profile, 1.0)
+    assert int(eb.zero.sum()) == 4
+    (lo, hi), = eb.zero_runs()
+    assert abs(lo - 0.5) < 1e-15 and abs(hi - 1.05) < 1e-15
+    assert abs(eb.zero_measure - 0.55) < 1e-15
 
 
 @pytest.mark.parametrize("m_factor", [2, 3])
@@ -118,20 +113,13 @@ def test_dilation_identity(box, tent, taper, m_factor):
         assert dev < 1e-10
 
 
-def test_smoothness_diagnostic_ranks_profiles(box, tent):
-    # box periodization is constant: coefficients at the roundoff floor
-    diag_box = smoothness_diagnostic(periodize(box, 1.0, 2048))
-    assert diag_box["rapidly_decaying"]
-    # tent^2 is C^1 with kinks: coefficients decay polynomially, not fast
-    diag_tent = smoothness_diagnostic(periodize(tent, 1.0, 2048))
-    assert diag_tent["decay_exponent"] < -1.5
-
-
 def test_summary_and_csv(tmp_path, taper):
     ps = periodize(taper, 2.0, 256)
-    info = summary(ps)
+    info = summary(ps, exact_bounds(taper, 2.0))
     assert info["b"] == 2.0 and info["grid_size"] == 256
-    assert info["sup"] >= info["inf_nonzero"] > 0
+    # the bounds are the exact cells': Phi_2 = 1 + (1 - xi)^2 runs from 1 to 2
+    assert abs(info["sup"] - 2.0) < 1e-12 and abs(info["inf_nonzero"] - 1.0) < 1e-12
+    assert info["zero_fraction"] == 0.0
     out = tmp_path / "phi.csv"
     write_csv(ps, out)
     lines = out.read_text().strip().split("\n")

@@ -100,6 +100,19 @@ def test_density_window_guard():
     assert density(TranslationSet.explicit([0, 1, 7]), 500.0) == 3
 
 
+def test_upper_bound_tests_refuse_empty_windows():
+    # x_max = 1 left the sufficient test's fit degenerate (nan, a LAPACK complaint);
+    # x_max < 4 left the necessary test's quarter window empty
+    env, ts = TimeEnvelope.power(1.0), TranslationSet.squares(3)
+    for x_max in (1.0, 0.5):
+        with pytest.raises(ValueError, match="no window"):
+            upper_bound_sufficient(env, ts, x_max=x_max)
+    with pytest.raises(ValueError, match="quarter window"):
+        upper_bound_necessary(env, ts, x_max=3.0)
+    assert upper_bound_sufficient(env, ts, x_max=1.5).verdict in ("converges", "diverges", "undetermined")
+    assert upper_bound_necessary(env, ts, x_max=4.0).sup_estimate > 0
+
+
 def test_density_exponent_fit():
     slope, table = density_exponent_fit(TranslationSet.integers(2048))
     assert abs(slope - 1.0) < 0.01
@@ -312,6 +325,22 @@ def test_pair_sum_paths_agree(env):
     for pts in (TranslationSet.squares(30).realize(), TranslationSet.integers(20).realize()):
         fft, direct = _pair_g_sum_fft(env, pts), _pair_g_sum_direct(env, pts)
         assert abs(fft - direct) <= 1e-12 * direct
+
+
+@pytest.mark.parametrize(
+    "env", [TimeEnvelope.power(0.75), TimeEnvelope.exponential(0.5, {"xlog": {}})], ids=["power", "exp"]
+)
+def test_pair_sum_direct_block_size_free(monkeypatch, env):
+    # 150 points make 11175 pairs, a multiple of neither block; rows split across blocks
+    pts = np.sort(np.random.default_rng(3).uniform(0.0, 500.0, 150))
+    sums = []
+    for block in (97, 4096, 1 << 14):
+        monkeypatch.setattr(translation_sets, "_PAIR_BLOCK", block)
+        sums.append(_pair_g_sum_direct(env, pts))
+    assert max(sums) - min(sums) <= 1e-12 * sums[0]
+    # independent oracle: G over the full matrix of ordered-pair distances
+    full = float(np.sum(g_function(env, np.abs(pts[:, None] - pts[None, :]))))
+    assert abs(sums[0] - full) <= 1e-9 * full
 
 
 def test_g_equivalence():
