@@ -97,7 +97,7 @@ profile tokens:
   | blocks:<alpha>:<n_max>[:<grid>]   (or a path to a profile JSON file)
 index tokens (--indices):
   Z | N | mZ:<m> | squares[:<n>] | powers:<p>:<n> | geometric:<n>
-  | blocks:<alpha>:<n>) | list:<v1>,<v2>,...   (Z/N/mZ take --window)
+  | blocks:<alpha>:<n> | list:<v1>,<v2>,...   (Z/N/mZ take --window)
 CSV columns:
   periodize: xi, phi          verify: n, w
   density:   x, D             hausdorff: depth, cells, measure_sum

@@ -8,8 +8,10 @@ A generator ``phi`` enters the library in one of two ways:
   (:class:`TimeEnvelope`).
 
 Autocorrelations ``<phi, phi(. - a)>`` are evaluated exactly from the pieces
-where closed-form antiderivatives exist, and by checked adaptive quadrature
-for envelope inputs.
+where closed-form antiderivatives exist.  Every envelope integral runs on
+one checked adaptive kernel, QUADPACK's G10-K21 rule over many gaps at once
+(:func:`_integrate_gaps`), which raises :class:`QuadratureError` on a value
+it cannot certify.
 """
 
 from __future__ import annotations
@@ -35,6 +37,130 @@ _TWO_PI = 2.0 * math.pi
 
 class QuadratureError(RuntimeError):
     """Raised when adaptive quadrature cannot certify the requested tolerance."""
+
+
+# ----------------------------------------------------------------------------
+# adaptive quadrature
+# ----------------------------------------------------------------------------
+
+# QUADPACK's 21-point Gauss-Kronrod rule (dqk21) on [-1, 1]: the positive
+# Kronrod nodes largest first with their weights, as QUADPACK lists them
+# (the second, fourth, ... are the nodes of the embedded 10-point Gauss
+# rule), then the whole rule in increasing node order
+_GK_X = np.array([
+    0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
+    0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
+    0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
+    0.562757134668604683339000099272694, 0.433395394129247190799265943165784,
+    0.294392862701460198131126603103866, 0.148874338981631210884826001129720,
+])
+_GK_WK = np.array([
+    0.011694638867371874278064396062192, 0.032558162307964727478818972459390,
+    0.054755896574351996031381300244580, 0.075039674810919952767043140916190,
+    0.093125454583697605535065465083366, 0.109387158802297641899210590325805,
+    0.123491976262065851077208980244000, 0.134709217311473325928054001771707,
+    0.142775938577060080797094273138717, 0.147739104901338491374841515972068,
+])
+_GK_WG = np.array([
+    0.066671344308688137593568809893332, 0.149451349150580593145776339657697,
+    0.219086362515982043995534934228163, 0.269266719309996355091226921569469,
+    0.295524224714752870173892994651338,
+])
+_GK_NODES = np.concatenate((-_GK_X, [0.0], _GK_X[::-1]))
+_GK_KRONROD = np.concatenate((_GK_WK, [0.149445554002916905664936468389821], _GK_WK[::-1]))
+_GK_GAUSS = np.zeros(21)
+_GK_GAUSS[1:10:2] = _GK_WG
+_GK_GAUSS[11:20:2] = _GK_WG[::-1]
+
+_EPS = np.finfo(float).eps
+_TINY = np.finfo(float).tiny
+_SUBNORMAL = np.finfo(float).smallest_subnormal
+# every gap integral is held to this relative tolerance
+_QUAD_RTOL = 1e-11
+# gaps are integrated this many at a time: a gap holds about 1.2 KB in its
+# first round, so memory stays bounded whatever the number of knots
+_GAP_BLOCK = 1 << 14
+
+
+def _gk21(f, a, b):
+    """QUADPACK's G10-K21 estimates of the integrals of ``f`` over each ``[a_i, b_i]``.
+
+    ``f`` maps a 1-d array of points to an ``(m, points)`` array of ``m``
+    integrands; it is called once.  Returns the Kronrod values, QUADPACK's
+    error estimates and their roundoff floors (``50 eps`` times the integral
+    of ``|f|``, 0 where that underflows), each of shape ``(m, len(a))``.
+    """
+    half = 0.5 * (b - a)
+    pts = (0.5 * (a + b))[:, None] + half[:, None] * _GK_NODES
+    vals = f(pts.ravel()).reshape(-1, a.size, 21)
+    resk = vals @ _GK_KRONROD
+    err = np.abs((resk - vals @ _GK_GAUSS) * half)
+    resasc = np.abs(vals - 0.5 * resk[..., None]) @ _GK_KRONROD * half
+    resabs = np.abs(vals) @ _GK_KRONROD * half
+    scale = np.minimum(1.0, np.divide(200.0 * err, resasc, out=np.zeros_like(err), where=resasc > 0)) ** 1.5
+    err = np.where((resasc > 0) & (err > 0), resasc * scale, err)
+    rounding = np.where(resabs > _TINY / (50.0 * _EPS), 50.0 * _EPS * resabs, 0.0)
+    return resk * half, np.maximum(rounding, err), rounding
+
+
+def _integrate_gaps(f, knots):
+    """Integrals of ``f`` over every gap between consecutive sorted ``knots``.
+
+    Adaptive G10-K21 over all gaps at once, with one call of ``f`` per
+    round.  Each gap has a tolerance ``max(_QUAD_RTOL |I|, tiny (hi - lo))``
+    per integrand, ``tiny`` the smallest normal double (never below the
+    smallest subnormal).  A piece's load is its largest error estimate over
+    that tolerance; a gap is done when its pieces' loads sum to at most 1.
+    In every other gap, each piece whose load is at or above the gap's
+    average is bisected.  :class:`QuadratureError` names a gap that cannot
+    be done: one whose pieces' roundoff floors alone sum past its tolerance
+    (bisection keeps that sum), or one with a piece to split that cannot be
+    halved in floating point.  Returns the integrals, shape
+    ``(m, len(knots) - 1)``.  Every gap is refined on its own, so taking the
+    gaps in blocks of ``_GAP_BLOCK`` changes them only by rounding.
+    """
+    if knots.size - 1 > _GAP_BLOCK:
+        blocks = range(0, knots.size - 1, _GAP_BLOCK)
+        return np.concatenate([_integrate_gaps(f, knots[i : i + _GAP_BLOCK + 1]) for i in blocks], axis=1)
+    lo, hi = knots[:-1], knots[1:]
+    n = lo.size
+    floor = np.maximum(_TINY * (hi - lo), _SUBNORMAL)
+    a, b, gap = lo, hi, np.arange(n)
+    res, err, rnd = _gk21(f, a, b)
+    out = np.empty((res.shape[0], n))
+
+    def miss(g, why):
+        return QuadratureError(
+            f"quadrature on the gap [{lo[g]:.17g}, {hi[g]:.17g}] misses its tolerance "
+            f"{np.max(tol[:, g]):.3g}: {why}"
+        )
+
+    while True:
+        total = np.array([np.bincount(gap, r, minlength=n) for r in res])
+        tol = np.maximum(_QUAD_RTOL * np.abs(total), floor)
+        drowned = np.max(np.array([np.bincount(gap, r, minlength=n) for r in rnd]) / tol, axis=0) > 1.0
+        if drowned.any():
+            raise miss(np.argmax(drowned), "the rule's roundoff floor alone exceeds it")
+        load = np.max(err / tol[:, gap], axis=0)
+        missed = np.bincount(gap, load, minlength=n) > 1.0
+        live = missed[gap]
+        settled = np.unique(gap[~live])
+        out[:, settled] = total[:, settled]
+        if not live.any():
+            return out
+        a, b, gap, load = a[live], b[live], gap[live], load[live]
+        res, err, rnd = res[:, live], err[:, live], rnd[:, live]
+        split = load >= np.bincount(gap, load, minlength=n)[gap] / np.bincount(gap, minlength=n)[gap]
+        mid = 0.5 * (a[split] + b[split])
+        stuck = (mid <= a[split]) | (mid >= b[split])
+        if np.any(stuck):
+            raise miss(gap[split][np.argmax(stuck)], "a piece it must split is at the resolution of doubles")
+        new = _gk21(f, np.concatenate((a[split], mid)), np.concatenate((mid, b[split])))
+        keep = ~split
+        a = np.concatenate((a[keep], a[split], mid))
+        b = np.concatenate((b[keep], mid, b[split]))
+        gap = np.concatenate((gap[keep], gap[split], gap[split]))
+        res, err, rnd = (np.concatenate((old[:, keep], add), axis=1) for old, add in zip((res, err, rnd), new))
 
 
 # ----------------------------------------------------------------------------
@@ -352,7 +478,8 @@ class TimeEnvelope:
         ``F(x) = exp(-delta * h(x))`` for a rate function ``h``.
     table
         tabulated values, interpolated log-linearly, extrapolated on the
-        right with the final log-log slope so power tails are preserved.
+        right with the final log-log slope ``s`` so power tails are
+        preserved; ``s < -1/2`` so that ``F`` is square integrable.
     """
 
     kind: str
@@ -362,6 +489,7 @@ class TimeEnvelope:
     xs: np.ndarray | None = None
     fs: np.ndarray | None = None
     _rate_fn: object = field(default=None, repr=False)
+    _tail_slope: float | None = field(default=None, repr=False)
 
     @classmethod
     def power(cls, a):
@@ -394,6 +522,10 @@ class TimeEnvelope:
                 raise ValueError("table fs must be positive (log interpolation)")
             if np.any(np.diff(self.fs) > 1e-12):
                 raise ValueError("envelope must be nonincreasing")
+            lx, lf = np.log(self.xs[-2:]), np.log(self.fs[-2:])
+            self._tail_slope = s = float((lf[1] - lf[0]) / (lx[1] - lx[0]))
+            if s >= -0.5:
+                raise ValueError(f"table envelope tail slope {s:g} >= -1/2: F is not square integrable")
         else:
             raise ValueError(f"unknown envelope kind: {self.kind!r}")
 
@@ -414,14 +546,8 @@ class TimeEnvelope:
         lf = np.log(self.fs)
         vals = np.interp(logx, lx, lf)
         # right extrapolation with the final slope keeps power-law tails
-        tail_slope = (lf[-1] - lf[-2]) / (lx[-1] - lx[-2])
-        right = logx > lx[-1]
-        vals = np.where(right, lf[-1] + tail_slope * (logx - lx[-1]), vals)
+        vals = np.where(logx > lx[-1], lf[-1] + self._tail_slope * (logx - lx[-1]), vals)
         return np.minimum(np.exp(vals), 1.0)
-
-    def psi(self, x):
-        """Symmetric envelope profile ``psi(x) = F(|x|)``."""
-        return self.F(np.abs(np.asarray(x, dtype=float)))
 
     # -- structural flags ------------------------------------------------
 
@@ -432,35 +558,26 @@ class TimeEnvelope:
             return self.a > 1.0
         if self.kind == "exponential":
             return True
-        lx = np.log(self.xs)
-        lf = np.log(self.fs)
-        tail_slope = (lf[-1] - lf[-2]) / (lx[-1] - lx[-2])
-        return tail_slope < -1.0
+        return self._tail_slope < -1.0
 
-    def admissibility(self, x_grid=None, k_max=40):
+    def admissibility(self):
         """Doubling and divergence diagnostics for the exponential rate h.
 
-        Checks on a sample grid that constants ``1 < c1 < c2`` exist with
-        ``c1 h(x) <= h(2x) <= c2 h(x)``, and that the partial sums of
-        ``integral of t^-2 h(t)`` over doubling windows keep growing
-        (increment decay fitted against ``k^-rho``; divergent iff rho <= 1).
+        Checks on 200 points of ``[1, 1e6]`` that constants ``1 < c1 < c2``
+        exist with ``c1 h(x) <= h(2x) <= c2 h(x)``, and that the partial sums
+        of ``integral of t^-2 h(t)`` over the 40 doubling windows
+        ``[2^k, 2^(k+1)]`` (one kernel call) keep growing (increment decay
+        fitted against ``k^-rho``; divergent iff rho <= 1).
         """
         if self.kind != "exponential":
             raise ValueError("admissibility check applies to exponential envelopes")
-        if x_grid is None:
-            x_grid = np.geomspace(1.0, 1e6, 200)
+        x_grid = np.geomspace(1.0, 1e6, 200)
         h = self._rate_fn
         ratios = h(2.0 * x_grid) / h(x_grid)
         c1 = float(np.min(ratios))
         c2 = float(np.max(ratios))
-        from scipy import integrate
-
-        increments = []
-        for k in range(k_max):
-            val, _ = integrate.quad(lambda t: h(t) / t**2, 2.0**k, 2.0 ** (k + 1), limit=200)
-            increments.append(val)
-        increments = np.asarray(increments)
-        ks = np.arange(1, k_max + 1, dtype=float)
+        increments = _integrate_gaps(lambda t: (h(t) / t**2)[None], 2.0 ** np.arange(41.0))[0]
+        ks = np.arange(1, increments.size + 1, dtype=float)
         good = increments > 1e-300
         if good.sum() >= 3:
             slope = float(np.polyfit(np.log(ks[good]), np.log(increments[good]), 1)[0])
@@ -506,55 +623,80 @@ class TimeEnvelope:
         raise ValueError(f"unknown envelope object keys: {sorted(obj)}")
 
 
-def _envelope_autocorrelation(env, a, tol):
-    """integral of psi(x) psi(x - a) dx by checked adaptive quadrature."""
-    from scipy import integrate
-
-    a = abs(float(a))
-
-    def integrand(x):
-        return float(env.psi(x) * env.psi(x - a))
-
-    kinks = sorted({-1.0, 0.0, 1.0, a - 1.0, a, a + 1.0})
-    lo, hi = kinks[0] - 4.0, kinks[-1] + 4.0
-    total = 0.0
-    err = 0.0
-    val, e = integrate.quad(integrand, lo, hi, points=kinks, limit=400)
-    total += val
-    err += e
-    val, e = integrate.quad(integrand, hi, np.inf, limit=400)
-    total += val
-    err += e
-    val, e = integrate.quad(integrand, -np.inf, lo, limit=400)
-    total += val
-    err += e
-    if err > max(tol, 1e-13 * abs(total)):
-        raise QuadratureError(
-            f"envelope autocorrelation quadrature achieved error {err:.3e} > tol {tol:.3e}"
-        )
-    return total
+# a doubling sum has 80 windows; one of F^2 stops where its rest cap is 1e-10 of the sum
+_DOUBLINGS = 80
+_TAIL_RTOL = 1e-10
 
 
-def autocorrelation(source, a, tol=None):
+def _tail_F2(env, x):
+    """``integral_x^inf F^2`` at a float ``x >= 0`` (for the power kind, at any array).
+
+    Power kind: the closed form.  Table kind: the kernel up to the last table
+    point ``x_n``, then the closed form of ``F = min(1, f_n (t / x_n)^s)``,
+    which holds exactly past ``x_n``.  Exponential kind: doubling windows
+    ``[x, 2 max(x, 1/2)]``, ... in one kernel call, summed up to the first
+    right end ``h`` whose rest cap ``2 h F(h)^2`` is below 1e-10 of the sum,
+    plus that cap.  The cap bounds the rest when ``F(2t) <= F(t) / 2`` for
+    every ``t >= h`` (the windows past ``h`` then hold at most ``h F(h)^2``,
+    half that, ...): for a rate with ``r(2t) >= c1 r(t)``, ``c1 > 1``, that
+    is wherever ``delta (c1 - 1) r(t) >= ln 2``.  A sum that never stops
+    raises :class:`QuadratureError`.
+    """
+    if env.kind == "power":
+        x = np.asarray(x, dtype=float)
+        out = np.empty_like(x)
+        big = x >= 1.0
+        out[big] = x[big] ** (1.0 - 2.0 * env.a) / (2.0 * env.a - 1.0)
+        out[~big] = (1.0 - x[~big]) + 1.0 / (2.0 * env.a - 1.0)
+        return out
+    if env.kind == "table":
+        x_n, f_n, s = env.xs[-1], env.fs[-1], env._tail_slope
+        knots = np.concatenate(([x], env.xs[env.xs > x]))
+        head = float(np.sum(_integrate_gaps(lambda t: env.F(t)[None] ** 2, knots))) if knots.size > 1 else 0.0
+        start = max(x, x_n)
+        flat = max(start, x_n * f_n ** (-1.0 / s))  # F = 1 on [start, flat]
+        return head + (flat - start) + f_n**2 * x_n * (flat / x_n) ** (2.0 * s + 1.0) / -(2.0 * s + 1.0)
+    edges = np.concatenate(([x], 2.0 * max(x, 0.5) * 2.0 ** np.arange(_DOUBLINGS)))
+    total = np.cumsum(_integrate_gaps(lambda t: env.F(t)[None] ** 2, edges)[0])
+    rest_cap = env.F(edges[1:]) ** 2 * edges[1:] * 2.0
+    stop = np.flatnonzero(rest_cap < _TAIL_RTOL * np.maximum(total, 1e-300))
+    if stop.size == 0:
+        raise QuadratureError(f"the tail of F^2 past {x:g} still holds up to {rest_cap[-1]:.3g}")
+    return float(total[stop[0]] + rest_cap[stop[0]])
+
+
+def autocorrelation(source, a):
     """Autocorrelation of the generator at shift ``a``.
 
-    Parameters
-    ----------
-    source : FourierProfile or TimeEnvelope
-        For a profile the value is ``integral of phi_hat(xi)^2 e^{2 pi i a xi}``,
-        computed exactly from closed-form piece antiderivatives (``tol`` is
-        ignored).  For an envelope the value is
-        ``integral of psi(x) psi(x - a) dx`` by adaptive quadrature, which
-        raises :class:`QuadratureError` when the error estimate exceeds
-        ``tol`` (default 1e-8; slowly decaying tails dominate the estimate).
+    For a :class:`FourierProfile` the value is ``integral of phi_hat(xi)^2
+    e^{2 pi i a xi}``, exact from closed-form piece antiderivatives, as a
+    complex number (its imaginary part vanishes only for even data).
 
-    Returns
-    -------
-    complex for profiles (imaginary part vanishes only for even data),
-    float for envelopes.
+    For a :class:`TimeEnvelope` it is the float ``integral of F(|x|)
+    F(|x - a|) dx = 2 integral_0^inf F(t + c) F(|t - c|) dt``, ``c = |a| / 2``.
+    One kernel call integrates the gaps between the kinks
+    ``{0, |1 - c|, c, c + 1}`` (distinct in floating point only for
+    ``|a| < 2^54``; larger shifts are refused) and the doubling edges
+    ``(c + 1) 2^k`` past them.  Past an edge ``H`` the integrand lies between ``F(t + c)^2`` and
+    ``F(t - c)^2``, so :func:`_tail_F2` at ``H`` is within
+    ``integral_{H-c}^{H+c} F^2 <= 2c F(H - c)^2`` of the rest.  The sum
+    stops at the first edge where that width is at most the kernel's
+    relative tolerance times the running sum; if none qualifies,
+    :class:`QuadratureError` is raised.
     """
     if isinstance(source, FourierProfile):
         return complex(autocorrelations(source, np.array([float(a)]))[0])
-    if isinstance(source, TimeEnvelope):
-        return _envelope_autocorrelation(source, a, 1e-8 if tol is None else tol)
-    raise TypeError(f"unsupported source type: {type(source).__name__}")
+    if not isinstance(source, TimeEnvelope):
+        raise TypeError(f"unsupported source type: {type(source).__name__}")
+    F, c = source.F, 0.5 * abs(float(a))
+    if not c + 1.0 > c:  # the kinks at c - 1, c, c + 1 would merge
+        raise ValueError(f"envelope autocorrelation needs a finite shift below 2^54, not {a:g}")
+    edges = (c + 1.0) * 2.0 ** np.arange(1.0, _DOUBLINGS + 1)
+    knots = np.unique(np.concatenate(([0.0, abs(1.0 - c), c, c + 1.0], edges)))
+    running = np.cumsum(_integrate_gaps(lambda t: (F(t + c) * F(np.abs(t - c)))[None], knots)[0])
+    ends = knots[1:]
+    width = 2.0 * c * F(np.abs(ends - c)) ** 2
+    stop = np.flatnonzero((ends >= c + 1.0) & (width <= _QUAD_RTOL * running))
+    if stop.size == 0:
+        raise QuadratureError(f"envelope autocorrelation at shift {a:g}: the tail bracket never closes")
+    return 2.0 * float(running[stop[0]] + _tail_F2(source, float(ends[stop[0]])))

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectrum import QuadratureError
+from .spectrum import _integrate_gaps, _tail_F2
 
 __all__ = [
     "TranslationSet",
@@ -405,173 +405,30 @@ def _power_int0F(a, x):
     return out
 
 
-def _power_intF2_tail(a, x):
-    """integral_x^inf F^2 for F = min(1, t^-a) with a > 1/2, vectorized."""
-    x = np.asarray(x, dtype=float)
-    out = np.empty_like(x)
-    big = x >= 1.0
-    out[big] = x[big] ** (1.0 - 2.0 * a) / (2.0 * a - 1.0)
-    out[~big] = (1.0 - x[~big]) + 1.0 / (2.0 * a - 1.0)
-    return out
-
-
-# QUADPACK's 21-point Gauss-Kronrod rule (dqk21) on [-1, 1]: the positive
-# Kronrod nodes largest first with their weights, as QUADPACK lists them
-# (the second, fourth, ... are the nodes of the embedded 10-point Gauss
-# rule), then the whole rule in increasing node order
-_GK_X = np.array([
-    0.995657163025808080735527280689003, 0.973906528517171720077964012084452,
-    0.930157491355708226001207180059508, 0.865063366688984510732096688423493,
-    0.780817726586416897063717578345042, 0.679409568299024406234327365114874,
-    0.562757134668604683339000099272694, 0.433395394129247190799265943165784,
-    0.294392862701460198131126603103866, 0.148874338981631210884826001129720,
-])
-_GK_WK = np.array([
-    0.011694638867371874278064396062192, 0.032558162307964727478818972459390,
-    0.054755896574351996031381300244580, 0.075039674810919952767043140916190,
-    0.093125454583697605535065465083366, 0.109387158802297641899210590325805,
-    0.123491976262065851077208980244000, 0.134709217311473325928054001771707,
-    0.142775938577060080797094273138717, 0.147739104901338491374841515972068,
-])
-_GK_WG = np.array([
-    0.066671344308688137593568809893332, 0.149451349150580593145776339657697,
-    0.219086362515982043995534934228163, 0.269266719309996355091226921569469,
-    0.295524224714752870173892994651338,
-])
-_GK_NODES = np.concatenate((-_GK_X, [0.0], _GK_X[::-1]))
-_GK_KRONROD = np.concatenate((_GK_WK, [0.149445554002916905664936468389821], _GK_WK[::-1]))
-_GK_GAUSS = np.zeros(21)
-_GK_GAUSS[1:10:2] = _GK_WG
-_GK_GAUSS[11:20:2] = _GK_WG[::-1]
-
-_EPS = np.finfo(float).eps
-_TINY = np.finfo(float).tiny
-_SUBNORMAL = np.finfo(float).smallest_subnormal
-# every gap integral is held to this relative tolerance
-_QUAD_RTOL = 1e-11
-# gaps are integrated this many at a time: a gap holds about 1.2 KB in its
-# first round, so memory stays bounded whatever the number of knots
-_GAP_BLOCK = 1 << 14
 # the direct pair sum takes this many pairs at a time, so its memory does
 # not grow with the set; G's temporaries at this size are a few hundred KB
 _PAIR_BLOCK = 1 << 14
-
-
-def _gk21(f, a, b):
-    """QUADPACK's G10-K21 estimates of the integrals of ``f`` over each ``[a_i, b_i]``.
-
-    ``f`` maps a 1-d array of points to an ``(m, points)`` array of ``m``
-    integrands; it is called once.  Returns the Kronrod values and QUADPACK's
-    error estimates, each of shape ``(m, len(a))``.
-    """
-    half = 0.5 * (b - a)
-    pts = (0.5 * (a + b))[:, None] + half[:, None] * _GK_NODES
-    vals = f(pts.ravel()).reshape(-1, a.size, 21)
-    resk = vals @ _GK_KRONROD
-    err = np.abs((resk - vals @ _GK_GAUSS) * half)
-    resasc = np.abs(vals - 0.5 * resk[..., None]) @ _GK_KRONROD * half
-    resabs = np.abs(vals) @ _GK_KRONROD * half
-    scale = np.minimum(1.0, np.divide(200.0 * err, resasc, out=np.zeros_like(err), where=resasc > 0)) ** 1.5
-    err = np.where((resasc > 0) & (err > 0), resasc * scale, err)
-    err = np.where(resabs > _TINY / (50.0 * _EPS), np.maximum(50.0 * _EPS * resabs, err), err)
-    return resk * half, err
-
-
-def _integrate_gaps(f, knots):
-    """Integrals of ``f`` over every gap between consecutive sorted ``knots``.
-
-    Adaptive G10-K21 over all gaps at once, with one call of ``f`` per
-    round.  Each gap has a tolerance ``max(_QUAD_RTOL |I|, tiny (hi - lo))``
-    per integrand, ``tiny`` the smallest normal double (never below the
-    smallest subnormal).  A piece's load is its largest error estimate over
-    that tolerance; a gap is done when its pieces' loads sum to at most 1.
-    In every other gap, each piece whose load is at or above the gap's
-    average is bisected.  When such a piece cannot be halved in floating
-    point, :class:`QuadratureError` names the gap.  Returns the integrals,
-    shape ``(m, len(knots) - 1)``.  Every gap is refined on its own, so
-    taking the gaps in blocks of ``_GAP_BLOCK`` changes them only by
-    rounding.
-    """
-    if knots.size - 1 > _GAP_BLOCK:
-        blocks = range(0, knots.size - 1, _GAP_BLOCK)
-        return np.concatenate([_integrate_gaps(f, knots[i : i + _GAP_BLOCK + 1]) for i in blocks], axis=1)
-    lo, hi = knots[:-1], knots[1:]
-    n = lo.size
-    floor = np.maximum(_TINY * (hi - lo), _SUBNORMAL)
-    a, b, gap = lo, hi, np.arange(n)
-    res, err = _gk21(f, a, b)
-    out = np.empty((res.shape[0], n))
-    while True:
-        total = np.array([np.bincount(gap, r, minlength=n) for r in res])
-        tol = np.maximum(_QUAD_RTOL * np.abs(total), floor)
-        load = np.max(err / tol[:, gap], axis=0)
-        missed = np.bincount(gap, load, minlength=n) > 1.0
-        live = missed[gap]
-        settled = np.unique(gap[~live])
-        out[:, settled] = total[:, settled]
-        if not live.any():
-            return out
-        a, b, gap, res, err, load = a[live], b[live], gap[live], res[:, live], err[:, live], load[live]
-        split = load >= np.bincount(gap, load, minlength=n)[gap] / np.bincount(gap, minlength=n)[gap]
-        mid = 0.5 * (a[split] + b[split])
-        stuck = (mid <= a[split]) | (mid >= b[split])
-        if np.any(stuck):
-            g = gap[split][np.argmax(stuck)]
-            raise QuadratureError(
-                f"quadrature on the gap [{lo[g]:.17g}, {hi[g]:.17g}] misses its tolerance "
-                f"{np.max(tol[:, g]):.3g}: a piece it must split is at the resolution of doubles"
-            )
-        new_res, new_err = _gk21(f, np.concatenate((a[split], mid)), np.concatenate((mid, b[split])))
-        keep = ~split
-        a = np.concatenate((a[keep], a[split], mid))
-        b = np.concatenate((b[keep], mid, b[split]))
-        gap = np.concatenate((gap[keep], gap[split], gap[split]))
-        res = np.concatenate((res[:, keep], new_res), axis=1)
-        err = np.concatenate((err[:, keep], new_err), axis=1)
-
-
-def _tail_F2_doubling(env, x, rel_tol=1e-10, k_max=80):
-    """``integral_x^inf F^2`` over doubling windows; relies on monotone decay.
-
-    The windows ``[x, 2 max(x, 1/2)]``, ``[2 max(x, 1/2), ...]``, ... are
-    integrated in one call.  The running sum stops at the first window
-    whose right end ``h`` bounds what is left, ``F(h)^2 2 h``, below
-    ``rel_tol`` times the sum, and returns the sum plus that bound.
-    """
-    edges = np.concatenate(([x], 2.0 * max(x, 0.5) * 2.0 ** np.arange(k_max)))
-    total = np.cumsum(_integrate_gaps(lambda t: env.F(t)[None] ** 2, edges)[0])
-    rest_cap = env.F(edges[1:]) ** 2 * edges[1:] * 2.0
-    stop = np.flatnonzero(rest_cap < rel_tol * np.maximum(total, 1e-300))
-    if stop.size == 0:
-        return float(total[-1])
-    return float(total[stop[0]] + rest_cap[stop[0]])
 
 
 def g_function(env, x):
     """``G(x) = F(x) int_0^x F + int_x^inf F^2``; closed form for power kind.
 
     ``G(0)`` equals the squared L2 norm of the envelope.  Other kinds take
-    one cumulative quadrature over the sorted knots ``{0, 1} U x``: ``F``
-    and ``F^2`` are integrated over every gap between consecutive knots by
-    one vectorized adaptive Gauss-Kronrod kernel (QUADPACK's G10-K21 rule
-    and error estimate, one ``F`` call per bisection round), a forward
-    running sum gives ``int_0^x F`` at every knot, and a backward one,
-    seeded by a doubling tail bound past the largest knot, gives
-    ``int_x^inf F^2``.  Each gap integral ``I`` is held to
-    ``max(1e-11 |I|, tiny * width)``, ``tiny`` the smallest normal double
-    (2.2e-308): values of ``F`` or ``F^2`` below it carry no relative
-    precision, so the part of an integral they make up is only known to
-    that bound times the gap's width.  ``G`` thus carries a relative
-    quadrature error of about 1e-10 wherever ``F^2`` does not underflow.
-    A gap that misses its tolerance raises :class:`QuadratureError`; no
-    value is returned uncertified.
+    one cumulative quadrature over the sorted knots ``{0, 1} U x``: the
+    G10-K21 kernel ``spectrum._integrate_gaps`` integrates ``F`` and ``F^2``
+    over every gap between consecutive knots, each to ``1e-11`` relative
+    (or to its underflow floor), a forward running sum gives ``int_0^x F``
+    at every knot, and a backward one, seeded by ``spectrum._tail_F2`` at
+    the largest knot, gives ``int_x^inf F^2``.  ``G`` thus carries a
+    relative quadrature error of about 1e-10 wherever ``F^2`` does not
+    underflow; a value the kernel cannot certify raises ``QuadratureError``.
     """
     scalar = np.isscalar(x) or np.ndim(x) == 0
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if np.any(x < 0):
         raise ValueError("G is defined for x >= 0")
     if env.kind == "power":
-        out = env.F(x) * _power_int0F(env.a, x) + _power_intF2_tail(env.a, x)
+        out = env.F(x) * _power_int0F(env.a, x) + _tail_F2(env, x)
     else:
         knots, where = np.unique(np.concatenate(([0.0, 1.0], x.ravel())), return_inverse=True)
 
@@ -582,7 +439,7 @@ def g_function(env, x):
         gaps_F, gaps_F2 = _integrate_gaps(f_and_f2, knots)
         int0F = np.concatenate(([0.0], np.cumsum(gaps_F)))
         # backward sum from the tail inward: the smallest terms are added first
-        tail = np.cumsum(np.concatenate(([_tail_F2_doubling(env, knots[-1])], gaps_F2[::-1])))[::-1]
+        tail = np.cumsum(np.concatenate(([_tail_F2(env, knots[-1])], gaps_F2[::-1])))[::-1]
         where = where[2:].reshape(x.shape)
         out = env.F(x) * int0F[where] + tail[where]
     return float(out[0]) if scalar else out

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+import textwrap
 
 import pytest
 
@@ -322,3 +326,26 @@ def test_failed_construction_check_exits_3(capsys, monkeypatch, argv):
     code, out, err = run(capsys, *argv)
     assert code == 3 and not out
     assert "Traceback" not in err and "inconsistency: periodized profile deviates" in err
+
+
+def test_runtime_runs_without_scipy():
+    # scipy is the test suite's oracle only: a child interpreter that cannot
+    # import it still runs the envelope integrals and a selftest
+    code = textwrap.dedent(
+        """
+        import sys
+        sys.modules["scipy"] = None
+        import frameseq.cli as cli
+        from frameseq.spectrum import TimeEnvelope, autocorrelation
+        from frameseq.translation_sets import TranslationSet, upper_bound_sufficient
+        env = TimeEnvelope.exponential(0.3, {"xlog": {}})
+        assert autocorrelation(env, 30.0) > 0
+        assert env.admissibility()["admissible"]
+        assert upper_bound_sufficient(env, TranslationSet.integers(500), x_max=500.0).integral > 0
+        sys.exit(cli.main(["selftest", "--seed", "7"]))
+        """
+    )
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120, env=env)
+    assert proc.returncode == 0, proc.stderr

@@ -8,16 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from frameseq import translation_sets
-from frameseq.spectrum import QuadratureError, TimeEnvelope
+from frameseq import spectrum, translation_sets
+from frameseq.spectrum import QuadratureError, TimeEnvelope, _integrate_gaps, _tail_F2, autocorrelation
 from frameseq.translation_sets import (
     TranslationSet,
     _density_sorted,
-    _integrate_gaps,
     _pair_g_sum,
     _pair_g_sum_direct,
     _pair_g_sum_fft,
-    _tail_F2_doubling,
     density,
     density_exponent_fit,
     g_equivalence_check,
@@ -267,11 +265,30 @@ def test_g_function_exponential_closed_forms(delta):
 @pytest.mark.parametrize("x", [0.0, 0.3, 5.0, 40.0])
 def test_tail_doubling_closed_form(x):
     # int_x^inf e^{-2 delta t} dt = e^{-2 delta x} / (2 delta); the doubling sum
-    # adds a bound on what it leaves out, so it can only overshoot, by rel_tol at most
+    # adds a bound on what it leaves out, so it can only overshoot, by 1e-10 at most
     for delta in (0.3, 1.7):
         want = math.exp(-2 * delta * x) / (2 * delta)
-        got = _tail_F2_doubling(TimeEnvelope.exponential(delta, {"power": {"beta": 1.0}}), x)
+        got = _tail_F2(TimeEnvelope.exponential(delta, {"power": {"beta": 1.0}}), x)
         assert want * (1 - 1e-13) <= got <= want * (1 + 1e-10)
+
+
+def test_table_tail_is_the_power_closed_form():
+    # past its last point a table is exactly a power law; its G tail used to
+    # come from a doubling rule whose rest cap is no bound for slopes above -3/4
+    xs = np.array([1.0, 10.0, 100.0, 1000.0])
+    table = TimeEnvelope.table([1.0, 2.0], [1.0, 2.0**-0.55])
+    want = g_function(TimeEnvelope.power(0.55), xs)
+    assert np.allclose(g_function(table, xs), want, rtol=1e-10, atol=0.0)
+
+
+def test_tail_that_never_closes_raises():
+    # F = (1 + x)^-1/2 is not square integrable: the doubling sum of F^2
+    # never stops, and no partial sum is returned
+    env = TimeEnvelope.exponential(0.5, np.log1p)
+    with pytest.raises(QuadratureError, match="tail of F"):
+        g_function(env, 1.0)
+    with pytest.raises(QuadratureError):
+        autocorrelation(env, 3.0)
 
 
 def test_underflowing_envelope_is_certified_without_warnings():
@@ -295,7 +312,7 @@ def test_gap_blocks_give_the_same_numbers(monkeypatch):
     env = TimeEnvelope.exponential(0.6, {"power": {"beta": 0.5}})
     xs = np.geomspace(1e-3, 300.0, 40)
     whole = g_function(env, xs)
-    monkeypatch.setattr(translation_sets, "_GAP_BLOCK", 3)
+    monkeypatch.setattr(spectrum, "_GAP_BLOCK", 3)
     assert np.allclose(g_function(env, xs), whole, rtol=1e-14, atol=0.0)
 
 
