@@ -34,6 +34,7 @@ from .gram import (
 )
 from .periodization import (
     PeriodizedSpectrum,
+    ResourceLimitError,
     dilation_identity_deviation,
     exact_bounds,
     fourier_coeff,
@@ -80,6 +81,7 @@ __all__ = [
     "InconsistencyError",
     "PeriodizedSpectrum",
     "Piece",
+    "ResourceLimitError",
     "TimeEnvelope",
     "TranslationSet",
     "autocorrelation",

@@ -1,8 +1,9 @@
 """Command-line front end: batch analyses with deterministic reports.
 
 Exit codes: 0 for a determinate result, 1 for usage or configuration
-errors, 2 when a classification comes back undetermined, 3 when an
-internal cross-check fails.  Reports are JSON with floats canonicalized
+errors and for inputs past a resource cap (reported as ``resource limit:``),
+2 when a classification comes back undetermined, 3 when an internal
+cross-check fails.  Reports are JSON with floats canonicalized
 to 12 significant digits; identical configurations and seeds produce
 byte-identical output.
 """
@@ -56,6 +57,7 @@ from .gram import (
     weighted_norm_identity_check,
 )
 from .periodization import (
+    ResourceLimitError,
     cell_evidence,
     check_grid_size,
     dilation_identity_deviation,
@@ -202,6 +204,8 @@ def _load_profile(source):
             return built.profile, {"token": source, "grid": grid}
     except InconsistencyError:
         raise
+    except ResourceLimitError as exc:
+        raise ResourceLimitError(f"cannot build profile {source!r}: {exc}") from exc
     except (ValueError, RuntimeError) as exc:
         raise UsageError(f"cannot build profile {source!r}: {exc}") from exc
     raise UsageError(f"unknown profile {source!r} (not a token, not a file)")
@@ -308,7 +312,7 @@ def _cmd_density(args, cfg):
     ts = _load_indices(args.indices, args.window)
     lam = ts.realize()
     xs = [2.0**k for k in range(0, int(math.log2(max(args.xmax, 2.0))) + 1)]
-    rows = zip(xs, density(lam, xs).tolist())
+    rows = list(zip(xs, density(lam, xs).tolist()))
     exponent, windows = density_exponent_fit(ts)
     payload = {
         "seed": args.seed,
@@ -667,6 +671,9 @@ def main(argv=None):
     except InconsistencyError as exc:
         print(f"inconsistency: {exc}", file=sys.stderr)
         return EXIT_INCONSISTENT
+    except ResourceLimitError as exc:
+        print(f"resource limit: {exc}", file=sys.stderr)
+        return EXIT_USAGE
     except RuntimeError as exc:
         print(f"verification failed: {exc}", file=sys.stderr)
         return EXIT_INCONSISTENT

@@ -310,18 +310,11 @@ def infimum_spectrum(alpha, n_max, grid_size):
     dev = float(np.max(np.abs(check.values - phi)))
     if dev > 1e-12:
         raise InconsistencyError(f"periodized profile deviates from the spectrum by {dev:.3e}")
-    ps = PeriodizedSpectrum(
-        b=1.0,
-        grid_size=M,
-        values=phi,
-        truncation_range=1,
-        cell_constant=True,
-    )
     return BlocksSpectrum(
         alpha=float(alpha),
         n_max=n_max,
         grid_size=M,
-        spectrum=ps,
+        spectrum=PeriodizedSpectrum(b=1.0, grid_size=M, values=phi, truncation_range=1),
         profile=profile,
         rows=rows,
         identity_deviation=dev,

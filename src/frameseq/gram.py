@@ -4,11 +4,10 @@ Every Gram entry is an exact autocorrelation integral, read off one
 vectorized closed-form kernel (:func:`~frameseq.spectrum.autocorrelations`).
 On integer index sets the same inner products are also Fourier coefficients
 of the periodized spectrum, so a 5% sample of the shifts plus the extreme
-one is re-derived from a periodization grid, the one ``classify`` already
-computed when it is fine enough.  The two routes must agree within an alias
-budget derived from the jumps and kinks of ``Phi_b``; that agreement is the
-structural self-check of the package, and a disagreement raises
-:class:`InconsistencyError` rather than a warning.
+one is re-derived in closed form from the exact cells of ``Phi_b`` (the ones
+``classify`` already computed).  The two routes must agree within a derived
+budget; that agreement is the structural self-check of the package, and a
+disagreement raises :class:`InconsistencyError` rather than a warning.
 
 Lattice index sets are decided from the exact cell bounds of ``Phi_b``
 (:func:`~frameseq.periodization.exact_bounds`), checked against one grid
@@ -25,12 +24,13 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .periodization import (
+    _ROUNDOFF,
     GRID_CAP,
     InconsistencyError,
+    ResourceLimitError,
     cell_evidence,
     check_grid_size,
     check_spacing,
-    coefficient_error_bound,
     exact_bounds,
     fourier_coeff,
     periodize,
@@ -61,7 +61,7 @@ _ROW_BLOCK = 2**16  # Gram entries per block of rows that build_gram fills at a 
 
 @dataclass(frozen=True)
 class Budgets:
-    grid_size: int = 4096  # least size of the one check grid
+    grid_size: int = 4096  # size of the one check grid
     window: int = 64  # base Gram window (half width on lattices)
 
     def __post_init__(self):
@@ -73,8 +73,8 @@ class GramOperator:
     matrix: np.ndarray
     b: float
     indices: np.ndarray
-    route: str  # "periodization-grid" (integer sets, grid-checked) or "autocorrelation"
-    grid_size: int | None = None  # grid of the spot check, None when unchecked
+    route: str  # "periodization-grid" (integer sets, checked against the exact cells) or "autocorrelation"
+    grid_size: int | None = None  # always None: no grid checks the entries; kept for the benchmark tracer
     checked_shifts: list = field(default_factory=list)
     max_check_deviation: float = 0.0
     check_budget: float = 0.0  # largest budget over the checked shifts
@@ -104,22 +104,7 @@ def _real_if_close(vals):
     return vals
 
 
-def _check_grid(profile, b, span, ps, grid_size=4096):
-    """The periodization grid that checks integer Gram entries up to shift ``span``.
-
-    ``ps`` itself when it has spacing ``b`` and ``2 span < M`` (so no
-    checked coefficient aliases), else a fresh grid of
-    ``max(grid_size, next_pow2(2 span + 2))`` points, refused above ``GRID_CAP``.
-    """
-    if ps is not None and ps.b == b and 2 * span < ps.grid_size:
-        return ps
-    m = max(grid_size, _next_pow2(2 * span + 2))
-    if m > GRID_CAP:
-        raise ValueError(f"span {span} needs a check grid of {m} points beyond the cap {GRID_CAP}")
-    return periodize(profile, b, grid_size=m)
-
-
-def build_gram(profile, b, lam, ps=None, rng_seed=0):
+def build_gram(profile, b, lam, eb=None, rng_seed=0):
     """Gram matrix of ``(tau_{lam_i b} phi)_i`` with a dual-route spot check.
 
     ``lam`` is normalized by :func:`~frameseq.translation_sets.as_indices`,
@@ -127,14 +112,28 @@ def build_gram(profile, b, lam, ps=None, rng_seed=0):
     the integer route whatever its dtype.  Every entry comes from the
     closed-form kernel: integer index sets through a table over the shifts
     ``[-span, span]``, other sets through their distinct ``|lam_j - lam_i|``.
+    A table of ``GRID_CAP`` entries or more raises
+    :class:`~frameseq.periodization.ResourceLimitError`.
+
     On integer sets a deterministic 5% sample of the distinct shifts, plus
-    the largest, is re-derived as Fourier coefficients of the check grid
-    (``ps`` when it has spacing ``b`` and more than ``2 span`` points, else a
-    fresh grid of ``next_pow2(max(4096, 2 span + 2))`` points); a deviation
-    beyond the alias budget of
-    :func:`~frameseq.periodization.coefficient_error_bound` raises
-    :class:`InconsistencyError`.  Non-integer sets have no periodization
-    route and are left unchecked.
+    the largest, is re-derived as ``Phi_b_hat(d) / b`` from the exact cells
+    ``eb`` of ``Phi_b`` (computed when absent), through
+    :meth:`~frameseq.periodization.ExactBounds.coefficients`.  The budget
+    of a shift, times ``b``, is derived:
+
+    * the cells' coefficient differs from ``Phi_b_hat(d)`` by at most
+      ``int |Phi_cells - Phi_b|``; a fitted value is within ``eb.budget`` of
+      ``Phi_b`` on every cell, so away from the edges this is ``eb.budget``;
+    * the cell edges are known only to within ``tol``, and the strips
+      between computed and true edges add at most what
+      :meth:`~frameseq.periodization.ExactBounds.coefficients` returns as
+      its error bound, together with the roundoff of its jump sum;
+    * the closed-form kernel's roundoff is budgeted as
+      ``256 eps b ||phi||^2``, plus the smallest normal float, below which
+      relative roundoff fails.
+
+    A deviation beyond it raises :class:`InconsistencyError`.  Non-integer
+    sets have no periodization route and are left unchecked.
     """
     if not isinstance(profile, FourierProfile):
         raise TypeError("build_gram needs a FourierProfile")
@@ -142,7 +141,7 @@ def build_gram(profile, b, lam, ps=None, rng_seed=0):
     lam = as_indices(lam)
     n = lam.size
     if n > EIGENSOLVE_CAP:
-        raise ValueError(f"window of {n} translates exceeds the dense cap {EIGENSOLVE_CAP}")
+        raise ResourceLimitError(f"window of {n} translates exceeds the dense cap {EIGENSOLVE_CAP}")
     if lam.dtype != np.int64:
         diffs = lam[None, :] - lam[:, None]  # entry (i, j) holds the shift lam_j - lam_i
         uniq, inv = np.unique(np.abs(diffs).ravel(), return_inverse=True)
@@ -153,7 +152,11 @@ def build_gram(profile, b, lam, ps=None, rng_seed=0):
         return GramOperator(matrix=g, b=b, indices=lam, route="autocorrelation")
 
     span = int(lam[-1] - lam[0])
-    ps = _check_grid(profile, b, span, ps)
+    if 2 * span + 2 > GRID_CAP:
+        raise ResourceLimitError(
+            f"span {span} needs a shift table over [-{span}, {span}] of {2 * span + 1} entries, "
+            f"at or beyond the cap {GRID_CAP}"
+        )
     cm = np.conj(autocorrelations(profile, b * np.arange(span + 1)))  # shifts 0..span
     cm = _real_if_close(np.concatenate((np.conj(cm[:0:-1]), cm)))  # shift d at index d + span
     # entry (i, j) holds shift lam_j - lam_i, read from cm in blocks of rows
@@ -174,22 +177,24 @@ def build_gram(profile, b, lam, ps=None, rng_seed=0):
         sample = np.union1d(sample, pos[-1:])  # always include the extreme shift
     else:
         sample = np.zeros(1, dtype=np.int64)
-    grid = fourier_coeff(ps, sample) / b
+    eb = exact_bounds(profile, b) if eb is None else eb
+    coeffs, err = eb.coefficients(sample)
+    cells = coeffs / b
     exact = cm[sample + span]
-    dev = np.abs(grid - exact)
-    budget = coefficient_error_bound(profile, ps, sample) / b
-    for d, k_val, g_val, e, bud in zip(sample.tolist(), exact, grid, dev, budget):
+    dev = np.abs(cells - exact)
+    kernel = _ROUNDOFF * b * profile.norm_squared() + np.finfo(float).tiny
+    budget = (eb.budget + err + kernel) / b
+    for d, k_val, c_val, e, bud in zip(sample.tolist(), exact, cells, dev, budget):
         if e > bud:
             raise InconsistencyError(
-                f"Gram entry at shift {d}: kernel {k_val:.12g}, grid {g_val:.12g}, "
-                f"deviation {e:.3e} > budget {bud:.3e} (grid {ps.grid_size})"
+                f"Gram entry at shift {d}: kernel {k_val:.12g}, exact cells {c_val:.12g}, "
+                f"deviation {e:.3e} > budget {bud:.3e}"
             )
     return GramOperator(
         matrix=g,
         b=b,
         indices=lam,
         route="periodization-grid",
-        grid_size=ps.grid_size,
         checked_shifts=[int(d) for d in sample],
         max_check_deviation=float(np.max(dev)),
         check_budget=float(np.max(budget)),
@@ -199,7 +204,6 @@ def build_gram(profile, b, lam, ps=None, rng_seed=0):
 def _check_evidence(g):
     """The Gram spot check's deterministic facts, for a report's evidence."""
     return {
-        "check_grid": g.grid_size,
         "checked_shifts": len(g.checked_shifts),
         "max_check_deviation": g.max_check_deviation,
         "check_budget": g.check_budget,
@@ -229,7 +233,7 @@ def frame_bound_estimates(g, kernel_tol=KERNEL_TOL):
     if kernel_tol < 0:
         raise ValueError("kernel_tol must be >= 0")
     if g.dim > EIGENSOLVE_CAP:
-        raise ValueError(f"dimension {g.dim} exceeds the eigen-solve cap {EIGENSOLVE_CAP}")
+        raise ResourceLimitError(f"dimension {g.dim} exceeds the eigen-solve cap {EIGENSOLVE_CAP}")
     eigs = np.linalg.eigvalsh(g.matrix)
     b_est = float(eigs[-1])
     cut = kernel_tol * max(b_est, 0.0)
@@ -302,15 +306,15 @@ def _check_eigenvalues(eb, g, fb):
     return [float(lo), float(hi)]
 
 
-def _gram_agreement(profile, b, lam, ps, eb, evidence):
+def _gram_agreement(profile, b, lam, eb, evidence):
     """Cross-validate one Gram window against the exact periodization bounds.
 
     Every eigenvalue of the window lies in ``[ess inf, ess sup] / b`` of
     ``Phi_b``; a violation is an implementation fault, not a math
     ambiguity, hence the hard error.  The Gram entries are spot-checked
-    against the same grid ``ps``.
+    against the same cells ``eb``.
     """
-    g = build_gram(profile, b, lam, ps=ps)
+    g = build_gram(profile, b, lam, eb=eb)
     fb = frame_bound_estimates(g)
     _check_eigenvalues(eb, g, fb)
     evidence.append(
@@ -364,10 +368,9 @@ def classify(profile, b, ts, budgets=None):
             else np.arange(1, w + 1, dtype=np.int64)
         )
         eb = exact_bounds(profile, b)
-        ps = _check_grid(profile, b, int(lam[-1] - lam[0]), None, budgets.grid_size)
-        evidence = [cell_evidence(eb, ps)]
+        evidence = [cell_evidence(eb, periodize(profile, b, budgets.grid_size))]
         label, a_val, b_val = _lattice_verdict(eb)
-        fb = _gram_agreement(profile, b, lam, ps, eb, evidence)
+        fb = _gram_agreement(profile, b, lam, eb, evidence)
         if kind == "naturals" and label in ("frame sequence (non-exact)", "not a frame sequence"):
             evidence.append(
                 {
@@ -385,7 +388,7 @@ def classify(profile, b, ts, budgets=None):
             evidence=evidence,
             b=float(b),
             index_kind=kind,
-            grid_sizes=[ps.grid_size],
+            grid_sizes=[budgets.grid_size],
             windows=[int(lam.size)],
             notes=[],
         )
@@ -421,14 +424,13 @@ def classify(profile, b, ts, budgets=None):
     lattice, _, _ = _lattice_verdict(eb)
     windows = [] if lattice == "orthonormal" else window_ladder(lam.size, budgets.window)
     lam = lam[: windows[-1] if windows else min(lam.size, 2 * budgets.window)]
-    ps = _check_grid(profile, b, int(lam[-1] - lam[0]), None, budgets.grid_size)
-    evidence.append(cell_evidence(eb, ps))
+    evidence.append(cell_evidence(eb, periodize(profile, b, budgets.grid_size)))
     if lattice == "orthonormal":
-        fb = _gram_agreement(profile, b, lam, ps, eb, evidence)
+        fb = _gram_agreement(profile, b, lam, eb, evidence)
         label, a_val, b_val, rank = "orthonormal", 1.0, 1.0, fb.numerical_rank
         note = "constant periodized spectrum; any subfamily of the lattice family is orthonormal"
     else:
-        g_full, fbs = nested_window_bounds(profile, b, lam, windows, ps=ps)
+        g_full, fbs = nested_window_bounds(profile, b, lam, windows, eb=eb)
         a_seq = [fb.A_est for fb in fbs]
         b_seq = [fb.B_est for fb in fbs]
         ranks = [fb.numerical_rank for fb in fbs]
@@ -468,7 +470,7 @@ def classify(profile, b, ts, budgets=None):
         evidence=evidence,
         b=float(b),
         index_kind=kind,
-        grid_sizes=[ps.grid_size],
+        grid_sizes=[budgets.grid_size],
         windows=windows,
         notes=[note],
     )
@@ -484,15 +486,15 @@ def window_ladder(n, window):
     return [w << k for k in range(WINDOW_DOUBLINGS + 1) if w << k <= min(n, EIGENSOLVE_CAP)]
 
 
-def nested_window_bounds(profile, b, lam, sizes, ps=None):
+def nested_window_bounds(profile, b, lam, sizes, eb=None):
     """Frame-bound estimates of the leading principal windows of ``lam`` of the given sizes.
 
     The Gram matrix of the largest window is built (and spot-checked
-    against ``ps``) once; each smaller window is its leading principal
-    submatrix.  Returns that Gram operator and one
+    against the exact cells ``eb``) once; each smaller window is its leading
+    principal submatrix.  Returns that Gram operator and one
     :class:`FrameBounds` per size, in the order of ``sizes``.
     """
-    g = build_gram(profile, b, as_indices(lam)[: max(sizes)], ps=ps)
+    g = build_gram(profile, b, as_indices(lam)[: max(sizes)], eb=eb)
     return g, [frame_bound_estimates(g.principal(k)) for k in sizes]
 
 
@@ -521,21 +523,25 @@ def weighted_norm_identity_check(profile, b, lam, coeffs, ps=None):
     """Two routes to ``|sum_n c_n tau_{lam_n b} phi|^2``; returns their gap.
 
     The left side is the quadratic form of :func:`build_gram`, whose
-    closed-form entries are spot-checked against the check grid that
-    :func:`build_gram` chooses (``ps`` when it is fine enough, else a fresh
-    grid).  The right side is the mean over that same grid of
+    closed-form entries are spot-checked against the exact cells of
+    ``Phi_b``.  The right side is the mean over a periodization grid of
     ``|f|^2 Phi_b / b`` with ``f(xi) = sum c_n e^{2 pi i lam_n xi}``,
     evaluated through the coefficient identity (exact for trigonometric
     degree below half the grid), so it touches only grid values of the
-    periodization.  The points and their coefficients are sorted together
-    by :func:`~frameseq.translation_sets.as_indices`.
+    periodization.  The grid is ``ps`` when it has spacing ``b`` and more
+    than twice the span of points, else a fresh one of
+    ``max(4096, next_pow2(2 span + 2))`` points.  A grid that is off shows
+    in ``deviation``.  The points and their coefficients are sorted
+    together by :func:`~frameseq.translation_sets.as_indices`.
     """
     lam, c = as_indices(lam, coeffs)
     if lam.dtype != np.int64:
         raise ValueError("the grid route needs integer indices")
+    lhs = float(np.real(np.conj(c) @ build_gram(profile, b, lam).matrix @ c))
     span = int(lam[-1] - lam[0])
-    ps = _check_grid(profile, b, span, ps)
-    lhs = float(np.real(np.conj(c) @ build_gram(profile, b, lam, ps=ps).matrix @ c))
+    if ps is None or ps.b != b or 2 * span >= ps.grid_size:
+        # within GRID_CAP: build_gram refused larger spans
+        ps = periodize(profile, b, max(4096, _next_pow2(2 * span + 2)))
 
     # the transform of a translate carries e^{-2 pi i}, so the trig sum is
     # f(xi) = sum c_n e^{-2 pi i lam_n xi}; its (i, j) cross term has grid

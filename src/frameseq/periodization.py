@@ -7,6 +7,10 @@ For spacing ``b`` the periodization is
 a 1-periodic function whose essential bounds decide the frame properties of
 the translate family with spacing ``b``.  Profiles here are compactly
 supported, so the sum is finite and grid values are exact up to roundoff.
+
+``Phi_b`` is held exactly as one quadratic per cell between its breakpoints
+(:func:`exact_bounds`); its bounds, zero set and Fourier coefficients are
+read off those cells, and a midpoint grid (:func:`periodize`) checks them.
 """
 
 from __future__ import annotations
@@ -22,6 +26,7 @@ GRID_CAP = 2**22
 __all__ = [
     "GRID_CAP",
     "InconsistencyError",
+    "ResourceLimitError",
     "PeriodizedSpectrum",
     "ExactBounds",
     "check_grid_size",
@@ -29,7 +34,6 @@ __all__ = [
     "periodize",
     "periodize_at",
     "fourier_coeff",
-    "coefficient_error_bound",
     "exact_bounds",
     "cell_evidence",
     "cyclic_runs",
@@ -43,6 +47,10 @@ class InconsistencyError(RuntimeError):
     """The two computational routes disagree beyond tolerance."""
 
 
+class ResourceLimitError(ValueError):
+    """An input would need a grid, table or dense window past one of the package's caps."""
+
+
 @dataclass
 class PeriodizedSpectrum:
     """Grid samples of ``Phi_b`` at midpoints ``xi_j = (j + 1/2) / M``."""
@@ -51,11 +59,6 @@ class PeriodizedSpectrum:
     grid_size: int
     values: np.ndarray
     truncation_range: int
-    # True when Phi_b is constant on every grid cell up to jumps within 1e-9
-    # cells of a cell boundary (step-function profiles whose breakpoints map
-    # to multiples of 1/M under xi -> b xi); coefficient extraction is then
-    # exact up to that offset, which coefficient_error_bound budgets.
-    cell_constant: bool = False
     _fft: np.ndarray = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
@@ -81,10 +84,14 @@ class PeriodizedSpectrum:
 
 
 def check_grid_size(m, what="grid_size"):
-    """``m`` as an int when it is a power of two in [16, GRID_CAP], else ValueError."""
+    """``m`` as an int when it is a power of two in [16, GRID_CAP], else ValueError.
+
+    A size past ``GRID_CAP`` raises :class:`ResourceLimitError`.
+    """
     m = int(m)
     if m < 16 or m > GRID_CAP or m & (m - 1):
-        raise ValueError(f"{what} must be a power of two in [16, {GRID_CAP}]")
+        error = ResourceLimitError if m > GRID_CAP else ValueError
+        raise error(f"{what} must be a power of two in [16, {GRID_CAP}]")
     return m
 
 
@@ -126,14 +133,7 @@ def periodize(profile, b, grid_size=4096):
     grid = (np.arange(m) + 0.5) / m
     values = periodize_at(profile, b, grid)
     n_lo, n_hi = _cover_range(profile, b, 0.0, 1.0)
-    steps = all(p.affine is None for p in profile.pieces)
-    return PeriodizedSpectrum(
-        b=b,
-        grid_size=m,
-        values=values,
-        truncation_range=max(abs(n_lo), abs(n_hi)),
-        cell_constant=steps and bool(np.all(_cell_offsets(profile, b, m)[0] * m <= 1e-9)),
-    )
+    return PeriodizedSpectrum(b=b, grid_size=m, values=values, truncation_range=max(abs(n_lo), abs(n_hi)))
 
 
 def fourier_coeff(ps, n):
@@ -142,17 +142,12 @@ def fourier_coeff(ps, n):
     Computed as ``(1/M) sum_j values[j] e^{-2 pi i n xi_j}`` through one
     cached FFT plus the midpoint phase.  Complex in general; the imaginary
     part vanishes (to roundoff) exactly when the data is even on the circle.
-    Their distance from the true coefficients is bounded by
-    :func:`coefficient_error_bound`.
     """
     ns = np.asarray(n, dtype=np.int64)
     m = ps.grid_size
     if ns.size and int(np.max(np.abs(ns))) >= m // 2:
         raise ValueError(f"coefficient index |{int(np.max(np.abs(ns)))}| >= M/2 = {m // 2} would alias")
     c = np.exp(-1j * np.pi * ns / m) * ps._coeff_fft()[ns % m] / m
-    if ps.cell_constant:
-        # exact map from midpoint samples to the step function's coefficient
-        c = c * np.sinc(ns / m)
     return complex(c) if ns.ndim == 0 else c
 
 
@@ -161,66 +156,37 @@ _BLOCK = 2**15  # points per block where a sweep over many cells or grid points 
 
 
 def _breakpoints(profile, b):
-    """Positions ``b x`` (not reduced mod 1) of the breakpoints of ``Phi_b``, with their jumps.
+    """Positions ``b x`` (not reduced mod 1) of the breakpoints of ``Phi_b``.
 
-    ``Phi_b`` is piecewise quadratic on the circle.  Every breakpoint ``x``
-    of ``phi_hat^2`` (piece ends, sample-cell edges) sits at ``b x mod 1``,
-    where the jumps of ``Phi_b``, ``Phi_b'`` and ``Phi_b''`` (the columns of
-    the returned rows) are those of ``phi_hat^2`` and its derivatives times
-    ``1, 1/b, 1/b^2``.
+    ``Phi_b`` is piecewise quadratic on the circle, with a breakpoint at
+    ``b x mod 1`` for every breakpoint ``x`` of ``phi_hat^2`` (piece ends,
+    sample-cell edges).
     """
-    pos, jumps = [], []
+    pos = []
     for p in profile.pieces:
-        poly = p._poly(2)
-        if poly is None:
-            sq = p.samples**2
-            pos.append(p.lo + (p.hi - p.lo) / sq.size * np.arange(sq.size + 1))
-            jumps.append(np.outer(np.diff(sq, prepend=0.0, append=0.0), [1.0, 0.0, 0.0]))
-            continue
-        c0, c1, c2 = poly
-        for x, sign in ((p.lo, 1.0), (p.hi, -1.0)):
-            pos.append(np.array([x]))
-            jumps.append(sign * np.array([[c0 + c1 * x + c2 * x * x, (c1 + 2.0 * c2 * x) / b, 2.0 * c2 / b**2]]))
-    return b * np.concatenate(pos), np.concatenate(jumps)
-
-
-def _cell_offsets(profile, b, m):
-    """Distance in ``xi`` from each breakpoint of ``Phi_b`` to its nearest ``m``-grid cell boundary, and its jumps."""
-    x, jumps = _breakpoints(profile, b)
-    r = x * m
-    return np.abs(r - np.round(r)) / m, jumps
+        if p._poly(2) is None:
+            pos.append(p.lo + (p.hi - p.lo) / p.samples.size * np.arange(p.samples.size + 1))
+        else:
+            pos.append(np.array([p.lo, p.hi]))
+    return b * np.concatenate(pos)
 
 
 def _circle_breakpoints(profile, b):
-    """Distinct breakpoints of ``Phi_b`` on the circle, their net jumps, and the merge tolerance.
+    """Distinct breakpoints of ``Phi_b`` on the circle, and the merge tolerance.
 
     Breakpoints from different translates (:func:`_breakpoints`) that land
-    within roundoff of one circle point are one breakpoint, whose jump rows
-    are summed.  Positions come sorted in ``[-tol, 1 - tol]``.
+    within roundoff of one circle point are one breakpoint.  Positions come
+    sorted in ``[-tol, 1 - tol]``.
     """
-    x, jumps = _breakpoints(profile, b)
+    x = _breakpoints(profile, b)
     frac = x - np.floor(x)
     tol = _ROUNDOFF * max(1.0, float(np.max(np.abs(x))))  # positions this close coincide
     frac[frac > 1.0 - tol] -= 1.0  # the circle closes: 1 is 0
-    order = np.argsort(frac, kind="stable")
-    frac = frac[order]
-    starts = np.concatenate(([0], np.flatnonzero(np.diff(frac) > tol) + 1))
-    pos, net = frac[starts], np.add.reduceat(jumps[order], starts, axis=0)
+    frac.sort()
+    pos = frac[np.concatenate(([0], np.flatnonzero(np.diff(frac) > tol) + 1))]
     if pos.size > 1 and pos[0] + 1.0 - pos[-1] <= tol:  # the last one coincides with the first
-        net[0] += net[-1]
-        pos, net = pos[:-1], net[:-1]
-    return pos, net, tol
-
-
-def _jump_masses(profile, b):
-    """Net jump, kink and curvature-jump masses ``(J, K, L)`` of ``Phi_b``.
-
-    Jumps from different translates landing on one circle point
-    (:func:`_circle_breakpoints`) are summed before taking absolute values,
-    so a continuous ``Phi_b`` has ``J = 0``.
-    """
-    _, net, _ = _circle_breakpoints(profile, b)
-    return tuple(float(v) for v in np.sum(np.abs(net), axis=0))
+        pos = pos[:-1]
+    return pos, tol
 
 
 @dataclass
@@ -284,6 +250,69 @@ class ExactBounds:
             worst = max(worst, float(np.max(dev)))
         return worst
 
+    def coefficients(self, n):
+        """Fourier coefficients of the cell quadratics at the integers ``n``, with an error bound.
+
+        Returns ``c`` with ``c[j] = int_0^1 Phi_cells(xi) e^{-2 pi i n_j xi} dxi``
+        and ``err``, which bounds the roundoff of ``c[j]`` and what the cell
+        edges, known only to ``tol``, can move it by.  For ``n != 0``
+        integrating by parts three times over the cells gives, with
+        ``w = 2 pi n``,
+
+            c_n = sum_p e^{-i w x_p} (J_p / (i w) + K_p / (i w)^2 + L_p / (i w)^3)
+
+        over the cell edges ``x_p``, where ``J_p, K_p, L_p`` are the jumps of
+        the value, slope and curvature from the fitted cell that ends at
+        ``x_p`` to the one that starts there; the profile's pieces are not
+        read, so these coefficients are independent of the closed-form
+        kernel.  ``c_0`` is ``sum width (c0 + c2 / 12)``.  The phases go in
+        blocks of about ``_BLOCK`` entries, so the temporaries stay small.
+
+        Edges: between a computed edge and the true one, at most ``tol``
+        apart, ``Phi_b`` follows the other neighbour, which differs from the
+        cell's quadratic by at most ``|J_p| + tol |K_p| + tol^2 |L_p|`` plus
+        twice ``budget``.  Over all edges that is at most
+        ``tol (sum |J| + tol sum |K| + tol^2 sum |L| + 2 P budget)``.
+
+        Roundoff, to first order in the unit roundoff ``eps``: a cell's end
+        values, slopes and curvature are off by at most ``2 eps`` times its
+        magnitudes ``m = (|c0| + |c1|/2 + |c2|/4, (|c1| + |c2|)/width,
+        2 |c2|/width^2)``, so each jump is off by ``2 eps`` times the
+        magnitudes of its two cells plus ``eps`` of itself.  A phase at
+        ``|x_p| <= 1`` is off by at most ``eps (3 |w| + 2)``, the complex sum
+        over the ``P`` edges adds ``2 P eps`` of the sum of the terms'
+        magnitudes, and the powers of ``1 / (i w)`` a few ``eps`` more.  With
+        ``S`` the sum over edges of ``|J| / |w| + |K| / w^2 + |L| / |w|^3``
+        and ``M`` the same sum over the cells' ``m``, the roundoff is at most
+        ``eps (4 M + (2 P + 3 |w| + 10) S)``; for ``n = 0`` it is
+        ``eps (P + 3) sum width (|c0| + |c2| / 12)``.
+        """
+        n = np.atleast_1d(np.asarray(n, dtype=np.int64))
+        c0, c1, c2 = self.coeffs.T
+        w, p, eps = self.widths, self.cells, np.finfo(float).eps
+        curve = 2.0 * c2 / w**2
+        # value, slope and curvature at each cell's start and end; the jumps sit at starts[k], from cell k - 1 into k
+        first = np.stack((c0 - 0.5 * c1 + 0.25 * c2, (c1 - c2) / w, curve), axis=1)
+        last = np.stack((c0 + 0.5 * c1 + 0.25 * c2, (c1 + c2) / w, curve), axis=1)
+        jumps = first - np.roll(last, 1, axis=0)
+        a0, a1, a2 = np.abs(self.coeffs.T)
+        mags = np.array([np.sum(a0 + 0.5 * a1 + 0.25 * a2), np.sum((a1 + a2) / w), np.sum(np.abs(curve))])
+
+        omega = 2.0 * np.pi * n
+        inv = (1.0 / (1j * np.where(n == 0, 1.0, omega)))[:, None] ** np.arange(1, 4)  # 1 / (i w)^k
+        sums = np.empty((n.size, 3), dtype=complex)
+        rows = max(1, _BLOCK // p)
+        for j in range(0, n.size, rows):
+            sums[j : j + rows] = np.exp(-2j * np.pi * np.outer(n[j : j + rows], self.starts)) @ jumps
+        c = np.sum(sums * inv, axis=1)
+        masses, scale = np.sum(np.abs(jumps), axis=0), np.abs(inv)
+        err = eps * (4.0 * (scale @ mags) + (2 * p + 3.0 * np.abs(omega) + 10.0) * (scale @ masses))
+        zero = n == 0
+        c[zero] = w @ (c0 + c2 / 12.0)
+        err[zero] = eps * (p + 3) * (w @ (a0 + a2 / 12.0))
+        edges = self.tol * (masses @ self.tol ** np.arange(3) + 2.0 * p * self.budget)
+        return c, err + edges
+
     def zero_runs(self):
         """The zero set of ``Phi_b`` as ``(lo, hi)`` intervals, one per maximal cyclic run of zero cells.
 
@@ -331,7 +360,7 @@ def exact_bounds(profile, b):
     is within ``budget``.
     """
     b = check_spacing(b)
-    pos, _, tol = _circle_breakpoints(profile, b)
+    pos, tol = _circle_breakpoints(profile, b)
     widths = np.diff(pos, append=pos[0] + 1.0)
     xi = (pos[:, None] + widths[:, None] * np.array([0.25, 0.5, 0.75])).ravel()
     f = np.concatenate([periodize_at(profile, b, xi[j : j + _BLOCK]) for j in range(0, xi.size, _BLOCK)])
@@ -405,50 +434,6 @@ def cell_evidence(eb, ps):
         "max_grid_deviation": dev,
         "grid_zero_fraction": zf,
     }
-
-
-def coefficient_error_bound(profile, ps, n):
-    """Bound on ``|fourier_coeff(ps, n) - Phi_b_hat(n)|`` for ``ps = periodize(profile, b, M)``.
-
-    Midpoint samples alias: the grid coefficient is
-    ``sum over k of (-1)^k c_{n + kM}``, so the error is
-    ``err_n = sum over k != 0 of (-1)^k c_{n + kM}``.  ``Phi_b`` is piecewise
-    quadratic, so integrating by parts three times gives, for ``m != 0``,
-
-        c_m = sum_p e^{-2 pi i m x_p} (J_p / (2 pi i m) + K_p / (2 pi i m)^2 + L_p / (2 pi i m)^3)
-
-    over the breakpoints ``x_p`` with jumps ``J_p, K_p, L_p`` of ``Phi_b``,
-    ``Phi_b'`` and ``Phi_b''`` (:func:`_jump_masses`).  For ``|n| < M/2``:
-
-    * jumps: ``1/(n + kM) = 1/(kM) - n/(kM(n + kM))``.  The first part
-      sums to a sawtooth ``sum sin(k psi)/k``, at most ``pi/2``, giving
-      ``|J_p|/(2M)``; the second is at most ``|n|/(2 pi M)`` times
-      ``sum over k != 0 of 1/(|k| (|k| - 1/2) M) = 8 ln 2 / M``.  A jump at a
-      midpoint, or within roundoff of one, may be sampled from either side,
-      which adds at most ``|J_p|/M``.  Together ``J (3/2 / M + (4 ln 2/pi) |n| / M^2)``;
-    * kinks: ``sum over k != 0 of (n/M + k)^-2 <= pi^2 - 4``, so
-      ``K (pi^2 - 4) / (4 pi^2 M^2) <= K / (4 M^2)``;
-    * curvature jumps: ``sum over k != 0 of |n/M + k|^-3 <= 14 zeta(3) - 8``, so
-      ``L (14 zeta(3) - 8) / (8 pi^3 M^3) <= L / (24 M^3)``.
-
-    When ``ps.cell_constant`` holds, the sinc-corrected coefficient is exact
-    for the step function whose jumps sit on the nearest cell boundaries
-    (no midpoint lies between a jump and its boundary).  Moving a jump
-    ``J_p`` by ``eps_p`` changes every coefficient by at most
-    ``|J_p| eps_p``, so the bound is ``sum_p |J_p| eps_p`` plus roundoff.
-    Roundoff of the FFT and of the closed-form kernel is budgeted as
-    ``256 eps log2(M)`` times ``c_0 = b ||phi||^2``, plus the smallest
-    normal float, below which relative roundoff fails.
-    """
-    n = np.abs(np.asarray(n, dtype=float))
-    m = ps.grid_size
-    roundoff = _ROUNDOFF * math.log2(m) * ps.b * profile.norm_squared() + np.finfo(float).tiny
-    if ps.cell_constant:
-        offsets, jumps = _cell_offsets(profile, ps.b, m)
-        return float(np.dot(offsets, np.abs(jumps[:, 0]))) + roundoff + np.zeros_like(n)
-    jump, kink, curve = _jump_masses(profile, ps.b)
-    alias = jump * (1.5 / m + 4.0 * math.log(2.0) / math.pi * n / m**2) + kink / (4.0 * m**2)
-    return alias + curve / (24.0 * m**3) + roundoff
 
 
 def cyclic_runs(mask):

@@ -177,16 +177,17 @@ class TranslationSet:
             if len(args) != 1 or window is None:
                 raise ValueError("token mZ:<m> needs m and a window")
             return TranslationSet.subgroup(int(args[0]), window)
-        if name == "squares":
-            return TranslationSet.squares(int(args[0]) if args else window)
+        if name in ("squares", "geometric"):
+            if not args and window is None:
+                raise ValueError(f"token {name} needs a size ({name}:<n> or a window)")
+            n = int(args[0]) if args else window
+            return TranslationSet.squares(n) if name == "squares" else TranslationSet.geometric(n)
         if name == "powers":
             if len(args) == 2:
                 return TranslationSet.powers(int(args[0]), int(args[1]))
             if len(args) == 1 and window is not None:
                 return TranslationSet.powers(int(args[0]), window)
             raise ValueError("token powers:<exp>:<n_max>")
-        if name == "geometric":
-            return TranslationSet.geometric(int(args[0]) if args else window)
         if name == "blocks":
             if len(args) != 2:
                 raise ValueError("token blocks:<alpha>:<n_max>")

@@ -350,7 +350,7 @@ def exactness_evidence(b, ts, a, profile=None, envelope=None, ps=None, budgets=N
         lam = as_indices(ts)
         windows = window_ladder(lam.size, budgets.window)
         if windows:
-            _, fbs = nested_window_bounds(profile, b, lam, windows, ps=ps)
+            _, fbs = nested_window_bounds(profile, b, lam, windows)
             a_ests = [float(fb.A_est) for fb in fbs]
         lower_bounded = len(a_ests) >= 2 and a_ests[-1] >= 0.7 * a_ests[0] and a_ests[-1] > 0
         if lower_bounded:

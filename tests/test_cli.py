@@ -142,6 +142,38 @@ def test_density_envelope_token_errors(capsys):
     assert doc["result"]["g_equivalence"]["hypotheses_hold"] is False
 
 
+def test_density_csv_rows_equal_the_json_table(capsys, tmp_path):
+    csv_path = tmp_path / "density.csv"
+    code, doc = run_json(capsys, "density", "--indices", "squares:80", "--xmax", "1000", "--csv", str(csv_path))
+    assert code == 0
+    header, *rows = csv_path.read_text().strip().split("\n")
+    assert header == "x,D" and len(rows) == 10
+    table = [{"x": float(x), "D": int(d)} for x, d in (row.split(",") for row in rows)]
+    assert table == doc["result"]["table"]
+
+
+@pytest.mark.parametrize("token", ["squares", "geometric"])
+def test_sized_index_tokens_without_a_size_are_refused(capsys, token):
+    code, out, err = run(capsys, "density", "--indices", token)
+    assert code == 1 and not out
+    assert f"token {token} needs a size" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # 128 points of n^4 span 2.6e8 shifts: past the shift table cap
+        ("analyze", "--profile", "tent", "--b", "2", "--indices", "powers:4:200"),
+        # 2201 points: past the dense eigensolve cap
+        ("gram", "--profile", "tent", "--indices", "Z", "--window", "1100"),
+    ],
+)
+def test_resource_limits_exit_1_with_their_prefix(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and not out
+    assert err.startswith("resource limit: ") and "cap" in err
+
+
 def test_hausdorff_levels(capsys, tmp_path):
     csv_path = tmp_path / "cover.csv"
     code, doc = run_json(

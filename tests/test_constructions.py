@@ -15,6 +15,7 @@ from frameseq.constructions import (
     tent_profile,
     verify_lower_collapse,
 )
+from frameseq.periodization import exact_bounds
 
 KNOWN_LABELS = {
     "orthonormal",
@@ -109,7 +110,9 @@ def test_infimum_spectrum_structure():
     phi = bs.spectrum.values
     assert np.all(phi > 0.0) and np.all(phi <= 1.0)
     assert bs.identity_deviation <= 1e-12
-    assert bs.spectrum.cell_constant
+    # one constant cell of Phi_1 per grid cell
+    eb = exact_bounds(bs.profile, 1.0)
+    assert eb.cells == 2**14 and np.all(eb.coeffs[:, 1:] == 0.0)
     measures = [r["flagged_measure"] for r in bs.rows]
     energies = [r["excluded_energy"] for r in bs.rows]
     # deeper block waves concentrate on smaller sets and leave less outside

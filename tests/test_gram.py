@@ -6,7 +6,7 @@ import pytest
 import frameseq.cli as cli
 import frameseq.gram as gram
 import frameseq.periodization as periodization
-from frameseq.constructions import indicator_profile
+from frameseq.constructions import gallery_profiles, indicator_profile
 from frameseq.gram import (
     EIGENSOLVE_CAP,
     Budgets,
@@ -19,7 +19,7 @@ from frameseq.gram import (
     weighted_norm_identity_check,
     window_ladder,
 )
-from frameseq.periodization import PeriodizedSpectrum, periodize
+from frameseq.periodization import PeriodizedSpectrum, exact_bounds, periodize
 from frameseq.spectrum import FourierProfile, Piece, autocorrelation
 from frameseq.translation_sets import TranslationSet
 
@@ -64,38 +64,45 @@ def test_non_integer_route_and_agreement(taper):
 def test_misaligned_jump_gets_checked_grid_route():
     third = indicator_profile(0.0, 1.0 / 3.0)
     g = build_gram(third, 1.0, np.arange(0, 17, dtype=np.int64))
-    # the jump at 1/3 never lands on a dyadic grid; the alias budget covers it
-    assert g.route == "periodization-grid" and g.grid_size == 4096
+    # the jump at 1/3 lands on no dyadic grid; the exact cells hold it where it is
+    assert g.route == "periodization-grid" and g.grid_size is None
     assert 16 in g.checked_shifts
     assert 0.0 < g.max_check_deviation <= g.check_budget
     fb = frame_bound_estimates(g)
     assert fb.min_eigenvalue > -1e-12
 
 
-def test_tampered_grid_data_raises(box):
-    ps = periodize(box, 1.0, 2**18)
-    grid = ps.grid()
-    lam = np.arange(-32, 33, dtype=np.int64)
-    ps.values = ps.values + 1e-3 * np.cos(2 * np.pi * 64 * grid)
-    ps._fft = None
-    with pytest.raises(InconsistencyError, match="shift"):
-        build_gram(box, 1.0, lam, ps=ps)
+def _bump_first_cell(profile, d):
+    """Exact cells of Phi_1 with the first of its two half-circle cells raised by ten budgets at shift ``d``.
+
+    Raising a cell of width 1/2 by ``h`` moves the coefficient at an odd
+    shift ``d`` by ``h |1 - e^{-i pi d}| / (2 pi d) = h / (pi d)``.
+    """
+    eb = exact_bounds(profile, 1.0)
+    assert np.allclose(eb.widths, 0.5)
+    clean = build_gram(profile, 1.0, [0, d], eb=eb)
+    assert clean.checked_shifts == [d] and clean.max_check_deviation <= clean.check_budget
+    coeffs = eb.coeffs.copy()
+    coeffs[0, 0] += 10.0 * clean.check_budget * np.pi * d
+    return replace(eb, coeffs=coeffs)
+
+
+def test_tampered_step_spectrum_raises(half):
+    with pytest.raises(InconsistencyError, match="shift 63"):
+        build_gram(half, 1.0, [0, 63], eb=_bump_first_cell(half, 63))
 
 
 def test_tampered_continuous_spectrum_raises(tent):
-    # the tent's Phi_1 is continuous with one kink of mass K = 8 at 1/2, so
-    # the alias budget at the extreme shift 128 is K / (4 M^2); a cosine
-    # adding ten times that to the shift's coefficient must be caught
-    m = 2**14
-    budget = 8.0 / (4 * m**2)
-    lam = np.arange(-64, 65, dtype=np.int64)
-    ps = periodize(tent, 1.0, m)
-    clean = build_gram(tent, 1.0, lam, ps=ps)
-    assert 128 in clean.checked_shifts and clean.max_check_deviation < budget
-    ps.values = ps.values + 20 * budget * np.cos(2 * np.pi * 128 * ps.grid())
-    ps._fft = None
-    with pytest.raises(InconsistencyError, match="shift 128"):
-        build_gram(tent, 1.0, lam, ps=ps)
+    with pytest.raises(InconsistencyError, match="shift 127"):
+        build_gram(tent, 1.0, [0, 127], eb=_bump_first_cell(tent, 127))
+
+
+def test_gallery_gram_checks_hold_roundoff_budgets():
+    # the grid route's alias budget was 1.9e-4 for the taper at b = 2; the cells' budget is roundoff
+    for entry in gallery_profiles():
+        for b, ts, _expected in entry.cases:
+            g = build_gram(entry.profile, b, ts.realize()[:256])
+            assert g.max_check_deviation <= g.check_budget <= 1e-9, (entry.name, b)
 
 
 def test_classify_squares_gets_checked_window(taper):
@@ -132,13 +139,12 @@ def test_grid_checks_the_exact_cells(monkeypatch, capsys):
     capsys.readouterr()
     real = periodization._breakpoints
 
-    def drop_last(profile, b):
-        x, jumps = real(profile, b)
-        return x[:-1], jumps[:-1]
-
-    monkeypatch.setattr(periodization, "_breakpoints", drop_last)
+    monkeypatch.setattr(periodization, "_breakpoints", lambda profile, b: real(profile, b)[:-1])
     with pytest.raises(InconsistencyError, match="exact cells"):
         classify(third, 1.0, TranslationSet.integers(16))
+    # the Gram check reads the same cells
+    with pytest.raises(InconsistencyError, match="Gram entry at shift"):
+        build_gram(third, 1.0, np.arange(17))
     # periodize runs the same check, and its mismatch is the inconsistency exit
     assert cli.main(argv) == cli.EXIT_INCONSISTENT
     captured = capsys.readouterr()
@@ -302,14 +308,15 @@ def test_weighted_norm_refusals(taper):
         weighted_norm_identity_check(taper, 1.0, np.arange(3), np.ones(4))
 
 
-def test_weighted_norm_tampered_grid_raises(taper):
-    # the kernel side is spot-checked against the grid the right side reads,
-    # so a grid bumped at shift 11 (the extreme one, always checked) is caught
+def test_weighted_norm_tampered_grid_shows_in_deviation(taper):
+    # the kernel side is spot-checked against the exact cells, not against the grid
+    # the right side reads, so a grid bumped at shift 11 shows in the deviation
     ps = periodize(taper, 2.0, grid_size=4096)
-    bumped = ps.values + 1e-2 * np.cos(2 * np.pi * 11 * ps.grid())
+    bumped = ps.values + 1e-1 * np.cos(2 * np.pi * 11 * ps.grid())
     tampered = PeriodizedSpectrum(b=ps.b, grid_size=ps.grid_size, values=bumped, truncation_range=ps.truncation_range)
-    with pytest.raises(InconsistencyError, match="shift 11"):
-        weighted_norm_identity_check(taper, 2.0, np.arange(12), np.ones(12), ps=tampered)
+    lam, c = np.arange(12), np.ones(12)
+    assert weighted_norm_identity_check(taper, 2.0, lam, c, ps=ps)["deviation"] < 1e-6
+    assert weighted_norm_identity_check(taper, 2.0, lam, c, ps=tampered)["deviation"] > 1e-3
 
 
 def test_window_ladder_caps():

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from frameseq.constructions import plateau_taper_profile
 from frameseq.gram import build_gram, weighted_norm_identity_check
-from frameseq.periodization import periodize
+from frameseq.periodization import exact_bounds, periodize
 from frameseq.translation_sets import TranslationSet, as_indices, density
 from frameseq.zeroset_hausdorff import coefficient_sum_bound_check, interval_mass_bound_check
 
@@ -120,11 +120,12 @@ def test_same_answer_however_a_set_is_passed(pts, seed):
     rng = np.random.default_rng(seed)
     c = rng.normal(size=len(pts)) + 1j * rng.normal(size=len(pts))
     ps = periodize(TAPER21, 2.0, 4096)
+    eb = exact_bounds(TAPER21, 2.0)
     lam_s = np.sort(np.array(pts, dtype=np.int64))
     c_s = c[np.argsort(pts)]
 
     def answers(lam, coeffs):
-        g = build_gram(TAPER21, 2.0, lam, ps=ps)
+        g = build_gram(TAPER21, 2.0, lam, eb=eb)
         norm = weighted_norm_identity_check(TAPER21, 2.0, lam, coeffs, ps=ps)
         return (
             g.matrix.tolist(),

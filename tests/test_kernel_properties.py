@@ -1,4 +1,4 @@
-"""Property tests of the closed-form kernel, the grid route's alias budget and the exact cell bounds.
+"""Property tests of the closed-form kernel, the exact cells' Fourier coefficients and the exact cell bounds.
 
 Profiles are drawn at random from const, affine and sampled pieces, on
 dyadic or generic breakpoints, so that both branches of the sampled-piece
@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from frameseq.gram import build_gram
-from frameseq.periodization import coefficient_error_bound, exact_bounds, fourier_coeff, periodize
+from frameseq.periodization import _ROUNDOFF, exact_bounds, periodize
 from frameseq.spectrum import FourierProfile, Piece, autocorrelations
 
 values = st.floats(0.0, 2.0)
@@ -99,17 +99,19 @@ def test_gram_windows_are_hermitian(profile, b, lam, jitter):
 @given(
     profile=profiles(),
     b=st.sampled_from([0.5, 1.0, 2.0, 0.75]) | st.floats(0.3, 3.0),
-    m=st.sampled_from([16, 64, 256, 1024]),
+    ns=st.lists(st.integers(-10**5, 10**5), min_size=1, max_size=8),
 )
 @settings(max_examples=60, deadline=None)
-# a jump 5e-10 cells off its cell boundary still counts as aligned: its offset is budgeted
-@example(profile=FourierProfile([Piece(6.604707329665724e-11, 1.0, const=1.0)]), b=0.5, m=16)
-def test_grid_deviation_within_budget(profile, b, m):
-    ps = periodize(profile, b, m)
-    ns = np.arange(-(m // 2) + 1, m // 2)
-    exact = b * np.conj(autocorrelations(profile, b * ns))
-    dev = np.abs(fourier_coeff(ps, ns) - exact)
-    assert np.all(dev <= coefficient_error_bound(profile, ps, ns))
+# a jump 3.3e-11 past xi = 0: a breakpoint just inside the circle's wrap
+@example(profile=FourierProfile([Piece(6.604707329665724e-11, 1.0, const=1.0)]), b=0.5, ns=[0, 1, 8, 10**5])
+def test_cell_coefficients_within_budget(profile, b, ns):
+    # the cells' coefficients against the kernel's, within build_gram's budget times b
+    eb = exact_bounds(profile, b)
+    ns = np.array(ns)
+    cells, err = eb.coefficients(ns)
+    kernel = b * np.conj(autocorrelations(profile, b * ns))
+    budget = eb.budget + err + _ROUNDOFF * b * profile.norm_squared() + np.finfo(float).tiny
+    assert np.all(np.abs(cells - kernel) <= budget)
 
 
 def _phi_slope(profile, b):

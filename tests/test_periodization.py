@@ -72,14 +72,12 @@ def test_fourier_coeff_hermitian(taper):
         fourier_coeff(ps, 512)
 
 
-def test_cell_constant_flag_and_exact_coeffs(half, taper):
-    ps = periodize(half, 1.0, 256)
-    assert ps.cell_constant
-    # exact coefficient of chi_[0,1/2): c_n = (1 - e^{-i pi n}) / (2 pi i n)
-    for n in (1, 2, 3, 8, 100):
-        want = 0.0 if n % 2 == 0 else 1.0 / (1j * math.pi * n)
-        assert abs(fourier_coeff(ps, n) - want) < 1e-15
-    assert not periodize(taper, 2.0, 256).cell_constant
+def test_cell_coefficients_closed_form(half):
+    # exact coefficient of chi_[0,1/2): c_n = (1 - e^{-i pi n}) / (2 pi i n), c_0 = 1/2
+    ns = np.array([1, 2, 3, 8, 100, -7, 261121])
+    cells, _ = exact_bounds(half, 1.0).coefficients(np.append(ns, 0))
+    want = (1.0 - np.exp(-1j * np.pi * ns)) / (2j * np.pi * ns)
+    assert np.max(np.abs(cells - np.append(want, 0.5))) < 1e-15
 
 
 def test_zero_count_interior_and_wrapped():
