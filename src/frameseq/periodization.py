@@ -15,7 +15,6 @@ read off those cells, and a midpoint grid (:func:`periodize`) checks them.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 
@@ -38,7 +37,6 @@ __all__ = [
     "cell_evidence",
     "cyclic_runs",
     "dilation_identity_deviation",
-    "write_csv",
     "summary",
 ]
 
@@ -142,6 +140,9 @@ def fourier_coeff(ps, n):
     Computed as ``(1/M) sum_j values[j] e^{-2 pi i n xi_j}`` through one
     cached FFT plus the midpoint phase.  Complex in general; the imaginary
     part vanishes (to roundoff) exactly when the data is even on the circle.
+    A utility on grid data: no verdict or check of the package reads it,
+    since the exact coefficients of ``Phi_b`` are
+    :meth:`ExactBounds.coefficients`.
     """
     ns = np.asarray(n, dtype=np.int64)
     m = ps.grid_size
@@ -470,16 +471,6 @@ def dilation_identity_deviation(profile, b, m_factor, grid_size=4096):
     for k in range(m_factor):
         acc += periodize_at(profile, b, (grid + k) / m_factor)
     return float(np.max(np.abs(ps_coarse.values - acc)))
-
-
-def write_csv(ps, path):
-    """Emit rows ``(xi_j, Phi_b(xi_j))`` with 12-significant-digit floats."""
-    grid = ps.grid()
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["xi", "phi"])
-        for x, v in zip(grid, ps.values):
-            writer.writerow([format(x, ".12g"), format(v, ".12g")])
 
 
 def summary(ps, eb):

@@ -441,8 +441,7 @@ def time_side_values(profile, xs):
     """Generator values ``phi(x) = integral of phi_hat(xi) e^{2 pi i x xi}``.
 
     The first power of the profile, not its square: this is the inverse
-    transform of the (real, nonnegative) frequency data, used to fit the
-    time-side decay rate.  Exact per piece.
+    transform of the (real, nonnegative) frequency data.  Exact per piece.
     """
     return _fourier_integrals(profile, np.atleast_1d(xs), 1)
 

@@ -314,19 +314,17 @@ def density(lam, x):
     return _density_sorted(arr, x)
 
 
-def density_exponent_fit(lam, p_max=None, n_points=2):
-    """Tail growth exponent of ``D`` over the largest dyadic windows.
+def density_exponent_fit(lam):
+    """Tail growth exponent of ``D`` over the two largest dyadic windows.
 
     Returns the least-squares slope of ``log2 D(2^p)`` against ``p`` over the
-    top ``n_points`` dyadic windows that fit in the realization, all taken
-    in one density sweep.  Small-scale windows are excluded deliberately:
+    top two dyadic windows that fit in the realization, both taken in one
+    density sweep.  Small-scale windows are excluded deliberately:
     transient dense prefixes would otherwise dominate the fit.
     """
     arr = as_indices(lam)
-    span = float(arr[-1] - arr[0])
-    if p_max is None:
-        p_max = int(math.floor(math.log2(span)))
-    ps = np.arange(p_max - n_points + 1, p_max + 1, dtype=float)
+    p_max = int(math.floor(math.log2(float(arr[-1] - arr[0]))))
+    ps = np.arange(p_max - 1, p_max + 1, dtype=float)
     if ps[0] < 1:
         raise ValueError("not enough dyadic scales in the window for a tail fit")
     ds = _density_sorted(arr, 2.0**ps).astype(float)

@@ -12,14 +12,12 @@ assertions need.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .gram import Budgets, nested_window_bounds, window_ladder
-from .periodization import cyclic_runs
-from .spectrum import time_side_values
+from .periodization import cyclic_runs, periodize
 from .translation_sets import _density_sorted, as_indices, density_exponent_fit
 
 __all__ = [
@@ -95,14 +93,12 @@ def cover_mask(mask, alpha, depths=None, drop_isolated=True):
 
 
 def hausdorff_sublevel(ps, alpha, eps, depths=None, drop_isolated=True):
-    """Dyadic-cover content of ``{Phi_b <= eps}`` on the realized grid."""
-    sup = float(np.max(ps.values))
-    if eps >= sup:
-        warnings.warn(
-            f"level {eps:g} is at or above the spectrum's maximum {sup:g}; "
-            "the sublevel set is the full circle",
-            stacklevel=2,
-        )
+    """Dyadic-cover content of ``{Phi_b <= eps}`` on the realized grid.
+
+    A level at or above the grid's maximum covers the full circle: the
+    estimate is the one unit interval, flagged ``full_circle``.
+    """
+    if eps >= float(np.max(ps.values)):
         return CoverEstimate(
             alpha=float(alpha),
             eps=float(eps),
@@ -284,35 +280,24 @@ class ExactnessEvidence:
     verdict: str
 
 
-def _decay_slope(profile=None, envelope=None):
-    """Fitted log-log decay rate of |phi| over octave maxima."""
-    xs = np.geomspace(2.0, 2048.0, 160)
-    if envelope is not None:
-        vals = np.asarray(envelope.F(xs), dtype=float)
-    else:
-        vals = np.abs(time_side_values(profile, xs))
-    # oscillating data: fit the octave-max envelope, not the raw samples
-    octs = np.floor(np.log2(xs)).astype(int)
-    pts = []
-    for o in np.unique(octs):
-        sel = octs == o
-        k = np.argmax(vals[sel])
-        pts.append((np.log(xs[sel][k]), np.log(max(vals[sel][k], 1e-300))))
-    pts = np.asarray(pts)
-    return float(np.polyfit(pts[:, 0], pts[:, 1], 1)[0])
-
-
 def exactness_evidence(b, ts, a, profile=None, envelope=None, ps=None, budgets=None):
     """Numerical check of the sparse-exactness hypotheses, then the verdict.
 
     Hypotheses, for exponent ``1/2 < a < 1``: the generator decays like
-    ``x**(-a)`` or faster; the dyadic-cover content of ``{Phi_b <= eps}``
-    at ``alpha = 2a - 1`` decreases as ``eps`` shrinks; and the window
-    density grows no faster than ``x**(2(1-a))``.  When all three hold the
-    lower Gram estimate over nested windows is examined: bounded means the
-    evidence supports an exact frame sequence, collapse is recorded as the
-    boundary case where the hypotheses hold without strict exponent margin
-    yet the lower bound still fails.
+    ``x**(-a)`` or faster, read off a proven bound ``|phi(x)| <= C |x|^s``;
+    the dyadic-cover content of ``{Phi_b <= eps}`` at ``alpha = 2a - 1``
+    decreases as ``eps`` shrinks; and the window density grows no faster
+    than ``x**(2(1-a))``.  When all three hold the lower Gram estimate over
+    nested windows is examined: bounded means the evidence supports an
+    exact frame sequence, collapse is recorded as the boundary case where
+    the hypotheses hold without strict exponent margin yet the lower bound
+    still fails.
+
+    The decay exponent ``s`` is proven, not fitted.  A profile ``phi_hat``
+    has bounded variation and compact support, so integrating by parts
+    gives ``|phi(x)| <= TV(phi_hat) / (2 pi |x|)``: ``s = -1``.  An envelope
+    has its closed form: ``-a`` (power), the tail slope (table), ``-inf``
+    (exponential).
     """
     if not (0.5 < a < 1.0):
         raise ValueError("exponent a must lie in (1/2, 1)")
@@ -321,12 +306,17 @@ def exactness_evidence(b, ts, a, profile=None, envelope=None, ps=None, budgets=N
     budgets = budgets or Budgets()
     hyps = []
 
-    slope = _decay_slope(profile=profile, envelope=envelope)
-    hyps.append(Hypothesis("time-decay rate", slope, -a, slope <= -a + 1e-9))
+    if envelope is None:
+        slope = -1.0
+    elif envelope.kind == "power":
+        slope = -envelope.a
+    elif envelope.kind == "table":
+        slope = envelope._tail_slope
+    else:
+        slope = -math.inf
+    hyps.append(Hypothesis("time-decay rate", slope, -a, slope <= -a))
 
     if profile is not None:
-        from .periodization import periodize
-
         if ps is None:
             ps = periodize(profile, b, grid_size=2**14)
         alpha = 2.0 * a - 1.0
@@ -350,7 +340,7 @@ def exactness_evidence(b, ts, a, profile=None, envelope=None, ps=None, budgets=N
         lam = as_indices(ts)
         windows = window_ladder(lam.size, budgets.window)
         if windows:
-            _, fbs = nested_window_bounds(profile, b, lam, windows)
+            fbs, _, _ = nested_window_bounds(profile, b, lam, windows)
             a_ests = [float(fb.A_est) for fb in fbs]
         lower_bounded = len(a_ests) >= 2 and a_ests[-1] >= 0.7 * a_ests[0] and a_ests[-1] > 0
         if lower_bounded:

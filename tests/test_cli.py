@@ -68,8 +68,13 @@ def test_periodize_summary_and_csv(capsys, tmp_path):
     assert doc["result"]["zero_intervals"] == [[0.5, 1.0]]
     (row,) = doc["result"]["evidence"]
     assert row["rule"] == "exact-cell-bounds" and row["check_grid"] == 1024
-    header = csv_path.read_text().splitlines()[0]
-    assert header == "xi,phi"
+    lines = csv_path.read_text().strip().split("\n")
+    assert lines[0] == "xi,phi"
+    assert len(lines) == 1025
+    # rows are the midpoints and Phi_1 of half, 1 on [0, 1/2) and 0 on [1/2, 1)
+    x0, v0 = lines[1].split(",")
+    assert abs(float(x0) - 0.5 / 1024) < 1e-12 and float(v0) == 1.0
+    assert lines[-1] == f"{format(1023.5 / 1024, '.12g')},0"
 
 
 def test_periodize_bounds_do_not_move_with_the_grid(capsys):

@@ -19,7 +19,7 @@ from frameseq.gram import (
     weighted_norm_identity_check,
     window_ladder,
 )
-from frameseq.periodization import PeriodizedSpectrum, exact_bounds, periodize
+from frameseq.periodization import exact_bounds
 from frameseq.spectrum import FourierProfile, Piece, autocorrelation
 from frameseq.translation_sets import TranslationSet
 
@@ -284,20 +284,19 @@ def test_weighted_norm_delta_and_parseval(box, taper):
     lam = np.arange(0, 6, dtype=np.int64)
     delta = np.zeros(6, dtype=complex)
     delta[0] = 1.0
-    res = weighted_norm_identity_check(taper, 1.0, lam, delta, ps=periodize(taper, 1.0, grid_size=2**16))
+    res = weighted_norm_identity_check(taper, 1.0, lam, delta)
     assert abs(res["lhs"] - taper.norm_squared()) < 1e-12
     assert res["deviation"] < 1e-10
     c = np.array([1.0, -2.0, 0.5, 1j, 0.0, 3.0])
-    res_box = weighted_norm_identity_check(box, 1.0, lam, c, ps=periodize(box, 1.0, grid_size=2**16))
+    res_box = weighted_norm_identity_check(box, 1.0, lam, c)
     assert abs(res_box["lhs"] - float(np.sum(np.abs(c) ** 2))) < 1e-10
 
 
 def test_weighted_norm_random_vectors(taper, rng):
-    ps = periodize(taper, 1.0, grid_size=2**18)
     for _ in range(25):
         lam = np.sort(rng.choice(48, size=12, replace=False)).astype(np.int64)
         c = rng.normal(size=12) + 1j * rng.normal(size=12)
-        res = weighted_norm_identity_check(taper, 1.0, lam, c, ps=ps)
+        res = weighted_norm_identity_check(taper, 1.0, lam, c)
         assert res["deviation"] < 1e-8
 
 
@@ -308,15 +307,28 @@ def test_weighted_norm_refusals(taper):
         weighted_norm_identity_check(taper, 1.0, np.arange(3), np.ones(4))
 
 
-def test_weighted_norm_tampered_grid_shows_in_deviation(taper):
-    # the kernel side is spot-checked against the exact cells, not against the grid
-    # the right side reads, so a grid bumped at shift 11 shows in the deviation
-    ps = periodize(taper, 2.0, grid_size=4096)
-    bumped = ps.values + 1e-1 * np.cos(2 * np.pi * 11 * ps.grid())
-    tampered = PeriodizedSpectrum(b=ps.b, grid_size=ps.grid_size, values=bumped, truncation_range=ps.truncation_range)
+def test_weighted_norm_shows_a_kernel_entry_the_spot_check_skips(monkeypatch, taper):
+    # the right side reads every lag off the exact cells, so a kernel entry outside
+    # the spot check's sample passes build_gram and still shows in the deviation
     lam, c = np.arange(12), np.ones(12)
-    assert weighted_norm_identity_check(taper, 2.0, lam, c, ps=ps)["deviation"] < 1e-6
-    assert weighted_norm_identity_check(taper, 2.0, lam, c, ps=tampered)["deviation"] > 1e-3
+    clean = weighted_norm_identity_check(taper, 2.0, lam, c)
+    assert clean["deviation"] < 1e-12
+    checked = build_gram(taper, 2.0, lam).checked_shifts
+    d = min(set(range(1, 12)) - set(checked))
+    real = gram.autocorrelations
+
+    def bumped(profile, shifts):
+        out = real(profile, shifts)
+        out[d] += 0.1  # integer sets ask for the shifts b * (0, 1, ..., span)
+        return out
+
+    monkeypatch.setattr(gram, "autocorrelations", bumped)
+    assert build_gram(taper, 2.0, lam).checked_shifts == checked
+    res = weighted_norm_identity_check(taper, 2.0, lam, c)
+    # the all-ones form holds lag d at (i, i + d) and (i + d, i) for each of 12 - d values of i
+    assert abs(res["lhs"] - clean["lhs"] - 0.2 * (12 - d)) < 1e-12
+    assert res["rhs"] == clean["rhs"]
+    assert res["deviation"] > 1e-2
 
 
 def test_window_ladder_caps():

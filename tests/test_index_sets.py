@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from frameseq.constructions import plateau_taper_profile
 from frameseq.gram import build_gram, weighted_norm_identity_check
-from frameseq.periodization import exact_bounds, periodize
+from frameseq.periodization import exact_bounds
 from frameseq.translation_sets import TranslationSet, as_indices, density
 from frameseq.zeroset_hausdorff import coefficient_sum_bound_check, interval_mass_bound_check
 
@@ -27,9 +27,8 @@ def test_unsorted_points_keep_their_coefficients():
     assert abs(mass - 0.2) < 1e-12
     lhs = coefficient_sum_bound_check(lam, c, (1, 4)).lhs
     assert lhs == coefficient_sum_bound_check(lam_s, c_s, (1, 4)).lhs == 0.0
-    ps = periodize(TAPER21, 1.0, grid_size=4096)
-    norm = weighted_norm_identity_check(TAPER21, 1.0, lam, c, ps=ps)
-    norm_s = weighted_norm_identity_check(TAPER21, 1.0, lam_s, c_s, ps=ps)
+    norm = weighted_norm_identity_check(TAPER21, 1.0, lam, c)
+    norm_s = weighted_norm_identity_check(TAPER21, 1.0, lam_s, c_s)
     assert norm["lhs"] == norm_s["lhs"] and norm["rhs"] == norm_s["rhs"]
 
 
@@ -119,14 +118,13 @@ def _forms(pts, c):
 def test_same_answer_however_a_set_is_passed(pts, seed):
     rng = np.random.default_rng(seed)
     c = rng.normal(size=len(pts)) + 1j * rng.normal(size=len(pts))
-    ps = periodize(TAPER21, 2.0, 4096)
     eb = exact_bounds(TAPER21, 2.0)
     lam_s = np.sort(np.array(pts, dtype=np.int64))
     c_s = c[np.argsort(pts)]
 
     def answers(lam, coeffs):
         g = build_gram(TAPER21, 2.0, lam, eb=eb)
-        norm = weighted_norm_identity_check(TAPER21, 2.0, lam, coeffs, ps=ps)
+        norm = weighted_norm_identity_check(TAPER21, 2.0, lam, coeffs)
         return (
             g.matrix.tolist(),
             g.route,

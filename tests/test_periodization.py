@@ -12,7 +12,6 @@ from frameseq.periodization import (
     periodize,
     periodize_at,
     summary,
-    write_csv,
 )
 from frameseq.spectrum import FourierProfile, Piece
 
@@ -111,21 +110,13 @@ def test_dilation_identity(box, tent, taper, m_factor):
         assert dev < 1e-10
 
 
-def test_summary_and_csv(tmp_path, taper):
+def test_summary_reads_the_exact_cells(taper):
     ps = periodize(taper, 2.0, 256)
     info = summary(ps, exact_bounds(taper, 2.0))
     assert info["b"] == 2.0 and info["grid_size"] == 256
     # the bounds are the exact cells': Phi_2 = 1 + (1 - xi)^2 runs from 1 to 2
     assert abs(info["sup"] - 2.0) < 1e-12 and abs(info["inf_nonzero"] - 1.0) < 1e-12
     assert info["zero_fraction"] == 0.0
-    out = tmp_path / "phi.csv"
-    write_csv(ps, out)
-    lines = out.read_text().strip().split("\n")
-    assert lines[0] == "xi,phi"
-    assert len(lines) == 257
-    x0, v0 = lines[1].split(",")
-    assert abs(float(x0) - 0.5 / 256) < 1e-12
-    assert abs(float(v0) - ps.values[0]) < 1e-9
 
 
 def test_periodize_validation(box):

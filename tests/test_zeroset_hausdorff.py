@@ -1,10 +1,14 @@
+import warnings
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import frameseq.gram as gram
 from frameseq.constructions import infimum_spectrum
-from frameseq.gram import Budgets
+from frameseq.gram import Budgets, InconsistencyError
 from frameseq.periodization import PeriodizedSpectrum, periodize
 from frameseq.spectrum import TimeEnvelope
 from frameseq.translation_sets import TranslationSet, density
@@ -34,9 +38,10 @@ def test_sublevel_cover_shrinks_with_eps():
     assert abs(sums[1] - 2.0**-0.5) < 1e-12
 
 
-def test_sublevel_full_circle_warning():
+def test_sublevel_full_circle_is_flagged_without_a_warning():
     ps = sine_spectrum(256)
-    with pytest.warns(UserWarning, match="full circle"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         est = hausdorff_sublevel(ps, 0.5, 2.0)
     assert est.full_circle and est.measure_sum == 1.0
     assert est.intervals == [(0.0, 1.0)]
@@ -204,6 +209,14 @@ def test_exactness_evidence_failure_names_hypotheses():
     assert "hypothesis failed" in res.verdict
     assert "time-decay rate" in res.verdict
     assert "density growth exponent" in res.verdict
+
+
+def test_exactness_evidence_windows_are_checked_against_the_lattice_bounds(monkeypatch, tent):
+    # raise the lattice infimum of the tent at b = 2 from 1/2 to 3/4: the windows now break it
+    real = gram.exact_bounds
+    monkeypatch.setattr(gram, "exact_bounds", lambda p, b: replace(real(p, b), inf=1.5))
+    with pytest.raises(InconsistencyError, match="outside the periodization interval"):
+        exactness_evidence(2.0, TranslationSet.squares(80), 0.7, profile=tent, budgets=Budgets(window=16))
 
 
 def test_exactness_evidence_validation(tent):
