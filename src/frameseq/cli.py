@@ -236,11 +236,16 @@ def _load_envelope(source):
     raise UsageError(f"unknown envelope {source!r} (use power:<a> or exp:<delta>:<rate>)")
 
 
+def _given(value, default):
+    """A flag's value, or ``default`` when the flag was not given (0 is a value)."""
+    return default if value is None else value
+
+
 def _budgets(args):
     kw = {}
-    if getattr(args, "grid", None):
+    if getattr(args, "grid", None) is not None:
         kw["grid_size"] = check_grid_size(args.grid, "--grid")
-    if getattr(args, "window", None):
+    if getattr(args, "window", None) is not None:
         if not (4 <= args.window <= EIGENSOLVE_CAP):
             raise UsageError(f"--window must lie in [4, {EIGENSOLVE_CAP}]")
         kw["window"] = args.window
@@ -255,7 +260,7 @@ def _budgets(args):
 def _cmd_analyze(args, cfg):
     profile, desc = _load_profile(args.profile)
     budgets = _budgets(args)
-    ts = _load_indices(args.indices, args.window or budgets.window << WINDOW_DOUBLINGS)
+    ts = _load_indices(args.indices, _given(args.window, budgets.window << WINDOW_DOUBLINGS))
     report = classify(profile, args.b, ts, budgets=budgets)
     payload = {"profile": desc, "report": report.to_json(), "seed": args.seed}
     _emit(payload, cfg, args.out)
@@ -264,7 +269,7 @@ def _cmd_analyze(args, cfg):
 
 def _cmd_periodize(args, cfg):
     profile, desc = _load_profile(args.profile)
-    grid = check_grid_size(args.grid or 4096, "--grid")
+    grid = check_grid_size(_given(args.grid, 4096), "--grid")
     ps = periodize(profile, args.b, grid_size=grid)
     eb = exact_bounds(profile, ps.b)
     intervals = eb.zero_runs()
@@ -308,6 +313,8 @@ def _cmd_gram(args, cfg):
 
 
 def _cmd_density(args, cfg):
+    if not math.isfinite(args.xmax):
+        raise UsageError(f"--xmax must be finite, got {args.xmax}")
     ts = _load_indices(args.indices, args.window)
     lam = ts.realize()
     xs = [2.0**k for k in range(0, int(math.log2(max(args.xmax, 2.0))) + 1)]
@@ -347,7 +354,7 @@ def _cmd_density(args, cfg):
 
 def _cmd_hausdorff(args, cfg):
     profile, desc = _load_profile(args.profile)
-    grid = check_grid_size(args.grid or 2**14, "--grid")
+    grid = check_grid_size(_given(args.grid, 2**14), "--grid")
     ps = periodize(profile, args.b, grid_size=grid)
     sup = float(np.max(ps.values))
     levels = []
@@ -390,14 +397,14 @@ def _gallery_pair(profile, spacings, ts, budgets):
 
 def _cmd_gallery(args, cfg):
     budgets = _budgets(args)
-    ts = TranslationSet.integers(args.window or 256)
+    ts = TranslationSet.integers(_given(args.window, 256))
     if args.case == "taper":
-        a, b = args.a or 2.0, args.b_small or 1.0
+        a, b = _given(args.a, 2.0), _given(args.b_small, 1.0)
         profile = plateau_taper_profile(a, b)
         cases, verdicts, paired = _gallery_pair(profile, (b, a), ts, budgets)
         payload = {"case": "taper", "a": a, "b": b, "cases": cases, "paired": paired}
     elif args.case == "ramp":
-        a, b = args.a or 3.0, args.b_small or 2.0
+        a, b = _given(args.a, 3.0), _given(args.b_small, 2.0)
         profile, eps = ramp_plateau_profile(a, b)
         cases, verdicts, paired = _gallery_pair(profile, (b, a), ts, budgets)
         payload = {
@@ -409,9 +416,9 @@ def _cmd_gallery(args, cfg):
             "paired": paired,
         }
     else:  # blocks
-        alpha = args.alpha or 0.5
-        n_max = args.nmax or 10
-        grid = args.grid or max(2 ** (n_max + 2), 2**14)
+        alpha = _given(args.alpha, 0.5)
+        n_max = _given(args.nmax, 10)
+        grid = _given(args.grid, max(2 ** (n_max + 2), 2**14))
         built = infimum_spectrum(alpha, n_max, grid)
         ts_blocks = TranslationSet.dyadic_blocks(alpha, n_max)
         rep = classify(built.profile, 1.0, ts_blocks, budgets=budgets)
@@ -434,12 +441,12 @@ def _cmd_gallery(args, cfg):
 def _cmd_verify(args, cfg):
     if args.case != "blocks":
         raise UsageError(f"unknown verification case {args.case!r} (use blocks)")
-    alpha = args.alpha or 0.5
-    n_max = args.nmax or 12
-    n_min = args.nmin or 4
+    alpha = _given(args.alpha, 0.5)
+    n_max = _given(args.nmax, 12)
+    n_min = _given(args.nmin, 4)
     # the halving margin is thin; default to a grid that resolves the
     # finest block waves with room to spare
-    grid = args.grid or max(2 ** (n_max + 4), 2**16)
+    grid = _given(args.grid, max(2 ** (n_max + 4), 2**16))
     report = verify_lower_collapse(alpha, range(n_min, n_max + 1), grid)
     payload = dict(report)
     payload["seed"] = args.seed

@@ -385,8 +385,11 @@ class GalleryEntry:
     cases: tuple  # (spacing b, index set, expected classification)
 
 
-def gallery_profiles(include_blocks=True, blocks_grid=2**14, blocks_n_max=10):
-    """The standing example table: profile, spacings, expected verdicts."""
+def gallery_profiles():
+    """The standing example table: profile, spacings, expected verdicts.
+
+    The dyadic-blocks entry is built at ``n_max = 10`` on a 2^14-point grid.
+    """
     from .translation_sets import TranslationSet
 
     z = TranslationSet.integers(512)
@@ -413,10 +416,7 @@ def gallery_profiles(include_blocks=True, blocks_grid=2**14, blocks_n_max=10):
             ((1.0, z, "frame sequence (non-exact)"),),
         ),
     ]
-    if include_blocks:
-        built = infimum_spectrum(0.5, blocks_n_max, blocks_grid)
-        ts = TranslationSet.dyadic_blocks(0.5, blocks_n_max)
-        entries.append(
-            GalleryEntry("dyadic-blocks", built.profile, ((1.0, ts, "upper bound only"),))
-        )
+    built = infimum_spectrum(0.5, 10, 2**14)
+    ts = TranslationSet.dyadic_blocks(0.5, 10)
+    entries.append(GalleryEntry("dyadic-blocks", built.profile, ((1.0, ts, "upper bound only"),)))
     return entries

@@ -462,15 +462,14 @@ def nested_window_bounds(profile, b, lam, sizes, eb=None):
     return fbs, [float(lo), float(hi)], check
 
 
-def truncation_decay(profile, b, n_list, budgets=None):
+def truncation_decay(profile, b, n_list):
     """Lower-bound estimates over the one-sided windows ``{1..N}``.
 
     Only meaningful for families that are frames but not exact over the full
     lattice: their one-sided truncations must lose the lower bound, and this
     function documents the decay.  Any other classification is refused.
     """
-    budgets = budgets or Budgets()
-    report = classify(profile, b, TranslationSet.integers(budgets.window), budgets)
+    report = classify(profile, b, TranslationSet.integers(Budgets().window))
     if report.classification != "frame sequence (non-exact)":
         raise ValueError(
             "truncation decay applies to non-exact frame sequences over the lattice; "

@@ -26,7 +26,6 @@ __all__ = [
     "Piece",
     "FourierProfile",
     "TimeEnvelope",
-    "eval_spectrum",
     "autocorrelation",
     "autocorrelations",
     "time_side_values",
@@ -288,12 +287,6 @@ class FourierProfile:
     def support(self):
         return (self.pieces[0].lo, self.pieces[-1].hi)
 
-    def breakpoints(self):
-        pts = []
-        for p in self.pieces:
-            pts.extend((p.lo, p.hi))
-        return sorted(set(pts))
-
     def norm_squared(self):
         """Exact integral of phi_hat^2 over the line."""
         total = 0.0
@@ -312,18 +305,6 @@ class FourierProfile:
                 total += width * float(np.sum(p.samples**2))
         return total
 
-    def scaled(self, s):
-        """Profile of ``s * phi`` (every value multiplied by ``s``)."""
-        out = []
-        for p in self.pieces:
-            if p.const is not None:
-                out.append(Piece(p.lo, p.hi, const=s * p.const))
-            elif p.affine is not None:
-                out.append(Piece(p.lo, p.hi, affine=(s * p.affine[0], s * p.affine[1])))
-            else:
-                out.append(Piece(p.lo, p.hi, samples=s * p.samples))
-        return FourierProfile(out)
-
     def to_json(self):
         return {"pieces": [p.to_json() for p in self.pieces]}
 
@@ -334,14 +315,6 @@ class FourierProfile:
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed profile object: {exc}") from exc
         return FourierProfile(pieces)
-
-
-def eval_spectrum(profile, xi):
-    """phi_hat(xi) for scalar or array ``xi``."""
-    out = profile.eval(np.atleast_1d(xi))
-    if np.isscalar(xi) or np.ndim(xi) == 0:
-        return float(out[0])
-    return out
 
 
 # ----------------------------------------------------------------------------
@@ -454,13 +427,13 @@ def time_side_values(profile, xs):
 def _rate_function(rate):
     """Resolve an admissible-rate description to a vectorized callable."""
     if callable(rate):
-        return rate, "callable"
+        return rate
     if isinstance(rate, dict):
         if "power" in rate:
             beta = float(rate["power"]["beta"] if isinstance(rate["power"], dict) else rate["power"])
-            return (lambda x: np.power(x, beta)), f"power:{beta}"
+            return lambda x: np.power(x, beta)
         if "xlog" in rate:
-            return (lambda x: x / np.log(np.e + x)), "xlog"
+            return lambda x: x / np.log(np.e + x)
     raise ValueError(f"unknown rate description: {rate!r}")
 
 
@@ -509,7 +482,7 @@ class TimeEnvelope:
         elif self.kind == "exponential":
             if self.delta is None or self.delta <= 0:
                 raise ValueError("exponential envelope needs delta > 0")
-            self._rate_fn, _ = _rate_function(self.rate)
+            self._rate_fn = _rate_function(self.rate)
         elif self.kind == "table":
             self.xs = np.asarray(self.xs, dtype=float)
             self.fs = np.asarray(self.fs, dtype=float)
@@ -592,34 +565,6 @@ class TimeEnvelope:
             "divergent": divergent,
             "admissible": ok,
         }
-
-    # -- serialization -----------------------------------------------------
-
-    def to_json(self):
-        if self.kind == "power":
-            return {"power": {"a": self.a}}
-        if self.kind == "exponential":
-            _, tag = _rate_function(self.rate)
-            if tag == "callable":
-                raise ValueError("callable rates are not serializable")
-            if tag.startswith("power:"):
-                rate = {"power": {"beta": float(tag.split(":")[1])}}
-            else:
-                rate = {"xlog": {}}
-            return {"exponential": {"delta": self.delta, "rate": rate}}
-        return {"table": {"x": [float(v) for v in self.xs], "f": [float(v) for v in self.fs]}}
-
-    @staticmethod
-    def from_json(obj):
-        if "power" in obj:
-            return TimeEnvelope(kind="power", a=float(obj["power"]["a"]))
-        if "exponential" in obj:
-            sub = obj["exponential"]
-            return TimeEnvelope(kind="exponential", delta=float(sub["delta"]), rate=sub["rate"])
-        if "table" in obj:
-            sub = obj["table"]
-            return TimeEnvelope(kind="table", xs=np.asarray(sub["x"], float), fs=np.asarray(sub["f"], float))
-        raise ValueError(f"unknown envelope object keys: {sorted(obj)}")
 
 
 # a doubling sum has 80 windows; one of F^2 stops where its rest cap is 1e-10 of the sum

@@ -36,18 +36,6 @@ __all__ = [
     "density_exponent_fit",
 ]
 
-_GENERATOR_KINDS = (
-    "explicit",
-    "integers",
-    "subgroup",
-    "naturals",
-    "squares",
-    "powers",
-    "geometric",
-    "dyadic_blocks",
-)
-
-
 @dataclass(frozen=True)
 class TranslationSet:
     """A finite realization window into a (possibly infinite) index set."""
@@ -133,32 +121,6 @@ class TranslationSet:
 
             pts = DyadicBlocks(self._p("alpha"), self._p("n_max")).realize()
         return as_indices(pts)
-
-    @property
-    def is_integer(self):
-        return self.realize().dtype == np.int64
-
-    # -- serialization ---------------------------------------------------------
-
-    def to_json(self):
-        k = self.kind
-        p = dict(self.params)
-        if k == "explicit":
-            return {"explicit": {"points": list(p["points"])}}
-        return {k: p}
-
-    @staticmethod
-    def from_json(obj):
-        if not isinstance(obj, dict) or len(obj) != 1:
-            raise ValueError("translation-set object must have exactly one kind key")
-        kind, params = next(iter(obj.items()))
-        kind = "dyadic_blocks" if kind == "dyadic" else kind
-        if kind not in _GENERATOR_KINDS:
-            raise ValueError(f"unknown translation-set kind: {kind!r}")
-        try:
-            return getattr(TranslationSet, kind)(**params)
-        except TypeError as exc:  # not a mapping, or missing or unknown parameter names
-            raise ValueError(f"bad parameters for translation-set kind {kind!r}: {exc}") from exc
 
     @staticmethod
     def from_token(token, window=None):
@@ -349,13 +311,9 @@ class SparsityDiagnostic:
     window_size: int
     sparse: bool
 
-    @property
-    def verdict(self):
-        return "sparse (windowed)" if self.sparse else "not sparse (windowed)"
 
-
-def is_sparse(ts, n_shifts=8):
-    """Windowed sparsity diagnostic: |Lambda intersect (Lambda + n)| growth.
+def is_sparse(ts):
+    """Windowed sparsity diagnostic: |Lambda intersect (Lambda + n)| growth, n = 1..8.
 
     The set is called sparse (on this window) when no tested shift's
     intersection count grows between the half window and the full window.
@@ -366,7 +324,7 @@ def is_sparse(ts, n_shifts=8):
     if lam.dtype != np.int64:
         raise ValueError("sparsity check needs an integer translation set")
     half = lam[: max(2, lam.size // 2)]
-    shifts = np.arange(1, n_shifts + 1)
+    shifts = np.arange(1, 9)
     counts_full = np.array([np.intersect1d(lam, lam + s).size for s in shifts])
     counts_half = np.array([np.intersect1d(half, half + s).size for s in shifts])
     gaps = np.diff(lam).astype(float)

@@ -42,15 +42,16 @@ class CoverEstimate:
     full_circle: bool = False
 
 
-def cover_mask(mask, alpha, depths=None, drop_isolated=True):
+def cover_mask(mask, alpha):
     """Best-depth dyadic cover of the flagged grid points.
 
     ``mask`` flags midpoints ``(r + 1/2)/M`` of a cyclic grid.  At depth
-    ``d`` the cover consists of the cells ``[j 2^-d, (j+1) 2^-d)`` holding
-    at least one flagged point; the returned estimate uses the depth with
-    the smallest ``count * 2^(-d alpha)``.  Isolated single-point runs are
-    dropped first by default: a grid point alone at the finest resolution
-    carries no measure and stands in for the removable exceptional set.
+    ``d = 2, ..., log2 M`` the cover consists of the cells
+    ``[j 2^-d, (j+1) 2^-d)`` holding at least one flagged point; the
+    returned estimate uses the depth with the smallest ``count * 2^(-d alpha)``.
+    Isolated single-point runs are dropped first: a grid point alone at the
+    finest resolution carries no measure and stands in for the removable
+    exceptional set.
     """
     if not (0.0 < alpha < 1.0):
         raise ValueError("alpha must lie in (0, 1)")
@@ -58,22 +59,16 @@ def cover_mask(mask, alpha, depths=None, drop_isolated=True):
     m = mask.size
     if m < 4 or m & (m - 1):
         raise ValueError("mask length must be a power of two >= 4")
-    if drop_isolated:
-        starts, lengths = cyclic_runs(mask)
-        mask[starts[lengths == 1]] = False
+    starts, lengths = cyclic_runs(mask)
+    mask[starts[lengths == 1]] = False
     max_depth = int(math.log2(m))
-    if depths is None:
-        depths = range(2, max_depth + 1)
-    depths = sorted(set(int(d) for d in depths))
-    if not depths or depths[0] < 0 or depths[-1] > max_depth:
-        raise ValueError(f"depths must lie in [0, {max_depth}]")
 
     # midpoint (2r+1)/(2M) falls in cell floor((2r+1) 2^d / (2M)) = r >> (log2 M - d);
     # the flagged indices are sorted, so equal cells are adjacent, and each
     # coarser depth shifts the cells of the finer one
     cells_at = {}
     cells, finer = np.flatnonzero(mask), max_depth
-    for d in reversed(depths):
+    for d in range(max_depth, 1, -1):
         cells = cells >> (finer - d)
         cells = cells[np.r_[True, cells[1:] != cells[:-1]]] if cells.size else cells
         cells_at[d], finer = cells, d
@@ -92,8 +87,8 @@ def cover_mask(mask, alpha, depths=None, drop_isolated=True):
     )
 
 
-def hausdorff_sublevel(ps, alpha, eps, depths=None, drop_isolated=True):
-    """Dyadic-cover content of ``{Phi_b <= eps}`` on the realized grid.
+def hausdorff_sublevel(ps, alpha, eps):
+    """Dyadic-cover content of ``{Phi_b <= eps}`` on the realized grid (:func:`cover_mask`).
 
     A level at or above the grid's maximum covers the full circle: the
     estimate is the one unit interval, flagged ``full_circle``.
@@ -108,7 +103,7 @@ def hausdorff_sublevel(ps, alpha, eps, depths=None, drop_isolated=True):
             by_depth=[(0, 1, 1.0)],
             full_circle=True,
         )
-    est = cover_mask(ps.values <= eps, alpha, depths=depths, drop_isolated=drop_isolated)
+    est = cover_mask(ps.values <= eps, alpha)
     est.eps = float(eps)
     return est
 
@@ -140,7 +135,7 @@ def _unit_coeffs(lam, coeffs):
     return lam, c / nrm, True
 
 
-def coefficient_sum_bound_check(lam, coeffs, j_interval, tol=1e-12):
+def coefficient_sum_bound_check(lam, coeffs, j_interval):
     """Check ``sum_{n in J} |corr(n)| <= D(|J|)`` for ``corr = coefficients of |f|^2``.
 
     ``corr(n) = sum_k c_k conj(c_{k-n})`` is summed exactly over the pairs
@@ -169,7 +164,7 @@ def coefficient_sum_bound_check(lam, coeffs, j_interval, tol=1e-12):
     return CoefficientSumBound(
         lhs=lhs,
         rhs=rhs,
-        passed=bool(lhs <= rhs + tol),
+        passed=bool(lhs <= rhs + 1e-12),
         interval=(lo, hi),
         normalized=normalized,
     )
@@ -280,18 +275,18 @@ class ExactnessEvidence:
     verdict: str
 
 
-def exactness_evidence(b, ts, a, profile=None, envelope=None, ps=None, budgets=None):
+def exactness_evidence(b, ts, a, profile=None, envelope=None, budgets=None):
     """Numerical check of the sparse-exactness hypotheses, then the verdict.
 
     Hypotheses, for exponent ``1/2 < a < 1``: the generator decays like
     ``x**(-a)`` or faster, read off a proven bound ``|phi(x)| <= C |x|^s``;
     the dyadic-cover content of ``{Phi_b <= eps}`` at ``alpha = 2a - 1``
-    decreases as ``eps`` shrinks; and the window density grows no faster
-    than ``x**(2(1-a))``.  When all three hold the lower Gram estimate over
-    nested windows is examined: bounded means the evidence supports an
-    exact frame sequence, collapse is recorded as the boundary case where
-    the hypotheses hold without strict exponent margin yet the lower bound
-    still fails.
+    on a 2^14-point grid decreases as ``eps`` shrinks; and the window
+    density grows no faster than ``x**(2(1-a))``.  When all three hold the
+    lower Gram estimate over nested windows is examined: bounded means the
+    evidence supports an exact frame sequence, collapse is recorded as the
+    boundary case where the hypotheses hold without strict exponent margin
+    yet the lower bound still fails.
 
     The decay exponent ``s`` is proven, not fitted.  A profile ``phi_hat``
     has bounded variation and compact support, so integrating by parts
@@ -317,8 +312,7 @@ def exactness_evidence(b, ts, a, profile=None, envelope=None, ps=None, budgets=N
     hyps.append(Hypothesis("time-decay rate", slope, -a, slope <= -a))
 
     if profile is not None:
-        if ps is None:
-            ps = periodize(profile, b, grid_size=2**14)
+        ps = periodize(profile, b, grid_size=2**14)
         alpha = 2.0 * a - 1.0
         sup = float(np.max(ps.values))
         sums = []

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -332,6 +333,50 @@ def test_config_holds_only_the_given_options(capsys):
     code, doc = run_json(capsys, "density", "--indices", "Z", "--window", "100", "--xmax", "100")
     assert code == 0
     assert doc["config"] == {"command": "density", "indices": "Z", "window": 100, "xmax": 100.0, "seed": 0}
+
+
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (("gallery", "blocks", "--nmax", "0"), "n_max out of the supported range [1, 24]"),
+        (("gallery", "blocks", "--alpha", "0"), "alpha must lie in (0, 1)"),
+        (("gallery", "taper", "--a", "0"), "need 0 < b < a"),
+        (("gallery", "ramp", "--b", "0"), "need 0 < b < a"),
+        (("gallery", "taper", "--window", "0"), "--window must lie in [4, 2048]"),
+        (("gallery", "taper", "--grid", "0"), "--grid must be a power of two"),
+        (("verify", "blocks", "--alpha", "0"), "alpha must lie in (0, 1)"),
+        (("verify", "blocks", "--nmin", "0", "--nmax", "6"), "block index must be >= 1"),
+        (("analyze", "--profile", "tent", "--window", "0"), "--window must lie in [4, 2048]"),
+        (("analyze", "--profile", "tent", "--grid", "0"), "--grid must be a power of two"),
+        (("gram", "--profile", "tent", "--window", "0"), "--window must lie in [4, 2048]"),
+        (("periodize", "--profile", "tent", "--grid", "0"), "--grid must be a power of two"),
+        (("hausdorff", "--profile", "tent", "--alpha", "0.5", "--grid", "0"), "--grid must be a power of two"),
+        (("density", "--indices", "squares:50", "--xmax", "inf"), "--xmax must be finite"),
+        (("density", "--indices", "squares:50", "--xmax", "nan", "--envelope", "power:0.75"), "--xmax must be finite"),
+    ],
+)
+def test_zero_flags_and_non_finite_xmax_are_refused(capsys, argv, named):
+    # a flag given 0 is a value, not a missing flag: it meets the same checks as any other
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and not out
+    assert err.startswith("usage error: ") and named in err and "Traceback" not in err
+
+
+def _readme_commands():
+    readme = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        blocks = re.findall(r"```sh\n(.*?)```", fh.read(), flags=re.S)
+    return [line.split()[1:] for block in blocks for line in block.splitlines() if line.startswith("frameseq ")]
+
+
+def test_readme_commands_run(capsys, tmp_path):
+    commands = _readme_commands()
+    assert commands, "README.md lost its CLI examples"
+    for argv in commands:
+        # files the examples name go to tmp_path
+        argv = [str(tmp_path / v) if k in ("--out", "--csv") else v for k, v in zip([None, *argv], argv)]
+        code, out, err = run(capsys, *argv)
+        assert code == 0, (argv, err)
 
 
 @pytest.mark.parametrize("token", ["blocks:1.5:4", "blocks:0:4", "blocks:-0.5:4"])

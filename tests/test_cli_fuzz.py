@@ -85,7 +85,7 @@ COMMANDS = {
     "gram": _argv(st.just("gram"), _req("--profile", PROFILE), _opt("--b", SPACING), _opt("--indices", INDICES),
                   _opt("--window", WINDOW), SEED),
     "density": _argv(st.just("density"), _req("--indices", INDICES), _opt("--window", WINDOW),
-                     _opt("--xmax", _num(1, 256, ("-1",))), _opt("--envelope", ENVELOPE), SEED),
+                     _opt("--xmax", _num(1, 256, ("-1", "0", "inf", "nan"))), _opt("--envelope", ENVELOPE), SEED),
     "hausdorff": _argv(st.just("hausdorff"), _req("--profile", PROFILE), _opt("--b", SPACING),
                        _req("--alpha", ALPHA), _opt("--levels", st.integers(-1, 4).map(str)), _opt("--grid", GRID),
                        SEED),

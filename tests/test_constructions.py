@@ -16,6 +16,7 @@ from frameseq.constructions import (
     verify_lower_collapse,
 )
 from frameseq.periodization import exact_bounds
+from frameseq.translation_sets import TranslationSet
 
 KNOWN_LABELS = {
     "orthonormal",
@@ -141,13 +142,12 @@ def test_verify_lower_collapse_failure_paths():
 
 
 def test_gallery_structure():
-    entries = gallery_profiles(include_blocks=False)
+    entries = gallery_profiles()
     names = [e.name for e in entries]
-    assert names == ["box", "tent", "plateau-taper", "ramp-plateau", "half-indicator"]
+    assert names == ["box", "tent", "plateau-taper", "ramp-plateau", "half-indicator", "dyadic-blocks"]
     for e in entries:
         assert e.cases
         for b, ts, expected in e.cases:
             assert b > 0 and expected in KNOWN_LABELS
-    with_blocks = gallery_profiles(include_blocks=True, blocks_grid=2**14, blocks_n_max=10)
-    assert with_blocks[-1].name == "dyadic-blocks"
-    assert with_blocks[-1].cases[0][2] == "upper bound only"
+    assert entries[-1].cases[0][1] == TranslationSet.dyadic_blocks(0.5, 10)
+    assert entries[-1].cases[0][2] == "upper bound only"

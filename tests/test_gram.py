@@ -249,7 +249,9 @@ def test_classify_non_integer_undetermined(taper):
 
 def test_classify_scale_equivariance(tent):
     base = classify(tent, 2.0, TranslationSet.integers(64))
-    scaled = classify(tent.scaled(3.0), 2.0, TranslationSet.integers(64))
+    # 3 phi: the tent's two affine pieces with slopes and intercepts times 3
+    tent3 = FourierProfile([Piece(0.0, 0.5, affine=(6.0, 0.0)), Piece(0.5, 1.0, affine=(-6.0, 6.0))])
+    scaled = classify(tent3, 2.0, TranslationSet.integers(64))
     assert scaled.classification == base.classification
     assert abs(scaled.A_est - 9.0 * base.A_est) < 1e-9
     assert abs(scaled.B_est - 9.0 * base.B_est) < 1e-9

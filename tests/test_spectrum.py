@@ -12,7 +12,6 @@ from frameseq.spectrum import (
     QuadratureError,
     TimeEnvelope,
     autocorrelation,
-    eval_spectrum,
     time_side_values,
 )
 from frameseq.translation_sets import g_function
@@ -243,20 +242,3 @@ def test_envelope_quadrature_tolerance_guard(monkeypatch):
         autocorrelation(TimeEnvelope.power(0.6), 1.0)
 
 
-def test_eval_spectrum_scalar_and_array(taper):
-    assert eval_spectrum(taper, 0.25) == 1.0
-    assert abs(eval_spectrum(taper, 0.75) - 0.5) < 1e-15
-    vals = eval_spectrum(taper, np.array([0.25, 0.75, 2.0]))
-    assert vals.shape == (3,)
-    assert vals[2] == 0.0
-
-
-def test_envelope_json_roundtrip():
-    for env in (
-        TimeEnvelope.power(0.9),
-        TimeEnvelope.exponential(0.5, {"xlog": {}}),
-        TimeEnvelope.table(np.array([1.0, 4.0]), np.array([1.0, 0.25])),
-    ):
-        back = TimeEnvelope.from_json(json.loads(json.dumps(env.to_json())))
-        xs = np.array([0.5, 1.0, 3.0, 10.0])
-        assert np.allclose(back.F(xs), env.F(xs))

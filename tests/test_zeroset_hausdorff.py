@@ -47,15 +47,13 @@ def test_sublevel_full_circle_is_flagged_without_a_warning():
     assert est.intervals == [(0.0, 1.0)]
 
 
-def _cover_reference(mask, alpha, depths, drop_isolated):
-    """The per-depth ``np.unique`` cover, with isolated points found by neighbours."""
-    mask = mask.copy()
+def _cover_reference(mask, alpha):
+    """The per-depth ``np.unique`` cover at depths 2..log2 M, with isolated points found by neighbours."""
     m = mask.size
-    if drop_isolated:
-        mask &= np.roll(mask, 1) | np.roll(mask, -1)
+    mask = mask & (np.roll(mask, 1) | np.roll(mask, -1))
     flagged = np.flatnonzero(mask)
     rows = []
-    for d in sorted(set(depths)):
+    for d in range(2, m.bit_length()):
         cells = np.unique(((2 * flagged + 1) << d) // (2 * m))
         rows.append((d, cells, float(cells.size) * 2.0 ** (-d * alpha)))
     best = min(rows, key=lambda row: row[2])
@@ -66,17 +64,13 @@ def _cover_reference(mask, alpha, depths, drop_isolated):
     k=st.integers(2, 10),
     density_=st.floats(0.0, 1.0),
     alpha=st.floats(0.05, 0.95),
-    drop=st.booleans(),
-    data=st.data(),
+    seed=st.integers(0, 2**32 - 1),
 )
 @settings(max_examples=200, deadline=None)
-def test_cover_mask_matches_unique_reference(k, density_, alpha, drop, data):
-    m = 2**k
-    seed = data.draw(st.integers(0, 2**32 - 1))
-    mask = np.random.default_rng(seed).uniform(size=m) < density_
-    depths = data.draw(st.lists(st.integers(0, k), min_size=1, max_size=k + 1))
-    est = cover_mask(mask, alpha, depths=depths, drop_isolated=drop)
-    (d, cells, s), by_depth = _cover_reference(mask, alpha, depths, drop)
+def test_cover_mask_matches_unique_reference(k, density_, alpha, seed):
+    mask = np.random.default_rng(seed).uniform(size=2**k) < density_
+    est = cover_mask(mask, alpha)
+    (d, cells, s), by_depth = _cover_reference(mask, alpha)
     assert est.scale == d and est.measure_sum == s and est.by_depth == by_depth
     assert est.intervals == [(float(j) * 2.0**-d, float(j + 1) * 2.0**-d) for j in cells.tolist()]
 
@@ -84,9 +78,8 @@ def test_cover_mask_matches_unique_reference(k, density_, alpha, drop, data):
 def test_cover_mask_drop_isolated():
     mask = np.zeros(64, dtype=bool)
     mask[17] = True
-    assert cover_mask(mask, 0.5).measure_sum == 0.0
-    kept = cover_mask(mask, 0.5, drop_isolated=False)
-    assert kept.measure_sum > 0.0 and len(kept.intervals) == 1
+    est = cover_mask(mask, 0.5)
+    assert est.measure_sum == 0.0 and est.intervals == []
     # runs of length >= 2 survive the pruning
     mask[18] = True
     assert cover_mask(mask, 0.5).measure_sum > 0.0
@@ -104,8 +97,6 @@ def test_cover_mask_validation():
         cover_mask(np.zeros(64, dtype=bool), 1.5)
     with pytest.raises(ValueError):
         cover_mask(np.zeros(60, dtype=bool), 0.5)
-    with pytest.raises(ValueError):
-        cover_mask(np.zeros(64, dtype=bool), 0.5, depths=[99])
 
 
 def test_coefficient_sum_dirichlet_equality():
@@ -187,9 +178,7 @@ def test_exactness_evidence_boundary_case():
     # threshold there (the thinning is bursty, so the fit oscillates in n_max)
     bs = infimum_spectrum(0.5, 12, 2**14)
     ts = TranslationSet.dyadic_blocks(0.5, 12)
-    res = exactness_evidence(
-        1.0, ts, 0.7, profile=bs.profile, ps=bs.spectrum, budgets=Budgets(window=64)
-    )
+    res = exactness_evidence(1.0, ts, 0.7, profile=bs.profile, budgets=Budgets(window=64))
     assert res.all_hypotheses_pass
     assert not res.lower_bounded
     assert res.verdict.startswith("boundary case")
