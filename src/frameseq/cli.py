@@ -10,29 +10,12 @@ byte-identical output.
 
 from __future__ import annotations
 
-import os
-
-
-def _cap_threads():
-    n = os.environ.get("FRAMESEQ_THREADS")
-    if n:
-        for var in (
-            "OPENBLAS_NUM_THREADS",
-            "MKL_NUM_THREADS",
-            "OMP_NUM_THREADS",
-            "NUMEXPR_NUM_THREADS",
-            "VECLIB_MAXIMUM_THREADS",
-        ):
-            os.environ.setdefault(var, n)
-
-
-_cap_threads()  # must precede the numpy import chain
-
 import argparse
 import csv
 import hashlib
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -57,6 +40,7 @@ from .gram import (
     weighted_norm_identity_check,
 )
 from .periodization import (
+    GRID_CAP,
     ResourceLimitError,
     cell_evidence,
     check_grid_size,
@@ -198,7 +182,7 @@ def _load_profile(source):
             return prof, {"token": source, "eps": eps}
         if name == "blocks" and len(args) in (2, 3):
             n_max = int(args[1])
-            grid = int(args[2]) if len(args) == 3 else max(2 ** (n_max + 2), 2**14)
+            grid = int(args[2]) if len(args) == 3 else _blocks_grid(n_max)
             built = infimum_spectrum(float(args[0]), n_max, grid)
             return built.profile, {"token": source, "grid": grid}
     except InconsistencyError:
@@ -208,6 +192,11 @@ def _load_profile(source):
     except (ValueError, RuntimeError) as exc:
         raise UsageError(f"cannot build profile {source!r}: {exc}") from exc
     raise UsageError(f"unknown profile {source!r} (not a token, not a file)")
+
+
+def _blocks_grid(n_max):
+    """Default grid of a blocks profile: block ``n_max`` needs ``2^(n_max + 2)`` points."""
+    return max(2 ** (n_max + 2), 2**14)
 
 
 def _load_indices(token, window):
@@ -398,27 +387,19 @@ def _gallery_pair(profile, spacings, ts, budgets):
 def _cmd_gallery(args, cfg):
     budgets = _budgets(args)
     ts = TranslationSet.integers(_given(args.window, 256))
-    if args.case == "taper":
-        a, b = _given(args.a, 2.0), _given(args.b_small, 1.0)
-        profile = plateau_taper_profile(a, b)
-        cases, verdicts, paired = _gallery_pair(profile, (b, a), ts, budgets)
-        payload = {"case": "taper", "a": a, "b": b, "cases": cases, "paired": paired}
-    elif args.case == "ramp":
-        a, b = _given(args.a, 3.0), _given(args.b_small, 2.0)
-        profile, eps = ramp_plateau_profile(a, b)
-        cases, verdicts, paired = _gallery_pair(profile, (b, a), ts, budgets)
-        payload = {
-            "case": "ramp",
-            "a": a,
-            "b": b,
-            "eps": eps,
-            "cases": cases,
-            "paired": paired,
-        }
+    if args.case in ("taper", "ramp"):
+        ramp = args.case == "ramp"
+        a, b = _given(args.a, 3.0 if ramp else 2.0), _given(args.b_small, 2.0 if ramp else 1.0)
+        payload = {"case": args.case, "a": a, "b": b}
+        if ramp:
+            profile, payload["eps"] = ramp_plateau_profile(a, b)
+        else:
+            profile = plateau_taper_profile(a, b)
+        payload["cases"], verdicts, payload["paired"] = _gallery_pair(profile, (b, a), ts, budgets)
     else:  # blocks
         alpha = _given(args.alpha, 0.5)
         n_max = _given(args.nmax, 10)
-        grid = _given(args.grid, max(2 ** (n_max + 2), 2**14))
+        grid = _given(args.grid, _blocks_grid(n_max))
         built = infimum_spectrum(alpha, n_max, grid)
         ts_blocks = TranslationSet.dyadic_blocks(alpha, n_max)
         rep = classify(built.profile, 1.0, ts_blocks, budgets=budgets)
@@ -444,9 +425,12 @@ def _cmd_verify(args, cfg):
     alpha = _given(args.alpha, 0.5)
     n_max = _given(args.nmax, 12)
     n_min = _given(args.nmin, 4)
-    # the halving margin is thin; default to a grid that resolves the
-    # finest block waves with room to spare
-    grid = _given(args.grid, max(2 ** (n_max + 4), 2**16))
+    if args.grid is not None:
+        grid = check_grid_size(args.grid, "--grid")
+    else:
+        # the halving margin is thin: resolve the finest block waves with
+        # room to spare, up to GRID_CAP while that still resolves them
+        grid = max(_blocks_grid(n_max), min(max(2 ** (n_max + 4), 2**16), GRID_CAP))
     report = verify_lower_collapse(alpha, range(n_min, n_max + 1), grid)
     payload = dict(report)
     payload["seed"] = args.seed

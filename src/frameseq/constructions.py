@@ -12,12 +12,13 @@ sets, the infimum spectrum is positive everywhere, yet the weighted norms
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .periodization import InconsistencyError, PeriodizedSpectrum, check_grid_size, periodize
 from .spectrum import FourierProfile, Piece
+from .translation_sets import DyadicBlocks, TranslationSet, _check_alpha, density_exponent_fit
 
 __all__ = [
     "indicator_profile",
@@ -79,29 +80,18 @@ def plateau_taper_profile(a, b):
     )
 
 
-def _plateau_clear(a, ratio, eps, n_scan):
-    """No translate (xi + n)/a, xi in (0, eps), meets [1/b, 1/b + eps].
-
-    Membership rewrites to xi in [ratio - n, ratio - n + a*eps] with
-    ratio = a/b, so the interval intersection with (0, eps) is checked in
-    closed form for every |n| <= n_scan.
-    """
-    for n in range(-n_scan, n_scan + 1):
-        t = ratio - n
-        if t < eps and t > -a * eps:
-            return False
-    return True
-
-
 def ramp_plateau_profile(a, b):
-    """Ramp ``xi`` on [0, 1/a] plus a unit plateau of scanned width at 1/b.
+    """Ramp ``xi`` on [0, 1/a] plus a unit plateau of width ``eps`` at 1/b.
 
-    The plateau width ``eps`` is the largest dyadic-bisection value (to
-    resolution 2^-20) such that no ``a``-spacing translate of (0, eps)
-    meets the plateau: the periodization at spacing ``a`` then collapses
-    with the ramp while spacing ``b`` keeps a positive infimum off its
-    zero set.  Requires ``0 < b < a`` with ``a/b`` not an integer.
-    Returns ``(profile, eps)``.
+    No ``a``-spacing translate of (0, eps) meets the plateau, so the
+    periodization at spacing ``a`` collapses with the ramp while spacing
+    ``b`` keeps a positive infimum off its zero set.  The translate
+    ``(xi + n)/a``, xi in (0, eps), meets it exactly when
+    ``-a eps < a/b - n < eps``; with ``r`` the fractional part of ``a/b``
+    only ``n = floor(a/b)`` and ``n + 1`` can, so ``eps`` is the widest
+    clear width ``min(r, (1 - r)/a)`` rounded down to a multiple of 2^-22.
+    Requires ``0 < b < a`` with ``a/b`` not an integer.  Returns
+    ``(profile, eps)``.
     """
     a, b = float(a), float(b)
     if not (0.0 < b < a):
@@ -109,18 +99,8 @@ def ramp_plateau_profile(a, b):
     ratio = a / b
     if abs(ratio - round(ratio)) <= 1e-9:
         raise ValueError(f"a/b = {ratio:g} is an integer; no plateau placement exists")
-    n_scan = math.ceil(4.0 * a) + 16
-    lo, hi = 0.0, 1.0
-    if _plateau_clear(a, ratio, hi, n_scan):
-        lo = hi
-    else:
-        while hi - lo > EPS_RESOLUTION / 4.0:
-            mid = 0.5 * (lo + hi)
-            if _plateau_clear(a, ratio, mid, n_scan):
-                lo = mid
-            else:
-                hi = mid
-    eps = lo
+    r = ratio - math.floor(ratio)
+    eps = math.floor(min(r, (1.0 - r) / a) * 2**22) / 2**22
     if eps < EPS_RESOLUTION:
         raise RuntimeError(
             f"no admissible plateau width above resolution {EPS_RESOLUTION:g} "
@@ -140,59 +120,6 @@ def ramp_plateau_profile(a, b):
 # ----------------------------------------------------------------------------
 # dyadic blocks
 # ----------------------------------------------------------------------------
-
-
-def _check_alpha(alpha):
-    """``alpha`` as a float when it lies in (0, 1), else ValueError."""
-    alpha = float(alpha)
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must lie in (0, 1), got {alpha:g}")
-    return alpha
-
-
-def _block_exponents(alpha, n_max):
-    ns = np.arange(1, n_max + 1)
-    return np.maximum(np.floor(alpha * ns - np.sqrt(ns)).astype(int), 0)
-
-
-@dataclass
-class DyadicBlocks:
-    """Index set ``union over n of {2^n + k 2^(m_n) : 1 <= k <= 2^(n - m_n)}``.
-
-    ``m_n = max(floor(alpha n - sqrt n), 0)`` thins block ``n`` from full
-    density down to ``2^(n - m_n)`` points, giving overall density exponent
-    about ``1 - alpha``.  Block ``n`` lives in ``(2^n, 2^(n+1)]``, so blocks
-    never overlap and the realized set is strictly increasing.
-    """
-
-    alpha: float
-    n_max: int
-    m: np.ndarray = field(init=False)
-
-    def __post_init__(self):
-        self.alpha = _check_alpha(self.alpha)
-        self.n_max = int(self.n_max)
-        if not (1 <= self.n_max <= 24):
-            raise ValueError("n_max must lie in [1, 24]")
-        self.m = _block_exponents(self.alpha, self.n_max)
-        start = math.ceil(1.0 / (4.0 * self.alpha**2)) + 1
-        tail = self.m[start - 1 :]
-        if tail.size > 1 and np.any(np.diff(tail) < 0):
-            raise InconsistencyError("block exponents decreased in the stable range")
-
-    def block(self, n):
-        """The ``n``-th block as a sorted integer array."""
-        if not (1 <= n <= self.n_max):
-            raise ValueError(f"block index {n} outside [1, {self.n_max}]")
-        m = int(self.m[n - 1])
-        k = np.arange(1, 2 ** (n - m) + 1, dtype=np.int64)
-        return (1 << n) + k * (1 << m)
-
-    def realize(self):
-        lam = np.concatenate([self.block(n) for n in range(1, self.n_max + 1)])
-        if np.any(np.diff(lam) <= 0):
-            raise InconsistencyError("realized index set is not strictly increasing")
-        return lam
 
 
 @dataclass
@@ -216,22 +143,22 @@ class BlockWave:
 def block_wave(alpha, n, grid_size):
     """Construct the block wave ``f_n`` with its closed-form grid values.
 
-    ``f_n = 2^((m-n)/2) sum_k e^{2 pi i (2^n + k 2^m) xi}`` over the block
-    frequencies; on the midpoint grid the geometric sum collapses to a
-    ratio of sines, which is what the returned ``values`` hold.  The grid
-    mean of ``|values|^2`` must equal 1 (midpoint sums of low-degree
-    exponentials are exact); deviation beyond 1e-9 raises.
+    ``f_n = 2^((m-n)/2) sum_k e^{2 pi i (2^n + k 2^m) xi}`` over block
+    ``n`` of ``DyadicBlocks(alpha, n)``; on the midpoint grid the geometric
+    sum collapses to a ratio of sines, which is what the returned ``values``
+    hold.  The grid mean of ``|values|^2`` must equal 1 (midpoint sums of
+    low-degree exponentials are exact); deviation beyond 1e-9 raises.
     """
-    alpha = _check_alpha(alpha)
     n = int(n)
     if n < 1:
         raise ValueError("block index must be >= 1")
     M = check_grid_size(grid_size)
     if M < 2 ** (n + 2):
         raise ValueError(f"grid {M} too coarse for block {n}; need >= {2 ** (n + 2)}")
-    m = int(_block_exponents(alpha, n)[-1])
-    count = 2 ** (n - m)
-    freqs = (1 << n) + np.arange(1, count + 1, dtype=np.int64) * (1 << m)
+    blocks = DyadicBlocks(alpha, n)
+    m = int(blocks.m[-1])
+    freqs = blocks.block(n)
+    count = freqs.size
     coeffs = np.full(count, 2.0 ** ((m - n) / 2.0))
     xi = (np.arange(M) + 0.5) / M
     # sum_{k=1..K} z^k = e^{i(K+1)theta/2} sin(K theta/2)/sin(theta/2),
@@ -244,7 +171,7 @@ def block_wave(alpha, n, grid_size):
     if norm_dev > 1e-9:
         raise InconsistencyError(f"block wave norm deviates by {norm_dev:.3e} on the grid")
     return BlockWave(
-        alpha=float(alpha),
+        alpha=blocks.alpha,
         n=n,
         m=m,
         freqs=freqs,
@@ -345,8 +272,6 @@ def verify_lower_collapse(alpha, n_range, grid_size):
             f"weighted norms failed to halve: w_{n_list[0]} = {w_bottom:.6g}, "
             f"w_{n_list[-1]} = {w_top:.6g}"
         )
-    from .translation_sets import TranslationSet, density_exponent_fit
-
     ts = TranslationSet.dyadic_blocks(alpha, n_list[-1])
     exponent, fit_windows = density_exponent_fit(ts)
     bound = 1.0 - alpha + 0.1
@@ -390,8 +315,6 @@ def gallery_profiles():
 
     The dyadic-blocks entry is built at ``n_max = 10`` on a 2^14-point grid.
     """
-    from .translation_sets import TranslationSet
-
     z = TranslationSet.integers(512)
     entries = [
         GalleryEntry("box", box_profile(), ((1.0, z, "orthonormal"),)),

@@ -358,7 +358,8 @@ def exact_bounds(profile, b):
     A fitted value against a sample of ``Phi_b`` is therefore within
     ``budget = 9 T rho (S + D max(X, 1/b))``; cells whose extreme is within
     ``budget`` of 0 touch zero, and ``Phi_b`` is constant when its range
-    is within ``budget``.
+    is within ``budget``.  A spacing so small that the budget reaches the
+    ess sup (it grows like ``1/b``) raises ``ValueError``.
     """
     b = check_spacing(b)
     pos, tol = _circle_breakpoints(profile, b)
@@ -389,6 +390,12 @@ def exact_bounds(profile, b):
             d_max = max(d_max, abs(q1 + 2.0 * q2 * x))
     x_max = max(abs(v) for v in profile.support())
     budget = 9.0 * (n_hi - n_lo + 1) * _ROUNDOFF * (s_max + d_max * max(x_max, 1.0 / b))
+    sup = float(hi.max())
+    if budget >= sup:
+        raise ValueError(
+            f"spacing b = {b:g} is too small: the cells' roundoff budget {budget:.3g} reaches "
+            f"ess sup {sup:.3g} of Phi_b, so the cells cannot tell Phi_b from 0"
+        )
     return ExactBounds(
         b=b,
         starts=pos,
@@ -397,7 +404,7 @@ def exact_bounds(profile, b):
         zero=zero,
         inf=float(lo.min()),
         inf_nonzero=float(lo[~zero].min()),
-        sup=float(hi.max()),
+        sup=sup,
         zero_measure=float(widths[zero].sum()),
         budget=budget,
         tol=tol,

@@ -16,14 +16,16 @@ G * D is necessary; both directions are probed here on finite windows.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
+from .periodization import InconsistencyError
 from .spectrum import _integrate_gaps, _tail_F2
 
 __all__ = [
     "TranslationSet",
+    "DyadicBlocks",
     "as_indices",
     "density",
     "is_sparse",
@@ -87,11 +89,8 @@ class TranslationSet:
 
     @classmethod
     def dyadic_blocks(cls, alpha, n_max):
-        if not (0 < alpha < 1):
-            raise ValueError("alpha must lie in (0, 1)")
-        if n_max < 1 or n_max > 24:
-            raise ValueError("n_max out of the supported range [1, 24]")
-        return cls._make("dyadic_blocks", alpha=float(alpha), n_max=int(n_max))
+        blocks = DyadicBlocks(alpha, n_max)
+        return cls._make("dyadic_blocks", alpha=blocks.alpha, n_max=blocks.n_max)
 
     # -- realization ---------------------------------------------------------
 
@@ -117,8 +116,6 @@ class TranslationSet:
         elif k == "geometric":
             pts = 2 ** np.arange(0, self._p("n_max") + 1, dtype=np.int64)
         else:
-            from .constructions import DyadicBlocks
-
             pts = DyadicBlocks(self._p("alpha"), self._p("n_max")).realize()
         return as_indices(pts)
 
@@ -155,6 +152,55 @@ class TranslationSet:
                 raise ValueError("token blocks:<alpha>:<n_max>")
             return TranslationSet.dyadic_blocks(float(args[0]), int(args[1]))
         raise ValueError(f"unknown translation-set token: {token!r}")
+
+
+def _check_alpha(alpha):
+    """``alpha`` as a float when it lies in (0, 1), else ValueError."""
+    alpha = float(alpha)
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must lie in (0, 1), got {alpha:g}")
+    return alpha
+
+
+@dataclass
+class DyadicBlocks:
+    """Index set ``union over n of {2^n + k 2^(m_n) : 1 <= k <= 2^(n - m_n)}``.
+
+    ``m_n = max(floor(alpha n - sqrt n), 0)`` thins block ``n`` from full
+    density down to ``2^(n - m_n)`` points, giving overall density exponent
+    about ``1 - alpha``.  Block ``n`` lives in ``(2^n, 2^(n+1)]``, so blocks
+    never overlap and the realized set is strictly increasing.
+    """
+
+    alpha: float
+    n_max: int
+    m: np.ndarray = field(init=False)
+
+    def __post_init__(self):
+        self.alpha = _check_alpha(self.alpha)
+        self.n_max = int(self.n_max)
+        if not (1 <= self.n_max <= 24):
+            raise ValueError("n_max out of the supported range [1, 24]")
+        ns = np.arange(1, self.n_max + 1)
+        self.m = np.maximum(np.floor(self.alpha * ns - np.sqrt(ns)).astype(int), 0)
+        start = math.ceil(1.0 / (4.0 * self.alpha**2)) + 1
+        tail = self.m[start - 1 :]
+        if tail.size > 1 and np.any(np.diff(tail) < 0):
+            raise InconsistencyError("block exponents decreased in the stable range")
+
+    def block(self, n):
+        """The ``n``-th block as a sorted integer array."""
+        if not (1 <= n <= self.n_max):
+            raise ValueError(f"block index {n} outside [1, {self.n_max}]")
+        m = int(self.m[n - 1])
+        k = np.arange(1, 2 ** (n - m) + 1, dtype=np.int64)
+        return (1 << n) + k * (1 << m)
+
+    def realize(self):
+        lam = np.concatenate([self.block(n) for n in range(1, self.n_max + 1)])
+        if np.any(np.diff(lam) <= 0):
+            raise InconsistencyError("realized index set is not strictly increasing")
+        return lam
 
 
 # float64 tells neighbouring integers apart up to 2^53, and int64 differences
@@ -417,6 +463,19 @@ def _g_tail_exponent(env):
 # ----------------------------------------------------------------------------
 
 
+def _window_table(env, ts, x_max):
+    """The realized window of ``ts``, refused when shorter than ``x_max``, as ``xs -> (D, G)``.
+
+    Both upper-bound tests read ``D`` (one density sweep) and ``G`` (one
+    :func:`g_function` call) on their own grid of windows up to ``x_max``.
+    """
+    lam = as_indices(ts)
+    span = float(lam[-1] - lam[0])
+    if x_max > span:
+        raise ValueError(f"x_max {x_max:g} exceeds the realized window span {span:g}")
+    return lambda xs: (_density_sorted(lam, xs).astype(float), np.asarray(g_function(env, xs)))
+
+
 @dataclass
 class SufficiencyResult:
     integral: float
@@ -440,16 +499,12 @@ def upper_bound_sufficient(env, ts, x_max=1e4, n_grid=256):
     ``undetermined``.  Non-power envelopes have no certified tail model and
     always report ``undetermined`` with the window integral attached.
     """
-    lam = as_indices(ts)
-    span = float(lam[-1] - lam[0])
-    if x_max > span:
-        raise ValueError(f"x_max {x_max:g} exceeds the realized window span {span:g}")
+    table = _window_table(env, ts, x_max)
     if not x_max > 1.0:
         raise ValueError(f"x_max {x_max:g} leaves no window [1, x_max] to integrate over")
     u = np.linspace(0.0, math.log(x_max), n_grid)
     xs = np.exp(u)
-    dvals = _density_sorted(lam, xs).astype(float)
-    gvals = np.asarray(g_function(env, xs))
+    dvals, gvals = table(xs)
     integrand = gvals * dvals
     integral = float(np.trapezoid(integrand, u))
 
@@ -511,15 +566,11 @@ def upper_bound_necessary(env, ts, x_max=1e4, n_grid=256):
     violates the necessary condition; a flat running max is consistent with
     a bounded product.
     """
-    lam = as_indices(ts)
-    span = float(lam[-1] - lam[0])
-    if x_max > span:
-        raise ValueError(f"x_max {x_max:g} exceeds the realized window span {span:g}")
+    table = _window_table(env, ts, x_max)
     if not x_max >= 4.0:
         raise ValueError(f"x_max {x_max:g} < 4 leaves the quarter window [1, x_max / 4] empty")
     xs = np.geomspace(1.0, x_max, n_grid)
-    dvals = _density_sorted(lam, xs).astype(float)
-    gvals = np.asarray(g_function(env, xs))
+    dvals, gvals = table(xs)
     product = gvals * dvals
     running = np.maximum.accumulate(product)
     sup_est = float(running[-1])

@@ -18,6 +18,7 @@ import numpy as np
 
 from .gram import Budgets, nested_window_bounds, window_ladder
 from .periodization import cyclic_runs, periodize
+from .spectrum import _poly_osc_integral
 from .translation_sets import _density_sorted, as_indices, density_exponent_fit
 
 __all__ = [
@@ -184,31 +185,21 @@ class IntervalMassBound:
     normalized: bool
 
 
-def _interval_transform(diffs, lo, hi):
-    """integral over [lo, hi] of e^{2 pi i d xi} for an integer array d."""
-    out = np.empty(diffs.shape, dtype=complex)
-    zero = diffs == 0
-    out[zero] = hi - lo
-    d = diffs[~zero].astype(float)
-    out[~zero] = (np.exp(2j * np.pi * d * hi) - np.exp(2j * np.pi * d * lo)) / (
-        2j * np.pi * d
-    )
-    return out
-
-
 def interval_mass_bound_check(lam, coeffs, interval):
     """Exact ``int_I |f|^2`` against the density bound ``l(I) D(1/l(I))``.
 
     The mass integral is evaluated in closed form from the coefficient cross
-    terms.  The reported ratio carries no constant: the testable property is
-    its stability across interval scales, not a fixed bound.
+    terms, each the integral of ``e^{2 pi i (lam_j - lam_k) xi}`` over ``I``
+    (``spectrum._poly_osc_integral``).  The reported ratio carries no
+    constant: the testable property is its stability across interval scales,
+    not a fixed bound.
     """
     lam, c, normalized = _unit_coeffs(lam, coeffs)
     lo, hi = float(interval[0]), float(interval[1])
     if not (hi > lo):
         raise ValueError(f"bad interval [{lo}, {hi}]")
-    diffs = lam[:, None] - lam[None, :]
-    mass = float(np.real(np.sum(np.outer(c, np.conj(c)) * _interval_transform(diffs, lo, hi))))
+    cross = _poly_osc_integral(1.0, 0.0, 0.0, lo, hi, lam[:, None] - lam[None, :])
+    mass = float(np.real(np.sum(np.outer(c, np.conj(c)) * cross)))
     ell = hi - lo
     dval = _density_sorted(lam, 1.0 / ell)
     return IntervalMassBound(

@@ -252,6 +252,29 @@ def test_verify_blocks_csv(capsys, tmp_path):
     assert lines[0] == "n,w" and len(lines) == 10
 
 
+@pytest.mark.parametrize("n_max, grid", [(12, 2**16), (18, 2**22), (19, 2**22), (20, 2**22)])
+def test_verify_default_grid_stays_under_the_cap(capsys, monkeypatch, n_max, grid):
+    # 2^(n_max + 4) points, capped at GRID_CAP = 2^22, which still resolves block n_max up to 20
+    seen = []
+    monkeypatch.setattr(cli, "verify_lower_collapse", lambda alpha, n_range, g: seen.append(g) or {"rows": []})
+    code, out, err = run(capsys, "verify", "blocks", "--nmax", str(n_max))
+    assert code == 0 and seen == [grid], err
+
+
+@pytest.mark.parametrize("command", ["analyze", "periodize"])
+@pytest.mark.parametrize("b", ["1e-12", "1e-14"])
+def test_tiny_spacing_is_refused(capsys, command, b):
+    # the cells' roundoff budget grows like 1/b; once it reaches ess sup they cannot tell Phi_b from 0
+    code, out, err = run(capsys, command, "--profile", "tent", "--b", b)
+    assert code == 1 and not out
+    assert "Traceback" not in err and f"spacing b = {b} is too small" in err
+
+
+def test_small_spacing_above_the_budget_is_classified(capsys):
+    code, doc = run_json(capsys, "analyze", "--profile", "tent", "--b", "1e-10", "--indices", "Z")
+    assert code == 0 and doc["result"]["report"]["classification"] == "not a frame sequence"
+
+
 def test_reports_are_deterministic(capsys, tmp_path):
     f1, f2 = tmp_path / "a.json", tmp_path / "b.json"
     for f in (f1, f2):
@@ -353,6 +376,7 @@ def test_config_holds_only_the_given_options(capsys):
         (("hausdorff", "--profile", "tent", "--alpha", "0.5", "--grid", "0"), "--grid must be a power of two"),
         (("density", "--indices", "squares:50", "--xmax", "inf"), "--xmax must be finite"),
         (("density", "--indices", "squares:50", "--xmax", "nan", "--envelope", "power:0.75"), "--xmax must be finite"),
+        (("verify", "blocks", "--grid", "0"), "--grid must be a power of two"),
     ],
 )
 def test_zero_flags_and_non_finite_xmax_are_refused(capsys, argv, named):

@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from frameseq.constructions import (
+    EPS_RESOLUTION,
     DyadicBlocks,
     block_wave,
     box_profile,
@@ -53,6 +56,35 @@ def test_ramp_plateau_width_rational():
 def test_ramp_plateau_width_irrational():
     _, eps = ramp_plateau_profile(math.pi, 1.0)
     assert abs(eps - (math.pi - 3.0)) < 2.0**-18
+
+
+def _plateau_met(a, b, eps):
+    """Brute force: some translate (xi + n)/a, xi in (0, eps), |n| <= a/b + 2, meets [1/b, 1/b + eps]."""
+    ratio = a / b
+    reach = math.ceil(ratio) + 2
+    t = ratio - np.arange(-reach, reach + 1)
+    return bool(np.any((t < eps) & (t > -a * eps)))
+
+
+# b ranges down to a/200, so a/b reaches past the ceil(4a) + 16 translates the old scan covered
+RAMP_PAIRS = st.floats(0.05, 50.0).flatmap(lambda a: st.tuples(st.just(a), st.floats(a / 200.0, a, exclude_max=True)))
+
+
+@example(pair=(9.845486583221927, 0.07682494167483662))  # a/b = 128.15, past the old scan
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(pair=RAMP_PAIRS)
+def test_ramp_plateau_width_is_the_widest_clear_multiple(pair):
+    a, b = pair
+    ratio = a / b
+    assume(abs(ratio - round(ratio)) > 1e-9)
+    try:
+        _, eps = ramp_plateau_profile(a, b)
+    except RuntimeError:
+        assert _plateau_met(a, b, EPS_RESOLUTION)
+        return
+    assert eps >= EPS_RESOLUTION and eps * 2**22 == math.floor(eps * 2**22)
+    assert not _plateau_met(a, b, eps)
+    assert _plateau_met(a, b, eps + 2.0**-22)
 
 
 def test_ramp_plateau_refusals():

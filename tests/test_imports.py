@@ -1,4 +1,5 @@
-"""Every module of the package uses what it imports (``__init__`` re-exports and is exempt)."""
+"""Every module of the package uses what it imports (``__init__`` re-exports and is exempt),
+and imports only at module level, so an import cycle cannot hide inside a function."""
 
 import ast
 from pathlib import Path
@@ -34,3 +35,25 @@ def test_checker_sees_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def local_imports(source):
+    """Line numbers of the imports that sit inside a function body."""
+    tree = ast.parse(source)
+    return sorted(
+        node.lineno
+        for fn in ast.walk(tree)
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for node in ast.walk(fn)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+    )
+
+
+def test_checker_sees_a_local_import():
+    source = "import os\n\ndef f():\n    from math import pi\n    return pi\n\nclass C:\n    def g(self):\n        import sys\n"
+    assert local_imports(source) == [4, 9]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_function_local_imports(path):
+    assert local_imports(path.read_text()) == []

@@ -1,4 +1,5 @@
 import math
+import re
 import time
 import warnings
 
@@ -11,6 +12,7 @@ from scipy.integrate import quad
 from frameseq import spectrum, translation_sets
 from frameseq.spectrum import QuadratureError, TimeEnvelope, _integrate_gaps, _tail_F2, autocorrelation
 from frameseq.translation_sets import (
+    DyadicBlocks,
     TranslationSet,
     _density_sorted,
     _pair_g_sum,
@@ -139,6 +141,20 @@ def test_constructor_refusals():
         TranslationSet.powers(1, 10)
     with pytest.raises(ValueError):
         TranslationSet.dyadic_blocks(1.5, 8)
+
+
+@pytest.mark.parametrize(
+    "alpha, n_max, message",
+    [(a, 8, "alpha must lie in (0, 1)") for a in (1.5, 0.0, float("nan"))]
+    + [(0.5, n, "n_max out of the supported range [1, 24]") for n in (0, 25)],
+)
+def test_dyadic_blocks_set_and_index_refuse_alike(alpha, n_max, message):
+    # the translation set validates through DyadicBlocks, so both refuse with one message
+    with pytest.raises(ValueError, match=re.escape(message)) as by_blocks:
+        DyadicBlocks(alpha, n_max)
+    with pytest.raises(ValueError) as by_set:
+        TranslationSet.dyadic_blocks(alpha, n_max)
+    assert str(by_set.value) == str(by_blocks.value)
 
 
 def test_token_parsing():
