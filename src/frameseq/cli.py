@@ -60,8 +60,8 @@ from .translation_sets import (
 )
 from .zeroset_hausdorff import (
     coefficient_sum_bound_check,
-    hausdorff_sublevel,
     interval_mass_scaling,
+    sublevel_ladder,
 )
 
 SCHEMA = "frameseq/1"
@@ -85,7 +85,7 @@ index tokens (--indices):
   | blocks:<alpha>:<n> | list:<v1>,<v2>,...   (Z/N/mZ take --window)
 CSV columns:
   periodize: xi, phi          verify: n, w
-  density:   x, D             hausdorff: depth, cells, measure_sum
+  density:   x, D             hausdorff: eps, depth, cells, measure_sum
 """
 
 
@@ -196,7 +196,7 @@ def _load_profile(source):
 
 def _blocks_grid(n_max):
     """Default grid of a blocks profile: block ``n_max`` needs ``2^(n_max + 2)`` points."""
-    return max(2 ** (n_max + 2), 2**14)
+    return check_grid_size(max(2 ** (n_max + 2), 2**14), f"n_max = {n_max} needs 2^{n_max + 2} points; a grid")
 
 
 def _load_indices(token, window):
@@ -342,24 +342,22 @@ def _cmd_density(args, cfg):
 
 
 def _cmd_hausdorff(args, cfg):
+    if args.levels < 1:
+        raise UsageError(f"--levels must be at least 1, got {args.levels}")
     profile, desc = _load_profile(args.profile)
     grid = check_grid_size(_given(args.grid, 2**14), "--grid")
-    ps = periodize(profile, args.b, grid_size=grid)
-    sup = float(np.max(ps.values))
-    levels = []
-    for k in range(1, args.levels + 1):
-        eps = sup * 2.0 ** (-2 * k)
-        est = hausdorff_sublevel(ps, args.alpha, eps)
-        levels.append(
-            {
-                "eps": eps,
-                "depth": est.scale,
-                "cells": len(est.intervals),
-                "measure_sum": est.measure_sum,
-                "full_circle": est.full_circle,
-            }
-        )
-    payload = {"profile": desc, "alpha": args.alpha, "levels": levels, "seed": args.seed}
+    ests, row, _ = sublevel_ladder(profile, args.b, args.alpha, range(2, 2 * args.levels + 1, 2), grid)
+    levels = [
+        {
+            "eps": est.eps,
+            "depth": est.scale,
+            "cells": len(est.intervals),
+            "measure_sum": est.measure_sum,
+            "full_circle": est.full_circle,
+        }
+        for est in ests
+    ]
+    payload = {"profile": desc, "alpha": args.alpha, "levels": levels, "evidence": [row], "seed": args.seed}
     if args.csv:
         _write_rows(
             args.csv,

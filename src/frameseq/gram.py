@@ -429,11 +429,11 @@ def window_ladder(n, window):
     return [w << k for k in range(WINDOW_DOUBLINGS + 1) if w << k <= min(n, EIGENSOLVE_CAP)]
 
 
-def nested_window_bounds(profile, b, lam, sizes, eb=None):
+def nested_window_bounds(profile, b, lam, sizes, eb):
     """Checked frame-bound estimates of the leading principal windows of ``lam`` of the given sizes.
 
     The largest window is built once by :func:`build_gram` (spot-checked
-    against the exact cells ``eb``, computed when absent); each smaller one
+    against the exact cells ``eb`` of ``Phi_b``); each smaller one
     is its leading principal submatrix.  On integer sets the largest
     window's eigenvalues must lie in ``eb.eigenvalue_interval``, else
     :class:`InconsistencyError`.  Returns one :class:`FrameBounds` per size
@@ -441,8 +441,6 @@ def nested_window_bounds(profile, b, lam, sizes, eb=None):
     and the spot check's facts, as :func:`classify`'s evidence rows print them.
     """
     lam = as_indices(lam)
-    if lam.dtype == np.int64 and eb is None:
-        eb = exact_bounds(profile, b)
     g = build_gram(profile, b, lam[: max(sizes)], eb=eb)
     fbs = [frame_bound_estimates(g.principal(k)) for k in sizes]
     check = {
@@ -476,7 +474,8 @@ def truncation_decay(profile, b, n_list):
             f"this family classifies as {report.classification!r}"
         )
     sizes = sorted(int(n) for n in n_list)
-    fbs, _, _ = nested_window_bounds(profile, b, np.arange(1, sizes[-1] + 1, dtype=np.int64), sizes)
+    lam = np.arange(1, sizes[-1] + 1, dtype=np.int64)
+    fbs, _, _ = nested_window_bounds(profile, b, lam, sizes, eb=exact_bounds(profile, b))
     return [
         {"N": n, "A_est": float(fb.A_est), "numerical_rank": fb.numerical_rank} for n, fb in zip(sizes, fbs)
     ]

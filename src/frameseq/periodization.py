@@ -72,9 +72,6 @@ class PeriodizedSpectrum:
         m = self.grid_size
         return (np.arange(m) + 0.5) / m
 
-    def mean(self):
-        return float(np.mean(self.values))
-
     def _coeff_fft(self):
         if self._fft is None:
             self._fft = np.fft.fft(self.values)
@@ -219,6 +216,10 @@ class ExactBounds:
     def constant(self):
         return self.sup - self.inf <= self.budget
 
+    @property
+    def mean(self):
+        return float(self.widths @ (self.coeffs[:, 0] + self.coeffs[:, 2] / 12.0))
+
     def _locate(self, xi, shift=0.0):
         """The cell holding each point ``xi + shift``, and the offset of ``xi`` from its midpoint in widths."""
         lo = self.starts[0]
@@ -309,7 +310,7 @@ class ExactBounds:
         masses, scale = np.sum(np.abs(jumps), axis=0), np.abs(inv)
         err = eps * (4.0 * (scale @ mags) + (2 * p + 3.0 * np.abs(omega) + 10.0) * (scale @ masses))
         zero = n == 0
-        c[zero] = w @ (c0 + c2 / 12.0)
+        c[zero] = self.mean
         err[zero] = eps * (p + 3) * (w @ (a0 + a2 / 12.0))
         edges = self.tol * (masses @ self.tol ** np.arange(3) + 2.0 * p * self.budget)
         return c, err + edges
@@ -483,9 +484,9 @@ def dilation_identity_deviation(profile, b, m_factor, grid_size=4096):
 def summary(ps, eb):
     """JSON-ready summary of a periodization ``ps`` and its exact cells ``eb``.
 
-    ``inf_nonzero``, ``sup`` and ``zero_fraction`` are the cells' ess inf
-    off the zero cells, ess sup and zero-set measure, so they do not move
-    with the grid; check ``ps`` against ``eb`` with :func:`cell_evidence`.
+    ``inf_nonzero``, ``sup``, ``zero_fraction`` and ``mean`` are the cells'
+    ess inf off the zero cells, ess sup, zero-set measure and mean: none
+    moves with the grid, which :func:`cell_evidence` checks against ``eb``.
     ``tail_bound`` is always 0 (the translate sum of a compactly supported
     profile is finite); the key stays so that ``frameseq/1`` output keeps
     its shape.
@@ -498,5 +499,5 @@ def summary(ps, eb):
         "inf_nonzero": eb.inf_nonzero,
         "sup": eb.sup,
         "zero_fraction": eb.zero_measure,
-        "mean": ps.mean(),
+        "mean": eb.mean,
     }

@@ -184,8 +184,8 @@ class Piece:
     samples: np.ndarray | None = None
 
     def __post_init__(self):
-        if not (self.hi > self.lo):
-            raise ValueError(f"piece needs hi > lo, got [{self.lo}, {self.hi})")
+        if not (math.isfinite(self.lo) and math.isfinite(self.hi) and self.hi > self.lo):
+            raise ValueError(f"piece needs finite ends with hi > lo, got [{self.lo}, {self.hi})")
         set_fields = sum(x is not None for x in (self.const, self.affine, self.samples))
         if set_fields != 1:
             raise ValueError("piece must set exactly one of const, affine, samples")
@@ -273,8 +273,12 @@ class FourierProfile:
                 raise ValueError(
                     f"pieces overlap: [{prev.lo}, {prev.hi}) and [{cur.lo}, {cur.hi})"
                 )
-        if self.norm_squared() <= 0.0:
-            raise ValueError("profile is identically zero")
+        try:
+            norm = self.norm_squared()
+        except OverflowError:  # a float ** past the largest double
+            norm = math.inf
+        if not 0.0 < norm < math.inf:
+            raise ValueError(f"||phi||^2 = {norm:g} over the support {self.support()} must be positive and finite")
 
     def eval(self, xi):
         """phi_hat at points ``xi`` (vectorized)."""

@@ -17,13 +17,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .gram import Budgets, nested_window_bounds, window_ladder
-from .periodization import cyclic_runs, periodize
+from .periodization import cell_evidence, cyclic_runs, exact_bounds, periodize
 from .spectrum import _poly_osc_integral
-from .translation_sets import _density_sorted, as_indices, density_exponent_fit
+from .translation_sets import _check_alpha, _density_sorted, as_indices, density_exponent_fit
 
 __all__ = [
     "CoverEstimate",
     "hausdorff_sublevel",
+    "sublevel_ladder",
     "cover_mask",
     "coefficient_sum_bound_check",
     "interval_mass_bound_check",
@@ -54,8 +55,7 @@ def cover_mask(mask, alpha):
     finest resolution carries no measure and stands in for the removable
     exceptional set.
     """
-    if not (0.0 < alpha < 1.0):
-        raise ValueError("alpha must lie in (0, 1)")
+    alpha = _check_alpha(alpha)
     mask = np.asarray(mask, dtype=bool).copy()
     m = mask.size
     if m < 4 or m & (m - 1):
@@ -79,7 +79,7 @@ def cover_mask(mask, alpha):
     width = 2.0**-d
     intervals = [(float(j) * width, float(j + 1) * width) for j in cells_at[d].tolist()]
     return CoverEstimate(
-        alpha=float(alpha),
+        alpha=alpha,
         eps=float("nan"),
         intervals=intervals,
         measure_sum=s,
@@ -94,9 +94,10 @@ def hausdorff_sublevel(ps, alpha, eps):
     A level at or above the grid's maximum covers the full circle: the
     estimate is the one unit interval, flagged ``full_circle``.
     """
+    alpha = _check_alpha(alpha)
     if eps >= float(np.max(ps.values)):
         return CoverEstimate(
-            alpha=float(alpha),
+            alpha=alpha,
             eps=float(eps),
             intervals=[(0.0, 1.0)],
             measure_sum=1.0,
@@ -107,6 +108,19 @@ def hausdorff_sublevel(ps, alpha, eps):
     est = cover_mask(ps.values <= eps, alpha)
     est.eps = float(eps)
     return est
+
+
+def sublevel_ladder(profile, b, alpha, powers, grid_size):
+    """Covers of ``{Phi_b <= sup 2^-k}`` for each ``k`` in ``powers``, ``sup`` the ess sup of :func:`exact_bounds`.
+
+    Counted on the ``grid_size``-point grid after :func:`cell_evidence` checks
+    it against the cells; returns the covers, its evidence row and the cells.
+    """
+    alpha = _check_alpha(alpha)
+    eb = exact_bounds(profile, b)
+    ps = periodize(profile, b, grid_size)
+    row = cell_evidence(eb, ps)
+    return [hausdorff_sublevel(ps, alpha, eb.sup * 2.0**-k) for k in powers], row, eb
 
 
 # ----------------------------------------------------------------------------
@@ -303,14 +317,8 @@ def exactness_evidence(b, ts, a, profile=None, envelope=None, budgets=None):
     hyps.append(Hypothesis("time-decay rate", slope, -a, slope <= -a))
 
     if profile is not None:
-        ps = periodize(profile, b, grid_size=2**14)
-        alpha = 2.0 * a - 1.0
-        sup = float(np.max(ps.values))
-        sums = []
-        for k in range(2, 7):
-            est = hausdorff_sublevel(ps, alpha, sup * 2.0**-k)
-            sums.append(est.measure_sum)
-        shrink = sums[-1] / sums[0] if sums[0] > 0 else 0.0
+        (first, last), _, eb = sublevel_ladder(profile, b, 2.0 * a - 1.0, (2, 6), 2**14)
+        shrink = last.measure_sum / first.measure_sum if first.measure_sum > 0 else 0.0
         hyps.append(Hypothesis("small-set cover trend", shrink, 0.7, shrink <= 0.7))
     # envelope-only input has no periodization, so the cover trend is not a
     # checkable hypothesis there; the verdict string records the gap instead
@@ -325,7 +333,7 @@ def exactness_evidence(b, ts, a, profile=None, envelope=None, budgets=None):
         lam = as_indices(ts)
         windows = window_ladder(lam.size, budgets.window)
         if windows:
-            fbs, _, _ = nested_window_bounds(profile, b, lam, windows)
+            fbs, _, _ = nested_window_bounds(profile, b, lam, windows, eb=eb)
             a_ests = [float(fb.A_est) for fb in fbs]
         lower_bounded = len(a_ests) >= 2 and a_ests[-1] >= 0.7 * a_ests[0] and a_ests[-1] > 0
         if lower_bounded:

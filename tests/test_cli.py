@@ -8,6 +8,8 @@ import textwrap
 import pytest
 
 import frameseq.cli as cli
+import frameseq.periodization as periodization
+from frameseq.constructions import ramp_plateau_profile
 from frameseq.gram import InconsistencyError
 
 
@@ -270,6 +272,87 @@ def test_tiny_spacing_is_refused(capsys, command, b):
     assert "Traceback" not in err and f"spacing b = {b} is too small" in err
 
 
+def test_hausdorff_refuses_a_tiny_spacing(capsys):
+    # the grid misses the width-b sliver where Phi_b is nonzero; the cells refuse the spacing instead
+    code, out, err = run(capsys, "hausdorff", "--profile", "tent", "--b", "1e-14", "--alpha", "0.5")
+    assert code == 1 and not out
+    assert "Traceback" not in err and "spacing b = 1e-14 is too small" in err
+
+
+def test_hausdorff_alpha_is_checked_on_the_full_circle_path(capsys):
+    # the grid misses the spike of width 1e-6, so every grid value is 0; alpha is still refused
+    code, out, err = run(capsys, "hausdorff", "--profile", "indicator:0:1e-6", "--alpha", "1.5", "--levels", "1")
+    assert code == 1 and not out
+    assert err.startswith("usage error: ") and "alpha must lie in (0, 1)" in err
+
+
+def test_hausdorff_levels_are_read_off_the_cells(capsys):
+    runs = {}
+    for grid in ("1024", "16384"):
+        argv = ["hausdorff", "--profile", "tent", "--alpha", "0.6", "--levels", "3", "--grid", grid]
+        code, doc = run_json(capsys, *argv)
+        assert code == 0
+        (row,) = doc["result"]["evidence"]
+        assert row["rule"] == "exact-cell-bounds" and row["check_grid"] == int(grid)
+        runs[grid] = [level["eps"] for level in doc["result"]["levels"]]
+        assert runs[grid] == [row["ess_sup"] * 4.0**-k for k in (1, 2, 3)]
+    assert runs["1024"] == runs["16384"]
+
+
+def test_hausdorff_grid_is_checked_against_the_cells(capsys, monkeypatch):
+    # with the breakpoint at 1/3 dropped, one cell's quadratic no longer fits Phi_1
+    argv = ["hausdorff", "--profile", "indicator:0:0.333333333333333", "--alpha", "0.5", "--levels", "2"]
+    assert run(capsys, *argv)[0] == cli.EXIT_OK
+    real = periodization._breakpoints
+    monkeypatch.setattr(periodization, "_breakpoints", lambda profile, b: real(profile, b)[:-1])
+    code, out, err = run(capsys, *argv)
+    assert code == cli.EXIT_INCONSISTENT and not out
+    assert "Traceback" not in err and "exact cells" in err
+
+
+def test_periodize_mean_is_read_off_the_cells(capsys):
+    # the grid's midpoint mean moves with --grid (0.357952353671 at 4096 points); the cells' does not
+    norm = ramp_plateau_profile(3.0, 2.0)[0].norm_squared()
+    means = []
+    for grid in ("1024", "4096", "65536"):
+        code, doc = run_json(capsys, "periodize", "--profile", "ramp:3:2", "--b", "2", "--grid", grid)
+        assert code == 0
+        means.append(doc["result"]["summary"]["mean"])
+        assert abs(means[-1] - 2.0 * norm) <= doc["result"]["evidence"][0]["budget"]
+    assert len(set(means)) == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("analyze", "--profile", "indicator:0:1e300", "--indices", "Z"),
+        ("periodize", "--profile", "indicator:0:1e200"),
+        ("gram", "--profile", "indicator:-1e300:1e300", "--indices", "Z", "--window", "4"),
+        ("analyze", "--profile", "indicator:0:inf", "--indices", "Z"),
+    ],
+)
+def test_profiles_with_huge_or_infinite_bounds_are_refused(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and not out
+    assert err.startswith(f"usage error: cannot build profile '{argv[2]}'") and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("gallery", "blocks", "--nmax", "21"),
+        ("gallery", "blocks", "--nmax", "24"),
+        ("verify", "blocks", "--nmax", "21"),
+        ("analyze", "--profile", "blocks:0.5:21"),
+    ],
+)
+def test_blocks_past_the_grid_cap_name_n_max(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and not out
+    n_max = int(argv[-1].split(":")[-1])
+    assert err.startswith("resource limit: ") and f"n_max = {n_max} needs 2^{n_max + 2} points" in err
+
+
 def test_small_spacing_above_the_budget_is_classified(capsys):
     code, doc = run_json(capsys, "analyze", "--profile", "tent", "--b", "1e-10", "--indices", "Z")
     assert code == 0 and doc["result"]["report"]["classification"] == "not a frame sequence"
@@ -377,6 +460,8 @@ def test_config_holds_only_the_given_options(capsys):
         (("density", "--indices", "squares:50", "--xmax", "inf"), "--xmax must be finite"),
         (("density", "--indices", "squares:50", "--xmax", "nan", "--envelope", "power:0.75"), "--xmax must be finite"),
         (("verify", "blocks", "--grid", "0"), "--grid must be a power of two"),
+        (("hausdorff", "--profile", "tent", "--alpha", "0.5", "--levels", "0"), "--levels must be at least 1"),
+        (("hausdorff", "--profile", "tent", "--alpha", "0.5", "--levels", "-1"), "--levels must be at least 1"),
     ],
 )
 def test_zero_flags_and_non_finite_xmax_are_refused(capsys, argv, named):

@@ -38,11 +38,20 @@ def test_mean_is_b_times_norm(box, tent, taper):
             coarse = periodize(profile, b, 1024)
             fine = periodize(profile, b, 4096)
             target = b * profile.norm_squared()
-            err_coarse = abs(coarse.mean() - target)
-            err_fine = abs(fine.mean() - target)
+            err_coarse = abs(np.mean(coarse.values) - target)
+            err_fine = abs(np.mean(fine.values) - target)
             assert err_fine < 1e-6
             if err_coarse > 1e-12:
                 assert err_fine < 0.3 * err_coarse
+
+
+def test_cells_mean_is_b_times_norm(box, tent, taper):
+    # the cells integrate Phi_b exactly, so their mean is b ||phi||^2 to roundoff, on no grid
+    for profile in (box, tent, taper, ramp_plateau_profile(3.0, 2.0)[0]):
+        for b in (1.0, 2.0, 0.5):
+            eb = exact_bounds(profile, b)
+            assert abs(eb.mean - b * profile.norm_squared()) <= eb.budget
+            assert eb.coefficients(0)[0][0] == eb.mean
 
 
 def test_periodize_at_agrees_with_grid(taper):

@@ -90,6 +90,21 @@ def test_piece_validation():
         Piece(1.0, 0.5, const=1.0)
 
 
+@pytest.mark.parametrize("lo, hi", [(0.0, math.inf), (-math.inf, 0.0), (0.0, math.nan)])
+def test_piece_ends_must_be_finite(lo, hi):
+    with pytest.raises(ValueError, match="finite ends"):
+        Piece(lo, hi, const=1.0)
+
+
+@pytest.mark.parametrize("lo, hi", [(0.0, 1e300), (0.0, 1e200), (-1e300, 1e300)])
+def test_profile_norm_must_be_finite(lo, hi):
+    # ||phi||^2 overflows a double here; Python's float ** raises OverflowError, which the profile turns into a refusal
+    with pytest.raises(ValueError, match="must be positive and finite"):
+        FourierProfile(pieces=[Piece(lo, hi, const=1.0)])
+    with pytest.raises(ValueError, match="must be positive and finite"):
+        FourierProfile.from_json({"pieces": [{"lo": lo, "hi": hi, "shape": {"const": 1.0}}]})
+
+
 def test_profile_pieces_must_be_disjoint_sorted():
     with pytest.raises(ValueError):
         FourierProfile(pieces=[Piece(0.0, 0.6, const=1.0), Piece(0.5, 1.0, const=1.0)])

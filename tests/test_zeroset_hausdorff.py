@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import frameseq.gram as gram
+import frameseq.zeroset_hausdorff as zeroset_hausdorff
 from frameseq.constructions import infimum_spectrum
 from frameseq.gram import Budgets, InconsistencyError
 from frameseq.periodization import PeriodizedSpectrum, periodize
@@ -19,6 +19,7 @@ from frameseq.zeroset_hausdorff import (
     hausdorff_sublevel,
     interval_mass_bound_check,
     interval_mass_scaling,
+    sublevel_ladder,
 )
 
 
@@ -45,6 +46,21 @@ def test_sublevel_full_circle_is_flagged_without_a_warning():
         est = hausdorff_sublevel(ps, 0.5, 2.0)
     assert est.full_circle and est.measure_sum == 1.0
     assert est.intervals == [(0.0, 1.0)]
+
+
+@pytest.mark.parametrize("alpha", [1.5, 0.0, float("nan")])
+def test_sublevel_alpha_is_checked_on_the_full_circle_path(alpha):
+    with pytest.raises(ValueError, match=r"alpha must lie in \(0, 1\)"):
+        hausdorff_sublevel(sine_spectrum(256), alpha, 2.0)
+
+
+def test_sublevel_ladder_reads_its_levels_off_the_cells(tent):
+    # the grid's largest value of the tent at b = 1 falls short of 1, the cells' ess sup
+    ests, row, eb = sublevel_ladder(tent, 1.0, 0.5, (2, 4), 2**13)
+    assert eb.sup == 1.0 and [e.eps for e in ests] == [0.25, 0.0625]
+    assert row["rule"] == "exact-cell-bounds" and row["check_grid"] == 2**13 and row["ess_sup"] == eb.sup
+    with pytest.raises(ValueError, match=r"alpha must lie in \(0, 1\)"):
+        sublevel_ladder(tent, 1.0, 1.5, (2,), 2**13)
 
 
 def _cover_reference(mask, alpha):
@@ -201,9 +217,10 @@ def test_exactness_evidence_failure_names_hypotheses():
 
 
 def test_exactness_evidence_windows_are_checked_against_the_lattice_bounds(monkeypatch, tent):
-    # raise the lattice infimum of the tent at b = 2 from 1/2 to 3/4: the windows now break it
-    real = gram.exact_bounds
-    monkeypatch.setattr(gram, "exact_bounds", lambda p, b: replace(real(p, b), inf=1.5))
+    # raise the lattice infimum of the tent at b = 2 from 1/2 to 3/4: the windows now break it;
+    # the cells come from the cover ladder, which hands them on to the windows
+    real = zeroset_hausdorff.exact_bounds
+    monkeypatch.setattr(zeroset_hausdorff, "exact_bounds", lambda p, b: replace(real(p, b), inf=1.5))
     with pytest.raises(InconsistencyError, match="outside the periodization interval"):
         exactness_evidence(2.0, TranslationSet.squares(80), 0.7, profile=tent, budgets=Budgets(window=16))
 
