@@ -99,9 +99,19 @@ def check_spacing(b):
 
 
 def _cover_range(profile, b, xi_min, xi_max):
+    """The translates ``n`` whose term can be nonzero on ``[xi_min, xi_max]``, as ``(n_lo, n_hi)``.
+
+    Every sum over them is a loop, so more than ``GRID_CAP`` translates
+    raise :class:`ResourceLimitError`.
+    """
     lo, hi = profile.support()
     n_lo = math.floor(b * lo - xi_max) - 1
     n_hi = math.ceil(b * hi - xi_min) + 1
+    if n_hi - n_lo + 1 > GRID_CAP:
+        raise ResourceLimitError(
+            f"Phi_b at b = {b:g} sums {n_hi - n_lo + 1} translates of the support [{lo:g}, {hi:g}], "
+            f"past the cap {GRID_CAP}"
+        )
     return n_lo, n_hi
 
 

@@ -306,7 +306,8 @@ class FourierProfile:
                 )
             else:
                 width = (p.hi - p.lo) / p.samples.size
-                total += width * float(np.sum(p.samples**2))
+                with np.errstate(over="ignore"):  # an overflow is the inf the constructor refuses
+                    total += width * float(np.sum(p.samples**2))
         return total
 
     def to_json(self):

@@ -249,6 +249,26 @@ def as_indices(lam, coeffs=None):
 # sliding-window density
 # ----------------------------------------------------------------------------
 
+# integer sets probe by change points only from _PROBE_MIN points on (below
+# that a scan costs microseconds) and with fewer than n / _PROBE_RATIO change
+# points: each adds two gathered candidates, about 30 scanned starts' worth
+_PROBE_MIN = 64
+_PROBE_RATIO = 32
+
+
+def _min_spans(lam, changes, ks):
+    """``m_k = min_i (lam[i+k] - lam[i])`` for each of ``ks``, from the candidate starts of :func:`_density_sorted`.
+
+    The candidates are ``0``, ``n - 1 - k``, each change point ``c`` and
+    ``c - k``; those out of range are clipped onto the ends.
+    """
+    ks = ks[:, None]
+    last = lam.size - 1 - ks
+    at_c = np.broadcast_to(changes, (ks.size, changes.size))
+    i = np.concatenate((np.zeros_like(last), last, at_c, at_c - ks), axis=1)
+    np.clip(i, 0, last, out=i)
+    return (lam[i + ks] - lam[i]).min(axis=1)
+
 
 def _density_sorted(lam, x):
     """Exact ``sup_t |lam intersect [t, t + x]|`` for a sorted array, at one x or a whole grid.
@@ -257,29 +277,45 @@ def _density_sorted(lam, x):
     ``D(x) = 1 + max{k : m_k <= x}``, because the sup is attained with the
     window's left endpoint on a set point.  ``m_k`` is nondecreasing in
     ``k`` (in floating point too: rounding is monotone), so each window is
-    found by bisection over ``k``, and each ``m_k`` is one O(n) vector
-    operation, taken once per call.  The windows of a grid bisect together:
+    found by bisection over ``k``.  The windows of a grid bisect together:
     a round probes each distinct ``k`` once, and since ``D`` is
     nondecreasing in ``x`` every round's brackets are shared along the
     sorted windows.  Integer sets compare their integer gaps with
     ``floor(x)``.  Returns an int for a scalar ``x``, else an int64 array
     of ``x``'s shape.
+
+    A probe scans all ``n - k`` starts, except on integer sets with few
+    changes of gap.  Call ``c`` a change point when the gaps on either side
+    of ``lam[c]`` differ (``np.diff(lam, 2)[c - 1] != 0``).  The step
+    ``f(i + 1) - f(i)`` of ``f(i) = lam[i+k] - lam[i]`` is
+    ``gap[i+k] - gap[i]``, which changes from ``i - 1`` to ``i`` only when
+    ``i`` or ``i + k`` is a change point.  Between such starts ``f`` is
+    linear, so its minimum over ``0 <= i <= n - 1 - k`` sits at ``0``,
+    ``n - 1 - k``, a change point ``c`` or ``c - k``: O(#changes) exact
+    integer differences, all of a round's probes in one gather.  On float
+    sets equal float gaps need not be equal real gaps, so they always scan.
     """
     xs = np.asarray(x, dtype=float)
     if not (xs >= 0).all():  # NaN fails too
         raise ValueError("window length x must be >= 0")
     lam = np.asarray(lam)
+    n = lam.size
+    changes = None
     if lam.dtype == np.int64:
         xs = np.floor(np.minimum(xs, lam[-1] - lam[0])).astype(np.int64)
+        if n >= _PROBE_MIN:
+            c = np.flatnonzero(np.diff(lam, 2)) + 1
+            if _PROBE_RATIO * c.size < n:
+                changes = c
     gaps = {0: 0}
 
     def m(k):
         if k not in gaps:
-            gaps[k] = (lam[k:] - lam[:-k]).min()
+            gaps[k] = (lam[k:] - lam[:-k]).min() if changes is None else _min_spans(lam, changes, np.array([k]))[0]
         return gaps[k]
 
     if xs.ndim == 0:  # one window bisects in Python scalars
-        lo, hi, v = 0, lam.size, xs.item()
+        lo, hi, v = 0, n, xs.item()
         while hi - lo > 1:
             mid = (lo + hi) // 2
             lo, hi = (mid, hi) if m(mid) <= v else (lo, mid)
@@ -290,12 +326,14 @@ def _density_sorted(lam, x):
     # probes, are nondecreasing along the sorted windows, and a settled
     # window (hi = lo + 1) probes lo again and stays as it is
     lo = np.zeros(u.size, dtype=np.int64)
-    hi = np.full(u.size, lam.size, dtype=np.int64)
+    hi = np.full(u.size, n, dtype=np.int64)
     new = np.ones(u.size, dtype=bool)
     while (hi - lo > 1).any():
         mid = (lo + hi) // 2
         np.not_equal(mid[1:], mid[:-1], out=new[1:])
-        below = np.array([m(k) for k in mid[new].tolist()])[np.cumsum(new) - 1] <= u
+        ks = mid[new]
+        mk = np.array([m(k) for k in ks.tolist()]) if changes is None else _min_spans(lam, changes, ks)
+        below = mk[np.cumsum(new) - 1] <= u
         lo = np.maximum.accumulate(np.where(below, mid, lo))
         hi = np.minimum.accumulate(np.where(below, hi, mid)[::-1])[::-1]
     out = np.empty(u.size, dtype=np.int64)

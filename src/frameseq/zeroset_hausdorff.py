@@ -54,35 +54,50 @@ def cover_mask(mask, alpha):
     Isolated single-point runs are dropped first: a grid point alone at the
     finest resolution carries no measure and stands in for the removable
     exceptional set.
+
+    The counts come from the runs of flagged points, not from the points.
+    Midpoint ``(2r+1)/(2M)`` falls in cell ``r >> (log2 M - d)``, so the
+    run ``[s, e]`` meets exactly the cells ``s >> (log2 M - d)`` through
+    ``e >> (log2 M - d)``.  With the run through the end of the grid split
+    at the wrap, the runs are disjoint and sorted, so two runs can share a
+    cell only when one ends in the cell where the next begins: the count is
+    the sum of the runs' cell counts less the neighbours that share a cell.
+    The cells themselves are listed at the chosen depth only.
     """
     alpha = _check_alpha(alpha)
-    mask = np.asarray(mask, dtype=bool).copy()
+    mask = np.asarray(mask, dtype=bool)
     m = mask.size
     if m < 4 or m & (m - 1):
         raise ValueError("mask length must be a power of two >= 4")
     starts, lengths = cyclic_runs(mask)
-    mask[starts[lengths == 1]] = False
+    keep = lengths > 1
+    s = starts[keep]
+    e = s + lengths[keep] - 1
+    if e.size and e[-1] >= m:  # the run through the end continues at 0
+        s, e = np.r_[0, s], np.r_[e[-1] - m, e[:-1], m - 1]
     max_depth = int(math.log2(m))
 
-    # midpoint (2r+1)/(2M) falls in cell floor((2r+1) 2^d / (2M)) = r >> (log2 M - d);
-    # the flagged indices are sorted, so equal cells are adjacent, and each
-    # coarser depth shifts the cells of the finer one
-    cells_at = {}
-    cells, finer = np.flatnonzero(mask), max_depth
-    for d in range(max_depth, 1, -1):
-        cells = cells >> (finer - d)
-        cells = cells[np.r_[True, cells[1:] != cells[:-1]]] if cells.size else cells
-        cells_at[d], finer = cells, d
-    by_depth = [(d, int(c.size), float(c.size) * 2.0 ** (-d * alpha)) for d, c in sorted(cells_at.items())]
+    def cells(d):
+        return s >> (max_depth - d), e >> (max_depth - d)
+
+    by_depth = []
+    for d in range(2, max_depth + 1):
+        lo, hi = cells(d)
+        count = int((hi - lo + 1).sum() - np.count_nonzero(lo[1:] == hi[:-1]))
+        by_depth.append((d, count, float(count) * 2.0 ** (-d * alpha)))
     # min keeps the first of equal sums, so ties go to the coarsest depth
-    d, _, s = min(by_depth, key=lambda row: row[2])
+    d, _, content = min(by_depth, key=lambda row: row[2])
+    lo, hi = cells(d)
+    # +1 where a run's cells begin and -1 past their end: the running sum is the cover
+    edges = np.bincount(lo, minlength=2**d + 1) - np.bincount(hi + 1, minlength=2**d + 1)
+    js = np.flatnonzero(np.cumsum(edges[:-1]))
     width = 2.0**-d
-    intervals = [(float(j) * width, float(j + 1) * width) for j in cells_at[d].tolist()]
+    intervals = [(float(j) * width, float(j + 1) * width) for j in js.tolist()]
     return CoverEstimate(
         alpha=alpha,
         eps=float("nan"),
         intervals=intervals,
-        measure_sum=s,
+        measure_sum=content,
         scale=d,
         by_depth=by_depth,
     )

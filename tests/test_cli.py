@@ -340,6 +340,31 @@ def test_profiles_with_huge_or_infinite_bounds_are_refused(capsys, argv):
 @pytest.mark.parametrize(
     "argv",
     [
+        ("periodize", "--profile", "indicator:0:1e12"),
+        ("hausdorff", "--profile", "indicator:0:1e12", "--alpha", "0.5"),
+        ("analyze", "--profile", "indicator:0:1e12", "--indices", "Z"),
+    ],
+)
+def test_huge_finite_supports_are_refused_by_their_translate_count(capsys, argv):
+    # 1e12 + 4 translates meet [0, 1) at b = 1; summing them was a loop of that length
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and not out
+    assert err.startswith("resource limit: ") and "1000000000004 translates" in err
+    assert f"past the cap {periodization.GRID_CAP}" in err
+
+
+def test_profile_file_whose_samples_overflow_when_squared_is_refused(capsys, tmp_path):
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"pieces": [{"lo": 0.0, "hi": 1.0, "shape": {"samples": [1e200, 1.0]}}]}))
+    # the suite turns warnings into errors, so an overflow warning from the square would escape as one
+    code, out, err = run(capsys, "periodize", "--profile", str(path))
+    assert code == 1 and not out
+    assert err.startswith("usage error: ") and "||phi||^2 = inf over the support (0.0, 1.0)" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
         ("gallery", "blocks", "--nmax", "21"),
         ("gallery", "blocks", "--nmax", "24"),
         ("verify", "blocks", "--nmax", "21"),

@@ -37,8 +37,9 @@ ALPHA = _num(0.05, 0.95, ("0", "1", "-0.5"))
 
 PROFILE = st.one_of(
     st.sampled_from(["box", "tent", "half", "indicator:0:0.25", "indicator:0.1:0.3"]),
-    # bounds whose ||phi||^2 overflows a double, or that are not finite: refusals
-    st.sampled_from(["indicator:0:1e300", "indicator:0:inf"]),
+    # bounds whose ||phi||^2 overflows a double, that are not finite, or a support
+    # met by more translates than the cap: refusals
+    st.sampled_from(["indicator:0:1e300", "indicator:0:inf", "indicator:0:1e12"]),
     # lower end and width; a width below 0 is an empty support, a refusal
     st.tuples(st.floats(-1, 1), st.floats(-0.1, 1.5)).map(lambda t: f"indicator:{t[0]:.4g}:{t[0] + t[1]:.4g}"),
     # plateau end b and taper length; the constructions refuse b >= a

@@ -6,6 +6,9 @@ from scipy.integrate import quad
 
 from frameseq.constructions import indicator_profile, ramp_plateau_profile
 from frameseq.periodization import (
+    GRID_CAP,
+    ResourceLimitError,
+    _cover_range,
     dilation_identity_deviation,
     exact_bounds,
     fourier_coeff,
@@ -161,3 +164,15 @@ def test_exact_bounds_constant_and_zero_cells(box, half):
     eb = exact_bounds(half, 1.0)
     assert not eb.constant and eb.zero.tolist() == [False, True]
     assert eb.inf == 0.0 and eb.inf_nonzero == 1.0 and eb.zero_measure == 0.5
+
+
+def test_translate_count_is_capped(tent):
+    # at b = 1 the translates of [0, H] that meet [0, 1] are n = -2 .. ceil(H) + 1
+    assert _cover_range(indicator_profile(0.0, GRID_CAP - 4.0), 1.0, 0.0, 1.0) == (-2, GRID_CAP - 3)
+    with pytest.raises(ResourceLimitError, match=f"sums {GRID_CAP + 1} translates .* past the cap {GRID_CAP}"):
+        _cover_range(indicator_profile(0.0, GRID_CAP - 3.0), 1.0, 0.0, 1.0)
+    with pytest.raises(ResourceLimitError, match="1000000000004 translates"):
+        periodize_at(indicator_profile(0.0, 1e12), 1.0, np.array([0.5]))
+    # large spacings on a small support stay well inside the cap
+    n_lo, n_hi = _cover_range(tent, 1e5, 0.0, 1.0)
+    assert n_hi - n_lo + 1 == 100_004

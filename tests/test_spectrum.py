@@ -105,6 +105,13 @@ def test_profile_norm_must_be_finite(lo, hi):
         FourierProfile.from_json({"pieces": [{"lo": lo, "hi": hi, "shape": {"const": 1.0}}]})
 
 
+@pytest.mark.parametrize("samples", [[1e200, 1.0], [1e154, 1e154]])
+def test_profile_samples_whose_squares_overflow_are_refused(samples):
+    # the square, or the sum of squares, passes the largest double; refused without numpy's overflow warning
+    with pytest.raises(ValueError, match="must be positive and finite"):
+        FourierProfile(pieces=[Piece(0.0, 1.0, samples=samples)])
+
+
 def test_profile_pieces_must_be_disjoint_sorted():
     with pytest.raises(ValueError):
         FourierProfile(pieces=[Piece(0.0, 0.6, const=1.0), Piece(0.5, 1.0, const=1.0)])

@@ -74,6 +74,71 @@ def test_density_sweep_matches_brute_force(pts, xs):
     assert got[-3] == lam.size  # x >= span holds the whole set
 
 
+def _full_scan_density(lam, xs):
+    # the per-k full scan: m_k over every start, then D(x) = 1 + max{k : m_k <= x}
+    m = np.array([0] + [(lam[k:] - lam[:-k]).min() for k in range(1, lam.size)])
+    return [1 + int(np.flatnonzero(m <= x)[-1]) for x in xs]
+
+
+def _progression(start, step, size):
+    return start + step * np.arange(size, dtype=np.int64)
+
+
+@st.composite
+def probed_sets(draw):
+    """Integer sets with few changes of gap, the ones that probe by change points."""
+    kind = draw(st.sampled_from(["Z", "mZ", "blocks", "union", "outlier"]))
+    if kind == "Z":
+        return _progression(draw(st.integers(-3000, 0)), 1, draw(st.integers(64, 3000)))
+    if kind == "mZ":
+        return _progression(draw(st.integers(-3000, 0)), draw(st.integers(2, 9)), draw(st.integers(64, 2000)))
+    if kind == "blocks":
+        return DyadicBlocks(draw(st.floats(0.3, 0.8)), draw(st.integers(10, 13))).realize()
+    if kind == "union":
+        # progressions of different steps laid end to end, some dense, some sparse
+        parts, start = [], draw(st.integers(-500, 500))
+        for step, size in draw(st.lists(st.tuples(st.integers(1, 12), st.integers(100, 400)), min_size=2, max_size=5)):
+            parts.append(_progression(start + step, step, size))
+            start = int(parts[-1][-1]) + draw(st.integers(0, 30))
+        return np.concatenate(parts)
+    lam = _progression(0, draw(st.integers(1, 7)), draw(st.integers(128, 1500)))
+    outlier = draw(st.integers(-5000, 12000))
+    return np.unique(np.append(lam, outlier))
+
+
+@given(lam=probed_sets(), xs=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=20))
+@settings(max_examples=150, deadline=None)
+def test_density_probes_by_change_points_match_the_full_scan(lam, xs):
+    changes = np.count_nonzero(np.diff(lam, 2))
+    assert lam.size >= translation_sets._PROBE_MIN and translation_sets._PROBE_RATIO * changes < lam.size
+    span = int(lam[-1] - lam[0])
+    # window lengths across the span, on the achieved gaps m_k exactly, and past the span
+    gaps_at = lam[np.minimum(np.arange(1, lam.size, 37), lam.size - 1)] - lam[0]
+    grid = np.concatenate((np.array(xs) * span, gaps_at, gaps_at - 0.5, [0.0, 0.5, span - 1, span, span + 1, 2.0 * span]))
+    grid = np.maximum(grid, 0.0)
+    want = _full_scan_density(lam, grid)
+    assert _density_sorted(lam, grid).tolist() == want
+    assert [_density_sorted(lam, float(x)) for x in grid[::5]] == want[::5]
+
+
+@given(
+    pts=st.one_of(
+        st.lists(st.integers(-400, 400), min_size=64, max_size=300, unique=True),
+        st.lists(st.floats(-400.0, 400.0, allow_subnormal=False), min_size=64, max_size=300, unique=True),
+    ),
+    xs=st.lists(st.floats(0.0, 900.0), min_size=1, max_size=12),
+)
+@settings(max_examples=100, deadline=None)
+def test_density_on_random_and_float_sets_matches_the_full_scan(pts, xs):
+    lam = np.sort(np.array(pts))
+    if lam.dtype.kind == "i":
+        lam = lam.astype(np.int64)
+    grid = np.array(xs + [0.0, float(lam[-1] - lam[0])])
+    want = _full_scan_density(lam, grid)
+    assert _density_sorted(lam, grid).tolist() == want
+    assert [_density_sorted(lam, float(x)) for x in grid] == want
+
+
 def test_density_sweep_single_point_and_refusals():
     for lam in (np.array([7], dtype=np.int64), np.array([0.25])):
         assert _density_sorted(lam, [0.0, 1.0, 1e300]).tolist() == [1, 1, 1]

@@ -1,3 +1,4 @@
+import math
 import warnings
 from dataclasses import replace
 
@@ -9,10 +10,11 @@ from hypothesis import strategies as st
 import frameseq.zeroset_hausdorff as zeroset_hausdorff
 from frameseq.constructions import infimum_spectrum
 from frameseq.gram import Budgets, InconsistencyError
-from frameseq.periodization import PeriodizedSpectrum, periodize
+from frameseq.periodization import PeriodizedSpectrum, cyclic_runs, periodize
 from frameseq.spectrum import TimeEnvelope
 from frameseq.translation_sets import TranslationSet, density
 from frameseq.zeroset_hausdorff import (
+    CoverEstimate,
     coefficient_sum_bound_check,
     cover_mask,
     exactness_evidence,
@@ -89,6 +91,64 @@ def test_cover_mask_matches_unique_reference(k, density_, alpha, seed):
     (d, cells, s), by_depth = _cover_reference(mask, alpha)
     assert est.scale == d and est.measure_sum == s and est.by_depth == by_depth
     assert est.intervals == [(float(j) * 2.0**-d, float(j + 1) * 2.0**-d) for j in cells.tolist()]
+
+
+def _cover_by_points(mask, alpha):
+    """The flagged-point cover: drop length-1 runs, then shift the flagged indices down depth by depth."""
+    mask = np.asarray(mask, dtype=bool).copy()
+    m = mask.size
+    starts, lengths = cyclic_runs(mask)
+    mask[starts[lengths == 1]] = False
+    max_depth = int(math.log2(m))
+    cells_at = {}
+    cells, finer = np.flatnonzero(mask), max_depth
+    for d in range(max_depth, 1, -1):
+        cells = cells >> (finer - d)
+        cells = cells[np.r_[True, cells[1:] != cells[:-1]]] if cells.size else cells
+        cells_at[d], finer = cells, d
+    by_depth = [(d, int(c.size), float(c.size) * 2.0 ** (-d * alpha)) for d, c in sorted(cells_at.items())]
+    d, _, s = min(by_depth, key=lambda row: row[2])
+    width = 2.0**-d
+    intervals = [(float(j) * width, float(j + 1) * width) for j in cells_at[d].tolist()]
+    return CoverEstimate(alpha=alpha, eps=math.nan, intervals=intervals, measure_sum=s, scale=d, by_depth=by_depth)
+
+
+@st.composite
+def run_masks(draw):
+    """Cyclic masks of alternating False and True runs, repeated to length M and rolled so that a run may wrap."""
+    m = 2 ** draw(st.integers(2, 12))
+    runs = draw(st.lists(st.integers(1, max(1, m // 4)), min_size=1, max_size=64))
+    bits = np.concatenate([np.full(n, i % 2 == 1) for i, n in enumerate(runs)])
+    return np.roll(np.resize(bits, m), draw(st.integers(0, m - 1)))
+
+
+def _same_cover(est, ref):
+    assert math.isnan(est.eps) and math.isnan(ref.eps)
+    assert replace(est, eps=0.0) == replace(ref, eps=0.0)
+
+
+@given(mask=run_masks(), alpha=st.floats(0.05, 0.95))
+@settings(max_examples=300, deadline=None)
+def test_cover_from_runs_matches_the_flagged_points(mask, alpha):
+    _same_cover(cover_mask(mask, alpha), _cover_by_points(mask, alpha))
+
+
+@pytest.mark.parametrize("m", [4, 8, 64, 1024])
+def test_cover_from_runs_edge_masks(m):
+    ones = np.ones(m, dtype=bool)
+    edge = {
+        "all True": ones,
+        "all False": ~ones,
+        "single at 0": np.arange(m) == 0,
+        "single at M-1": np.arange(m) == m - 1,
+        "singles at 0 and 2": np.isin(np.arange(m), [0, 2]),
+        "pair across the wrap": np.isin(np.arange(m), [0, m - 1]),
+        "all but one": np.arange(m) != m // 2,
+        "alternating": np.arange(m) % 2 == 0,
+    }
+    for name, mask in edge.items():
+        for alpha in (0.1, 0.5, 0.9):
+            _same_cover(cover_mask(mask, alpha), _cover_by_points(mask, alpha))
 
 
 def test_cover_mask_drop_isolated():
