@@ -29,7 +29,6 @@ from .gram import (
     build_gram,
     classify,
     frame_bound_estimates,
-    truncation_decay,
     weighted_norm_identity_check,
 )
 from .periodization import (
@@ -56,7 +55,6 @@ from .translation_sets import (
     g_equivalence_check,
     g_function,
     interval_energy_test,
-    is_sparse,
     upper_bound_necessary,
     upper_bound_sufficient,
 )
@@ -107,14 +105,12 @@ __all__ = [
     "interval_energy_test",
     "interval_mass_bound_check",
     "interval_mass_scaling",
-    "is_sparse",
     "periodize",
     "periodize_at",
     "plateau_taper_profile",
     "ramp_plateau_profile",
     "tent_profile",
     "time_side_values",
-    "truncation_decay",
     "upper_bound_necessary",
     "upper_bound_sufficient",
     "verify_lower_collapse",

@@ -46,7 +46,6 @@ __all__ = [
     "build_gram",
     "frame_bound_estimates",
     "classify",
-    "truncation_decay",
     "weighted_norm_identity_check",
     "window_ladder",
     "nested_window_bounds",
@@ -458,27 +457,6 @@ def nested_window_bounds(profile, b, lam, sizes, eb):
             f"outside the periodization interval [{lo:.12g}, {hi:.12g}]"
         )
     return fbs, [float(lo), float(hi)], check
-
-
-def truncation_decay(profile, b, n_list):
-    """Lower-bound estimates over the one-sided windows ``{1..N}``.
-
-    Only meaningful for families that are frames but not exact over the full
-    lattice: their one-sided truncations must lose the lower bound, and this
-    function documents the decay.  Any other classification is refused.
-    """
-    report = classify(profile, b, TranslationSet.integers(Budgets().window))
-    if report.classification != "frame sequence (non-exact)":
-        raise ValueError(
-            "truncation decay applies to non-exact frame sequences over the lattice; "
-            f"this family classifies as {report.classification!r}"
-        )
-    sizes = sorted(int(n) for n in n_list)
-    lam = np.arange(1, sizes[-1] + 1, dtype=np.int64)
-    fbs, _, _ = nested_window_bounds(profile, b, lam, sizes, eb=exact_bounds(profile, b))
-    return [
-        {"N": n, "A_est": float(fb.A_est), "numerical_rank": fb.numerical_rank} for n, fb in zip(sizes, fbs)
-    ]
 
 
 def weighted_norm_identity_check(profile, b, lam, coeffs):

@@ -36,6 +36,7 @@ __all__ = [
     "exact_bounds",
     "cell_evidence",
     "cyclic_runs",
+    "sublevel_runs",
     "dilation_identity_deviation",
     "summary",
 ]
@@ -64,7 +65,7 @@ class PeriodizedSpectrum:
         self.values = np.asarray(self.values, dtype=float)
         if self.values.shape != (m,):
             raise ValueError("values must have shape (grid_size,)")
-        if np.any(self.values < -1e-12):
+        if self.values.min() < -1e-12:
             raise ValueError("periodization values must be nonnegative")
 
     def grid(self):
@@ -116,14 +117,64 @@ def _cover_range(profile, b, xi_min, xi_max):
 
 
 def periodize_at(profile, b, xi):
-    """``Phi_b`` evaluated exactly at arbitrary points ``xi`` (vectorized)."""
+    """``Phi_b`` evaluated exactly at arbitrary points ``xi`` (vectorized).
+
+    The points are summed in sorted order (an unsorted ``xi`` is argsorted
+    once and the values scattered back) by :func:`_periodize_sorted`.
+    """
     b = check_spacing(b)
     xi = np.asarray(xi, dtype=float)
-    n_lo, n_hi = _cover_range(profile, b, float(xi.min()), float(xi.max()))
-    out = np.zeros_like(xi)
-    for n in range(n_lo, n_hi + 1):
-        vals = profile.eval((xi + n) / b)
-        out += vals * vals
+    flat = xi.ravel()
+    if np.all(flat[1:] >= flat[:-1]):
+        return _periodize_sorted(profile, b, flat.size, lambda j, k: flat[j:k]).reshape(xi.shape)
+    order = np.argsort(flat)
+    pts = flat[order]
+    out = np.empty_like(flat)
+    out[order] = _periodize_sorted(profile, b, pts.size, lambda j, k: pts[j:k])
+    return out.reshape(xi.shape)
+
+
+def _periodize_sorted(profile, b, size, points):
+    """``Phi_b`` at ``size`` sorted points, ``points(j, k)`` returning points ``j`` to ``k - 1``.
+
+    The points go in blocks of ``_BLOCK``, so no temporary outgrows a block.
+    Translate ``n`` evaluates only the run of points whose
+    ``x = (xi + n) / b`` can lie in the support ``[lo, hi)``: ``xi`` in
+    ``[b lo - n - pad, b hi - n + pad]``.  ``x`` carries two roundings, so
+    a point with ``x`` in the support is within ``2.01 eps |b X|`` of the
+    exact edges (``X`` the largest ``|x|`` of the support), and the computed
+    edges are within ``eps (3 |b X| + 2 |n|)`` of theirs; ``pad = 256 eps
+    (|n| + b X)`` covers both.  ``x`` is sorted on the run, so each piece
+    takes the sub-run with ``lo <= x < hi`` (the test of :meth:`Piece.eval`),
+    and the pieces' values add before squaring, in the order of
+    :meth:`FourierProfile.eval`.  The squares add in increasing ``n``, and a
+    skipped translate would add ``+0.0``, so every value is bit for bit
+    ``sum_n eval((xi + n) / b)^2`` over all translates in turn.
+    """
+    out = np.zeros(size)
+    if not size:
+        return out
+    _cover_range(profile, b, points(0, 1)[0], points(size - 1, size)[0])  # refuse before any work
+    lo, hi = profile.support()
+    reach = b * max(abs(lo), abs(hi))
+    for j in range(0, size, _BLOCK):
+        xi = points(j, min(j + _BLOCK, size))
+        acc = out[j : j + xi.size]
+        n_lo, n_hi = _cover_range(profile, b, xi[0], xi[-1])
+        ns = np.arange(n_lo, n_hi + 1)
+        pad = _ROUNDOFF * (np.abs(ns) + reach)
+        first = np.searchsorted(xi, b * lo - ns - pad, side="left")
+        stop = np.searchsorted(xi, b * hi - ns + pad, side="right")
+        for n, i, k in zip(ns.tolist(), first.tolist(), stop.tolist()):
+            if i == k:
+                continue
+            x = (xi[i:k] + n) / b
+            vals = np.zeros_like(x)
+            for p in profile.pieces:
+                u, v = np.searchsorted(x, (p.lo, p.hi))
+                if u < v:
+                    vals[u:v] += p.eval_inside(x[u:v])
+            acc[i:k] += vals * vals
     return out
 
 
@@ -131,12 +182,13 @@ def periodize(profile, b, grid_size=4096):
     """Sample ``Phi_b`` on the midpoint grid of size ``grid_size``.
 
     Profiles are compactly supported, so the translate sum is finite and
-    the truncation range covers the support exactly.
+    the truncation range covers the support exactly.  The grid is made one
+    block at a time (:func:`_periodize_sorted`), so the values are the one
+    grid-sized array.
     """
     b = check_spacing(b)
     m = check_grid_size(grid_size)
-    grid = (np.arange(m) + 0.5) / m
-    values = periodize_at(profile, b, grid)
+    values = _periodize_sorted(profile, b, m, lambda j, k: (np.arange(j, k) + 0.5) / m)
     n_lo, n_hi = _cover_range(profile, b, 0.0, 1.0)
     return PeriodizedSpectrum(b=b, grid_size=m, values=values, truncation_range=max(abs(n_lo), abs(n_hi)))
 
@@ -376,8 +428,7 @@ def exact_bounds(profile, b):
     pos, tol = _circle_breakpoints(profile, b)
     widths = np.diff(pos, append=pos[0] + 1.0)
     xi = (pos[:, None] + widths[:, None] * np.array([0.25, 0.5, 0.75])).ravel()
-    f = np.concatenate([periodize_at(profile, b, xi[j : j + _BLOCK]) for j in range(0, xi.size, _BLOCK)])
-    f = f.reshape(-1, 3)
+    f = periodize_at(profile, b, xi).reshape(-1, 3)
     c1 = 2.0 * (f[:, 2] - f[:, 0])
     c2 = 8.0 * (f[:, 0] - 2.0 * f[:, 1] + f[:, 2])
     coeffs = np.column_stack((f[:, 1], c1, c2))
@@ -464,14 +515,39 @@ def cyclic_runs(mask):
     one run of full length starting at 0.
     """
     mask = np.asarray(mask, dtype=bool)
-    if mask.all():
-        return np.zeros(1, dtype=np.int64), np.full(1, mask.size, dtype=np.int64)
-    starts = np.flatnonzero(mask & ~np.roll(mask, 1))
-    ends = np.flatnonzero(mask & ~np.roll(mask, -1))
-    if ends.size and ends[0] < starts[0]:
-        # the run through index 0 started at the end of the array
+    return _cyclic_runs(mask.size, lambda j, k: mask[j:k])
+
+
+def sublevel_runs(values, eps):
+    """:func:`cyclic_runs` of ``values <= eps``, without a mask the size of ``values``."""
+    return _cyclic_runs(values.size, lambda j, k: values[j:k] <= eps)
+
+
+def _cyclic_runs(size, flags):
+    """:func:`cyclic_runs` of a mask of ``size`` flags, ``flags(j, k)`` returning flags ``j`` to ``k - 1``.
+
+    The mask goes in blocks of ``_BLOCK``.  A run starts where a flag rises
+    from its cyclic predecessor and ends before the next fall.  When the
+    first fall comes before the first rise, it closes the run through the
+    end, so each rise pairs with the next fall round the circle.
+    """
+    if not size:
+        return np.zeros(1, dtype=np.int64), np.zeros(1, dtype=np.int64)
+    rises, falls = [], []
+    prev = bool(flags(size - 1, size)[0])
+    for j in range(0, size, _BLOCK):
+        f = flags(j, min(j + _BLOCK, size))
+        before = np.empty_like(f)
+        before[0], before[1:] = prev, f[:-1]
+        rises.append(np.flatnonzero(f > before) + j)
+        falls.append(np.flatnonzero(f < before) + j)
+        prev = bool(f[-1])
+    starts, ends = np.concatenate(rises), np.concatenate(falls)
+    if not starts.size:  # constant flags: one full run, or none
+        return (np.zeros(1, dtype=np.int64), np.full(1, size, dtype=np.int64)) if prev else (starts, ends)
+    if ends[0] < starts[0]:
         ends = np.roll(ends, -1)
-    return starts, (ends - starts) % mask.size + 1
+    return starts, (ends - starts) % size
 
 
 def dilation_identity_deviation(profile, b, m_factor, grid_size=4096):

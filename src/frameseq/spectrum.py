@@ -209,17 +209,19 @@ class Piece:
         xi = np.asarray(xi, dtype=float)
         inside = (xi >= self.lo) & (xi < self.hi)
         out = np.zeros_like(xi)
-        if self.const is not None:
-            out[inside] = self.const
-        elif self.affine is not None:
-            s, c = self.affine
-            out[inside] = s * xi[inside] + c
-        else:
-            width = (self.hi - self.lo) / self.samples.size
-            idx = np.floor((xi[inside] - self.lo) / width).astype(int)
-            idx = np.clip(idx, 0, self.samples.size - 1)
-            out[inside] = self.samples[idx]
+        out[inside] = self.eval_inside(xi[inside])
         return out
+
+    def eval_inside(self, xi):
+        """Value at points ``xi`` that lie in ``[lo, hi)``: a scalar for a ``const`` piece, else an array."""
+        if self.const is not None:
+            return self.const
+        if self.affine is not None:
+            s, c = self.affine
+            return s * xi + c
+        width = (self.hi - self.lo) / self.samples.size
+        idx = np.floor((xi - self.lo) / width).astype(int)
+        return self.samples[np.clip(idx, 0, self.samples.size - 1)]
 
     # coefficients (c0, c1, c2) of phi_hat**power (power 1 or 2) on [lo, hi)
     def _poly(self, power):

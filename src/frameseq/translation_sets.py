@@ -28,8 +28,6 @@ __all__ = [
     "DyadicBlocks",
     "as_indices",
     "density",
-    "is_sparse",
-    "SparsityDiagnostic",
     "g_function",
     "upper_bound_sufficient",
     "upper_bound_necessary",
@@ -376,54 +374,6 @@ def density_exponent_fit(lam):
     ds = _density_sorted(arr, 2.0**ps).astype(float)
     slope = float(np.polyfit(ps, np.log2(ds), 1)[0])
     return slope, {"p": ps, "density": ds}
-
-
-# ----------------------------------------------------------------------------
-# sparsity diagnostic
-# ----------------------------------------------------------------------------
-
-
-@dataclass
-class SparsityDiagnostic:
-    shifts: np.ndarray
-    counts_full: np.ndarray
-    counts_half: np.ndarray
-    gaps_nondecreasing: bool
-    first_gap: float
-    last_gap: float
-    max_gap: float
-    window_size: int
-    sparse: bool
-
-
-def is_sparse(ts):
-    """Windowed sparsity diagnostic: |Lambda intersect (Lambda + n)| growth, n = 1..8.
-
-    The set is called sparse (on this window) when no tested shift's
-    intersection count grows between the half window and the full window.
-    Gap statistics are reported alongside as a secondary signal for
-    increasing sequences.
-    """
-    lam = as_indices(ts)
-    if lam.dtype != np.int64:
-        raise ValueError("sparsity check needs an integer translation set")
-    half = lam[: max(2, lam.size // 2)]
-    shifts = np.arange(1, 9)
-    counts_full = np.array([np.intersect1d(lam, lam + s).size for s in shifts])
-    counts_half = np.array([np.intersect1d(half, half + s).size for s in shifts])
-    gaps = np.diff(lam).astype(float)
-    grew = bool(np.any(counts_full > counts_half))
-    return SparsityDiagnostic(
-        shifts=shifts,
-        counts_full=counts_full,
-        counts_half=counts_half,
-        gaps_nondecreasing=bool(np.all(np.diff(gaps) >= 0)),
-        first_gap=float(gaps[0]),
-        last_gap=float(gaps[-1]),
-        max_gap=float(np.max(gaps)),
-        window_size=int(lam.size),
-        sparse=not grew,
-    )
 
 
 # ----------------------------------------------------------------------------

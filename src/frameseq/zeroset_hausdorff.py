@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .gram import Budgets, nested_window_bounds, window_ladder
-from .periodization import cell_evidence, cyclic_runs, exact_bounds, periodize
+from .periodization import cell_evidence, cyclic_runs, exact_bounds, periodize, sublevel_runs
 from .spectrum import _poly_osc_integral
 from .translation_sets import _check_alpha, _density_sorted, as_indices, density_exponent_fit
 
@@ -45,10 +45,22 @@ class CoverEstimate:
 
 
 def cover_mask(mask, alpha):
-    """Best-depth dyadic cover of the flagged grid points.
+    """Best-depth dyadic cover of the flagged grid points (:func:`_cover_runs`).
 
-    ``mask`` flags midpoints ``(r + 1/2)/M`` of a cyclic grid.  At depth
-    ``d = 2, ..., log2 M`` the cover consists of the cells
+    ``mask`` flags midpoints ``(r + 1/2)/M`` of a cyclic grid.
+    """
+    alpha = _check_alpha(alpha)
+    mask = np.asarray(mask, dtype=bool)
+    m = mask.size
+    if m < 4 or m & (m - 1):
+        raise ValueError("mask length must be a power of two >= 4")
+    return _cover_runs(*cyclic_runs(mask), m, alpha)
+
+
+def _cover_runs(starts, lengths, m, alpha):
+    """Best-depth dyadic cover of the cyclic runs ``starts``, ``lengths`` of flagged points of an ``m``-point grid.
+
+    At depth ``d = 2, ..., log2 m`` the cover consists of the cells
     ``[j 2^-d, (j+1) 2^-d)`` holding at least one flagged point; the
     returned estimate uses the depth with the smallest ``count * 2^(-d alpha)``.
     Isolated single-point runs are dropped first: a grid point alone at the
@@ -56,20 +68,14 @@ def cover_mask(mask, alpha):
     exceptional set.
 
     The counts come from the runs of flagged points, not from the points.
-    Midpoint ``(2r+1)/(2M)`` falls in cell ``r >> (log2 M - d)``, so the
-    run ``[s, e]`` meets exactly the cells ``s >> (log2 M - d)`` through
-    ``e >> (log2 M - d)``.  With the run through the end of the grid split
+    Midpoint ``(2r+1)/(2m)`` falls in cell ``r >> (log2 m - d)``, so the
+    run ``[s, e]`` meets exactly the cells ``s >> (log2 m - d)`` through
+    ``e >> (log2 m - d)``.  With the run through the end of the grid split
     at the wrap, the runs are disjoint and sorted, so two runs can share a
     cell only when one ends in the cell where the next begins: the count is
     the sum of the runs' cell counts less the neighbours that share a cell.
     The cells themselves are listed at the chosen depth only.
     """
-    alpha = _check_alpha(alpha)
-    mask = np.asarray(mask, dtype=bool)
-    m = mask.size
-    if m < 4 or m & (m - 1):
-        raise ValueError("mask length must be a power of two >= 4")
-    starts, lengths = cyclic_runs(mask)
     keep = lengths > 1
     s = starts[keep]
     e = s + lengths[keep] - 1
@@ -104,13 +110,17 @@ def cover_mask(mask, alpha):
 
 
 def hausdorff_sublevel(ps, alpha, eps):
-    """Dyadic-cover content of ``{Phi_b <= eps}`` on the realized grid (:func:`cover_mask`).
+    """Dyadic-cover content of ``{Phi_b <= eps}`` on the realized grid (:func:`_cover_runs`).
 
     A level at or above the grid's maximum covers the full circle: the
-    estimate is the one unit interval, flagged ``full_circle``.
+    estimate is the one unit interval, flagged ``full_circle``.  The runs of
+    the level set come block by block (:func:`sublevel_runs`), so no
+    grid-sized mask is made.
     """
     alpha = _check_alpha(alpha)
-    if eps >= float(np.max(ps.values)):
+    m = ps.grid_size
+    starts, lengths = sublevel_runs(ps.values, eps)
+    if lengths.size == 1 and lengths[0] == m:  # every value is at most eps
         return CoverEstimate(
             alpha=alpha,
             eps=float(eps),
@@ -120,7 +130,7 @@ def hausdorff_sublevel(ps, alpha, eps):
             by_depth=[(0, 1, 1.0)],
             full_circle=True,
         )
-    est = cover_mask(ps.values <= eps, alpha)
+    est = _cover_runs(starts, lengths, m, alpha)
     est.eps = float(eps)
     return est
 

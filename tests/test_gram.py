@@ -15,7 +15,6 @@ from frameseq.gram import (
     build_gram,
     classify,
     frame_bound_estimates,
-    truncation_decay,
     weighted_norm_identity_check,
     window_ladder,
 )
@@ -266,20 +265,8 @@ def test_classify_report_json(half):
 
 
 # ---------------------------------------------------------------------------
-# truncation decay and the weighted-norm identity
+# the weighted-norm identity
 # ---------------------------------------------------------------------------
-
-
-def test_truncation_decay_on_half(half):
-    rows = truncation_decay(half, 1.0, [8, 32, 128])
-    a_vals = [r["A_est"] for r in rows]
-    assert a_vals[0] > a_vals[1] > a_vals[2] > 0
-    assert a_vals[2] < 0.5 * a_vals[0]
-
-
-def test_truncation_decay_refuses_wrong_class(taper):
-    with pytest.raises(ValueError, match="not a frame sequence"):
-        truncation_decay(taper, 1.0, [8, 32])
 
 
 def test_weighted_norm_delta_and_parseval(box, taper):

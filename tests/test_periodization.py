@@ -1,10 +1,15 @@
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from frameseq.constructions import indicator_profile, ramp_plateau_profile
+import frameseq.periodization as periodization
+from frameseq.constructions import indicator_profile, infimum_spectrum, ramp_plateau_profile, tent_profile
 from frameseq.periodization import (
     GRID_CAP,
     ResourceLimitError,
@@ -176,3 +181,122 @@ def test_translate_count_is_capped(tent):
     # large spacings on a small support stay well inside the cap
     n_lo, n_hi = _cover_range(tent, 1e5, 0.0, 1.0)
     assert n_hi - n_lo + 1 == 100_004
+
+
+# ---------------------------------------------------------------------------
+# the sampler against the translate loop that sweeps every point per translate
+# ---------------------------------------------------------------------------
+
+
+def _piece_by_mask(p, x):
+    """A piece's values at ``x`` through the mask ``lo <= x < hi``, as the piece evaluator defines them."""
+    inside = (x >= p.lo) & (x < p.hi)
+    out = np.zeros_like(x)
+    if p.const is not None:
+        out[inside] = p.const
+    elif p.affine is not None:
+        out[inside] = p.affine[0] * x[inside] + p.affine[1]
+    else:
+        width = (p.hi - p.lo) / p.samples.size
+        idx = np.clip(np.floor((x[inside] - p.lo) / width).astype(int), 0, p.samples.size - 1)
+        out[inside] = p.samples[idx]
+    return out
+
+
+def _periodize_by_translates(profile, b, xi):
+    """``Phi_b`` at ``xi``: every translate evaluates every point, the pieces summed before squaring."""
+    xi = np.asarray(xi, dtype=float)
+    n_lo, n_hi = _cover_range(profile, b, float(xi.min()), float(xi.max()))
+    out = np.zeros_like(xi)
+    for n in range(n_lo, n_hi + 1):
+        x = (xi + n) / b
+        vals = np.zeros_like(x)
+        for p in profile.pieces:
+            vals += _piece_by_mask(p, x)
+        out += vals * vals
+    return out
+
+
+def _random_profile(rng):
+    """One to four const, affine or sampled pieces that leave gaps, touch, or overlap by 1e-15."""
+    pieces, lo = [], float(rng.uniform(-2.0, 1.0))
+    for _ in range(int(rng.integers(1, 5))):
+        hi = lo + float(rng.uniform(0.05, 1.5))
+        kind = int(rng.integers(3))
+        if kind == 0:
+            pieces.append(Piece(lo, hi, const=float(rng.uniform(0.1, 2.0))))
+        elif kind == 1:
+            v0, v1 = rng.uniform(0.0, 2.0, 2)
+            slope = (v1 - v0) / (hi - lo)
+            pieces.append(Piece(lo, hi, affine=(float(slope), float(v0 - slope * lo))))
+        else:
+            pieces.append(Piece(lo, hi, samples=rng.uniform(0.0, 2.0, int(rng.integers(1, 9)))))
+        lo = hi + [0.0, -1e-15, float(rng.uniform(0.0, 0.5))][int(rng.integers(3))]
+    return FourierProfile(pieces)
+
+
+def _edge_points(profile, b):
+    """Points whose ``(xi + n) / b`` lands on or within a few ulps of a piece end, or inside an overlap."""
+    ends = [e for p in profile.pieces for e in (p.lo, p.hi)]
+    ends += [(p.lo + q.hi) / 2.0 for q, p in zip(profile.pieces, profile.pieces[1:]) if p.lo < q.hi]
+    xi = np.array([b * e - n for e in ends for n in range(-3, 4)])
+    return np.concatenate([xi + k * np.spacing(xi) for k in range(-3, 4)])
+
+
+@given(seed=st.integers(0, 2**32 - 1), b=st.floats(0.3, 50.0), block=st.sampled_from([37, 2**15]))
+@settings(max_examples=80, deadline=None)
+def test_sampler_equals_the_translate_loop(seed, b, block):
+    rng = np.random.default_rng(seed)
+    profile = _random_profile(rng)
+    grid = (np.arange(256) + 0.5) / 256
+    points = {
+        "grid": grid,
+        "unsorted, outside [0, 1)": rng.uniform(-3.0, 4.0, 300),
+        "reversed grid": grid[::-1],
+        "edges": _edge_points(profile, b),
+        "2-d": rng.uniform(-1.0, 2.0, (6, 7)),
+        "0-d": np.array(float(rng.uniform(-1.0, 2.0))),
+    }
+    with mock.patch.object(periodization, "_BLOCK", block):
+        for name, xi in points.items():
+            got = periodize_at(profile, b, xi)
+            assert got.shape == xi.shape, name
+            assert np.array_equal(got, _periodize_by_translates(profile, b, xi)), name
+        assert np.array_equal(periodize(profile, b, 256).values, _periodize_by_translates(profile, b, grid))
+
+
+def test_sampler_on_breakpoints_at_midpoints():
+    # b lo and b hi are grid midpoints: x = mid / b is exactly lo, so the midpoint is in, and hi's is out
+    m = 64
+    mids = (np.arange(m) + 0.5) / m
+    for b in np.geomspace(0.3, 50.0, 41):
+        profile = indicator_profile(mids[5] / b, mids[37] / b)
+        want = _periodize_by_translates(profile, b, mids)
+        assert want[5] == 1.0 and want[37] == 0.0
+        assert np.array_equal(periodize(profile, b, m).values, want)
+        assert np.array_equal(periodize_at(profile, b, mids), want)
+
+
+def test_overlapping_pieces_add_before_squaring():
+    # on [1/2 - 1e-15, 1/2) both pieces hold: Phi_1 = (1 + 2)^2, not 1^2 + 2^2
+    profile = FourierProfile([Piece(0.0, 0.5, const=1.0), Piece(0.5 - 1e-15, 1.0, const=2.0)])
+    xi = np.array([0.25, 0.5 - 5e-16, 0.75])
+    assert periodize_at(profile, 1.0, xi).tolist() == [1.0, 9.0, 4.0]
+
+
+def test_sampler_on_the_sampled_blocks_profile():
+    profile = infimum_spectrum(0.5, 8, 2**12).profile
+    for b in (1.0, 2.5):
+        ps = periodize(profile, b, 2**12)
+        assert np.array_equal(ps.values, _periodize_by_translates(profile, b, ps.grid()))
+
+
+def test_periodize_holds_the_output_and_one_block():
+    # the 2^20 values take 8 MiB; the translate loop that swept the whole grid peaked at 53 MiB
+    tracemalloc.start()
+    try:
+        periodize(tent_profile(), 1.0, 2**20)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 10 * 2**20

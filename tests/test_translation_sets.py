@@ -23,7 +23,6 @@ from frameseq.translation_sets import (
     g_equivalence_check,
     g_function,
     interval_energy_test,
-    is_sparse,
     upper_bound_necessary,
     upper_bound_sufficient,
 )
@@ -234,15 +233,6 @@ def test_token_parsing():
         TranslationSet.from_token("Z")
     with pytest.raises(ValueError):
         TranslationSet.from_token("wavelets:3")
-
-
-def test_is_sparse():
-    assert is_sparse(TranslationSet.squares(64)).sparse
-    assert not is_sparse(TranslationSet.integers(64)).sparse
-    diag = is_sparse(TranslationSet.geometric(10))
-    assert diag.sparse and diag.gaps_nondecreasing
-    with pytest.raises(ValueError):
-        is_sparse(TranslationSet.explicit([0.5, 1.25]))
 
 
 def test_g_function_frozen_values():

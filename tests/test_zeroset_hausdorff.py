@@ -1,16 +1,19 @@
 import math
+import tracemalloc
 import warnings
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import frameseq.periodization as periodization
 import frameseq.zeroset_hausdorff as zeroset_hausdorff
-from frameseq.constructions import infimum_spectrum
+from frameseq.constructions import infimum_spectrum, plateau_taper_profile, tent_profile
 from frameseq.gram import Budgets, InconsistencyError
-from frameseq.periodization import PeriodizedSpectrum, cyclic_runs, periodize
+from frameseq.periodization import PeriodizedSpectrum, cyclic_runs, periodize, sublevel_runs
 from frameseq.spectrum import TimeEnvelope
 from frameseq.translation_sets import TranslationSet, density
 from frameseq.zeroset_hausdorff import (
@@ -173,6 +176,73 @@ def test_cover_mask_validation():
         cover_mask(np.zeros(64, dtype=bool), 1.5)
     with pytest.raises(ValueError):
         cover_mask(np.zeros(60, dtype=bool), 0.5)
+
+
+def _cyclic_runs_by_roll(mask):
+    """Cyclic runs from whole-mask rolls: a start has a False before it, an end a False after it."""
+    mask = np.asarray(mask, dtype=bool)
+    if mask.all():
+        return np.zeros(1, dtype=np.int64), np.full(1, mask.size, dtype=np.int64)
+    starts = np.flatnonzero(mask & ~np.roll(mask, 1))
+    ends = np.flatnonzero(mask & ~np.roll(mask, -1))
+    if ends.size and ends[0] < starts[0]:
+        ends = np.roll(ends, -1)
+    return starts, (ends - starts) % mask.size + 1
+
+
+def _same_runs(got, want):
+    assert all(g.dtype == w.dtype and np.array_equal(g, w) for g, w in zip(got, want))
+
+
+@given(mask=run_masks(), block=st.sampled_from([3, 16, 2**15]))
+@settings(max_examples=300, deadline=None)
+def test_blockwise_runs_match_the_rolled_mask(mask, block):
+    # values equal to the level count as below it
+    values = np.where(mask, 0.5, 0.75)
+    with mock.patch.object(periodization, "_BLOCK", block):
+        _same_runs(sublevel_runs(values, 0.5), _cyclic_runs_by_roll(mask))
+        _same_runs(cyclic_runs(mask), _cyclic_runs_by_roll(mask))
+
+
+@pytest.mark.parametrize("m", [4, 8, 64, 1024])
+@pytest.mark.parametrize("block", [3, 2**15])
+def test_blockwise_runs_edge_masks(m, block):
+    ones = np.ones(m, dtype=bool)
+    edge = {
+        "all True": ones,
+        "all False": ~ones,
+        "run through the wrap": np.isin(np.arange(m), [m - 2, m - 1, 0]),
+        "single at 0": np.arange(m) == 0,
+        "single at M-1": np.arange(m) == m - 1,
+    }
+    with mock.patch.object(periodization, "_BLOCK", block):
+        for name, mask in edge.items():
+            _same_runs(sublevel_runs(np.where(mask, 0.0, 1.0), 0.0), _cyclic_runs_by_roll(mask))
+
+
+def test_sublevel_cover_equals_the_cover_of_its_mask():
+    spectra = [periodize(tent_profile(), 1.0, 2**12), periodize(plateau_taper_profile(2.0, 1.0), 1.0, 2**10)]
+    for ps in spectra + [sine_spectrum(2**10)]:
+        top = float(np.max(ps.values))
+        for eps in [top * 2.0**-k for k in range(1, 12)] + [0.0, -1.0]:
+            for alpha in (0.2, 0.5, 0.9):
+                est = hausdorff_sublevel(ps, alpha, eps)
+                assert est.eps == eps and not est.full_circle
+                _same_cover(replace(est, eps=math.nan), cover_mask(ps.values <= eps, alpha))
+        assert hausdorff_sublevel(ps, 0.5, top).full_circle
+
+
+def test_one_cover_level_holds_no_grid_sized_temporary():
+    # at 2^20 points a mask is 1 MiB; the mask and its two rolls peaked at 3 MiB
+    ps = periodize(tent_profile(), 1.0, 2**20)
+    eps = float(np.max(ps.values)) / 4.0
+    tracemalloc.start()
+    try:
+        hausdorff_sublevel(ps, 0.3, eps)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_coefficient_sum_dirichlet_equality():
