@@ -290,6 +290,7 @@ def _cmd_gram(args, cfg):
         "max_check_deviation": op.max_check_deviation,
         "check_budget": op.check_budget,
         "dim": fb.dim,
+        "solver": fb.solver,
         "A_est": fb.A_est,
         "B_est": fb.B_est,
         "min_eigenvalue": fb.min_eigenvalue,

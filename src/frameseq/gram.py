@@ -205,6 +205,7 @@ class FrameBounds:
     dim: int
     kernel_tol: float
     degenerate: bool
+    solver: str  # "real" (a real Gram), "real-centrohermitian" or "complex"
 
 
 def frame_bound_estimates(g, kernel_tol=KERNEL_TOL):
@@ -214,12 +215,33 @@ def frame_bound_estimates(g, kernel_tol=KERNEL_TOL):
     ``kernel_tol * B_est``, the finite-window surrogate for the lower frame
     bound on the orthogonal complement of the kernel.  All eigenvalues below
     the cut produce a degenerate report rather than an error.
+
+    A complex window on a mirror-symmetric integer set (``lam + lam[::-1]``
+    constant, as on every contiguous range) is solved in real arithmetic.
+    Entry ``(i, j)`` is the coefficient at shift ``lam_j - lam_i``, read by
+    :func:`build_gram` from a table whose negative half is the conjugate of
+    its positive half, and the mirror ``i -> n-1-i`` negates every shift, so
+    ``J G J = conj(G)`` holds bit for bit (``J`` the exchange matrix).  With
+    the unitary ``Q = (I + iJ) / sqrt(2)``, ``Q* G Q = Re G - Im G J``
+    (``Im G J`` is ``Im G`` with its columns reversed): a real symmetric
+    matrix with the spectrum of ``G``.  The structure is read from the
+    index set, never tested on the matrix.
+    ``solver`` names the route: ``"real"`` for a real Gram,
+    ``"real-centrohermitian"`` for that similarity, else ``"complex"``.
     """
     if kernel_tol < 0:
         raise ValueError("kernel_tol must be >= 0")
     if g.dim > EIGENSOLVE_CAP:
         raise ResourceLimitError(f"dimension {g.dim} exceeds the eigen-solve cap {EIGENSOLVE_CAP}")
-    eigs = np.linalg.eigvalsh(g.matrix)
+    lam, mat = g.indices, g.matrix
+    if not np.iscomplexobj(mat):
+        solver = "real"
+    elif lam.dtype == np.int64 and np.all(lam + lam[::-1] == lam[0] + lam[-1]):
+        solver = "real-centrohermitian"
+        mat = mat.real - mat.imag[:, ::-1]
+    else:
+        solver = "complex"
+    eigs = np.linalg.eigvalsh(mat)
     b_est = float(eigs[-1])
     cut = kernel_tol * max(b_est, 0.0)
     above = eigs[eigs > cut]
@@ -232,6 +254,7 @@ def frame_bound_estimates(g, kernel_tol=KERNEL_TOL):
         dim=g.dim,
         kernel_tol=kernel_tol,
         degenerate=above.size == 0,
+        solver=solver,
     )
 
 

@@ -299,13 +299,7 @@ class FourierProfile:
         for p in self.pieces:
             poly = p._poly(2)
             if poly is not None:
-                c0, c1, c2 = poly
-                u, v = p.lo, p.hi
-                total += (
-                    c0 * (v - u)
-                    + c1 * (v * v - u * u) / 2.0
-                    + c2 * (v**3 - u**3) / 3.0
-                )
+                total += _poly_moment(*poly, p.lo, p.hi, 0)
             else:
                 width = (p.hi - p.lo) / p.samples.size
                 with np.errstate(over="ignore"):  # an overflow is the inf the constructor refuses

@@ -74,7 +74,8 @@ def _cover_runs(starts, lengths, m, alpha):
     at the wrap, the runs are disjoint and sorted, so two runs can share a
     cell only when one ends in the cell where the next begins: the count is
     the sum of the runs' cell counts less the neighbours that share a cell.
-    The cells themselves are listed at the chosen depth only.
+    The cells themselves are listed at the chosen depth only, range by
+    range, so the work and memory grow with the cover, not with ``2^d``.
     """
     keep = lengths > 1
     s = starts[keep]
@@ -84,19 +85,20 @@ def _cover_runs(starts, lengths, m, alpha):
     max_depth = int(math.log2(m))
 
     def cells(d):
-        return s >> (max_depth - d), e >> (max_depth - d)
+        """Disjoint cell ranges ``[lo, hi]`` of the runs at depth ``d`` (a range may be empty)."""
+        lo, hi = s >> (max_depth - d), e >> (max_depth - d)
+        lo[1:] += lo[1:] == hi[:-1]  # a cell two neighbouring runs share goes to the first
+        return lo, hi - lo + 1
 
     by_depth = []
     for d in range(2, max_depth + 1):
-        lo, hi = cells(d)
-        count = int((hi - lo + 1).sum() - np.count_nonzero(lo[1:] == hi[:-1]))
+        count = int(cells(d)[1].sum())
         by_depth.append((d, count, float(count) * 2.0 ** (-d * alpha)))
     # min keeps the first of equal sums, so ties go to the coarsest depth
-    d, _, content = min(by_depth, key=lambda row: row[2])
-    lo, hi = cells(d)
-    # +1 where a run's cells begin and -1 past their end: the running sum is the cover
-    edges = np.bincount(lo, minlength=2**d + 1) - np.bincount(hi + 1, minlength=2**d + 1)
-    js = np.flatnonzero(np.cumsum(edges[:-1]))
+    d, count, content = min(by_depth, key=lambda row: row[2])
+    lo, lens = cells(d)
+    # cell i of the listing is lo[k] + (i - where range k starts in the listing)
+    js = np.arange(count) + np.repeat(lo - (np.cumsum(lens) - lens), lens)
     width = 2.0**-d
     intervals = [(float(j) * width, float(j + 1) * width) for j in js.tolist()]
     return CoverEstimate(

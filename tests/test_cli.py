@@ -110,6 +110,21 @@ def test_gram_reports_route_and_bounds(capsys):
     assert not res["degenerate"]
 
 
+@pytest.mark.parametrize(
+    "profile, indices, solver",
+    [
+        ("taper:2:1", "Z", "real-centrohermitian"),
+        ("taper:2:1", "N", "real-centrohermitian"),
+        ("taper:2:1", "squares:20", "complex"),
+        ("taper:2:1", "list:0.5,1.5,2.25", "complex"),
+        ("tent", "Z", "real"),
+    ],
+)
+def test_gram_reports_its_solver(capsys, profile, indices, solver):
+    code, doc = run_json(capsys, "gram", "--profile", profile, "--b", "1", "--indices", indices, "--window", "16")
+    assert code == 0 and doc["result"]["solver"] == solver
+
+
 def test_gram_refuses_sets_over_the_dense_cap(capsys):
     code, out, err = run(capsys, "gram", "--profile", "tent", "--b", "2", "--indices", "squares:3000")
     assert code == 1 and not out

@@ -1,12 +1,20 @@
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import frameseq.cli as cli
 import frameseq.gram as gram
 import frameseq.periodization as periodization
-from frameseq.constructions import gallery_profiles, indicator_profile
+from frameseq.constructions import (
+    gallery_profiles,
+    indicator_profile,
+    plateau_taper_profile,
+    ramp_plateau_profile,
+)
 from frameseq.gram import (
     EIGENSOLVE_CAP,
     Budgets,
@@ -192,6 +200,95 @@ def test_eigenvalue_window_interlacing(taper):
     for prev, cur in zip(bounds, bounds[1:]):
         assert cur.A_est <= prev.A_est + 1e-12
         assert cur.B_est >= prev.B_est - 1e-12
+
+
+# ---------------------------------------------------------------------------
+# real-arithmetic eigensolve of mirror-symmetric windows
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def mirror_sets(draw):
+    """Sorted int64 sets with ``lam + lam[::-1]`` constant: contiguous or gapped, of odd or even size."""
+    if draw(st.booleans()):
+        lo = draw(st.integers(-40, 40))
+        return np.arange(lo, lo + draw(st.integers(1, 48)), dtype=np.int64)
+    s = draw(st.integers(-40, 40))  # the constant lam_i + lam_{n-1-i}
+    # doubled distances from the centre s/2 share the parity of s; an odd s needs a pair
+    ks = draw(st.lists(st.integers(1, 30), min_size=s % 2, max_size=20, unique=True))
+    t = [2 * k - s % 2 for k in ks]
+    centre = [s // 2] if s % 2 == 0 and (not t or draw(st.booleans())) else []
+    return np.array(sorted(centre + [(s - x) // 2 for x in t] + [(s + x) // 2 for x in t]), dtype=np.int64)
+
+
+@st.composite
+def lattice_profiles(draw):
+    """A taper, ramp or indicator profile with a dyadic or a generic spacing."""
+    kind = draw(st.sampled_from(["taper", "ramp", "indicator"]))
+    if kind == "indicator":
+        lo = draw(st.floats(-1.0, 1.0))
+        profile = indicator_profile(lo, lo + draw(st.floats(0.05, 1.5)))
+    else:
+        a = draw(st.floats(1.1, 6.0))
+        b = a / draw(st.floats(1.1, 4.0))
+        try:
+            profile = plateau_taper_profile(a, b) if kind == "taper" else ramp_plateau_profile(a, b)[0]
+        except (ValueError, RuntimeError):  # a/b integral, or no plateau above resolution
+            assume(False)
+    spacing = 2.0 ** draw(st.integers(-2, 2)) if draw(st.booleans()) else draw(st.floats(0.3, 4.0))
+    return profile, spacing
+
+
+def _eigvalsh_inputs():
+    """Patch ``np.linalg.eigvalsh`` to record every matrix it is given; returns the patch and the record."""
+    seen, eigvalsh = [], np.linalg.eigvalsh
+    return mock.patch.object(np.linalg, "eigvalsh", lambda a: seen.append(a) or eigvalsh(a)), seen
+
+
+@given(lam=mirror_sets(), pb=lattice_profiles())
+@settings(max_examples=200, deadline=None)
+def test_mirror_symmetric_windows_are_solved_in_real_arithmetic(lam, pb):
+    g = build_gram(pb[0], pb[1], lam)
+    # the route rests on this holding bit for bit: J G J = conj(G)
+    assert np.array_equal(g.matrix[::-1, ::-1], np.conj(g.matrix))
+    want = np.linalg.eigvalsh(g.matrix)
+    patch, seen = _eigvalsh_inputs()
+    with patch:
+        fb = frame_bound_estimates(g, kernel_tol=0.0)
+    (solved,) = seen
+    assert not np.iscomplexobj(solved)
+    assert fb.solver == ("real-centrohermitian" if np.iscomplexobj(g.matrix) else "real")
+    got = np.linalg.eigvalsh(solved)
+    assert (fb.min_eigenvalue, fb.B_est) == (got[0], got[-1])
+    n = g.dim
+    assert np.max(np.abs(got - want)) <= 8 * n * np.finfo(float).eps * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("name", ["taper", "ramp", "indicator"])
+def test_lattice_classify_never_solves_a_complex_window(name):
+    profile = {
+        "taper": plateau_taper_profile(2.0, 1.0),
+        "ramp": ramp_plateau_profile(3.0, 2.0)[0],
+        "indicator": indicator_profile(0.0, 1.0 / 3.0),
+    }[name]
+    budgets = Budgets(window=32)
+    patch, seen = _eigvalsh_inputs()
+    with patch:
+        for b in (1.0, 1.5, 2.0):
+            for ts in (TranslationSet.integers(32), TranslationSet.naturals(32), TranslationSet.subgroup(3, 32)):
+                classify(profile, b, ts, budgets)
+    assert seen and not any(np.iscomplexobj(a) for a in seen)
+
+    # sets with no mirror symmetry keep the complex solver
+    rng = np.random.default_rng(18)
+    subset = np.sort(rng.choice(64, size=16, replace=False))
+    assert len(set(subset + subset[::-1])) > 1
+    jittered = np.arange(16) + rng.uniform(-0.1, 0.1, 16)
+    for lam in (subset, jittered):
+        seen.clear()
+        with patch:
+            classify(profile, 1.5, TranslationSet.explicit(lam), budgets)
+        assert seen and all(np.iscomplexobj(a) for a in seen)
 
 
 # ---------------------------------------------------------------------------

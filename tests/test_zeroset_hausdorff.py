@@ -154,6 +154,43 @@ def test_cover_from_runs_edge_masks(m):
             _same_cover(cover_mask(mask, alpha), _cover_by_points(mask, alpha))
 
 
+def _cells_by_bincount(mask, d):
+    """Cells of depth ``d`` met by the runs of ``mask`` longer than one point, by a running sum over all ``2^d`` cells."""
+    m = mask.size
+    starts, lengths = cyclic_runs(mask)
+    keep = lengths > 1
+    s = starts[keep]
+    e = s + lengths[keep] - 1
+    if e.size and e[-1] >= m:
+        s, e = np.r_[0, s], np.r_[e[-1] - m, e[:-1], m - 1]
+    shift = int(math.log2(m)) - d
+    lo, hi = s >> shift, e >> shift
+    edges = np.bincount(lo, minlength=2**d + 1) - np.bincount(hi + 1, minlength=2**d + 1)
+    return np.flatnonzero(np.cumsum(edges[:-1]))
+
+
+@given(mask=run_masks(), alpha=st.floats(0.05, 0.95))
+@settings(max_examples=300, deadline=None)
+def test_cover_cells_match_the_bincount_listing(mask, alpha):
+    est = cover_mask(mask, alpha)
+    d = est.scale
+    assert est.intervals == [(float(j) * 2.0**-d, float(j + 1) * 2.0**-d) for j in _cells_by_bincount(mask, d).tolist()]
+
+
+def test_cover_cell_listing_grows_with_the_cover_not_the_depth():
+    # one two-point run on 2^20 points picks depth 19; a listing over all 2^19 cells peaked at 8 MiB
+    mask = np.zeros(2**20, dtype=bool)
+    mask[1000:1002] = True
+    tracemalloc.start()
+    try:
+        est = cover_mask(mask, 0.9)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert est.scale == 19 and est.intervals == [(500 * 2.0**-19, 501 * 2.0**-19)]
+    assert peak < 2**20
+
+
 def test_cover_mask_drop_isolated():
     mask = np.zeros(64, dtype=bool)
     mask[17] = True
