@@ -46,7 +46,6 @@ from .spectrum import (
     TimeEnvelope,
     autocorrelation,
     autocorrelations,
-    time_side_values,
 )
 from .translation_sets import (
     TranslationSet,
@@ -110,7 +109,6 @@ __all__ = [
     "plateau_taper_profile",
     "ramp_plateau_profile",
     "tent_profile",
-    "time_side_values",
     "upper_bound_necessary",
     "upper_bound_sufficient",
     "verify_lower_collapse",

@@ -224,7 +224,7 @@ def _breakpoints(profile, b):
     """
     pos = []
     for p in profile.pieces:
-        if p._poly(2) is None:
+        if p._poly() is None:
             pos.append(p.lo + (p.hi - p.lo) / p.samples.size * np.arange(p.samples.size + 1))
         else:
             pos.append(np.array([p.lo, p.hi]))
@@ -442,7 +442,7 @@ def exact_bounds(profile, b):
     n_lo, n_hi = _cover_range(profile, b, 0.0, 1.0)
     s_max = d_max = 0.0
     for p in profile.pieces:
-        poly = p._poly(2)
+        poly = p._poly()
         if poly is None:
             s_max = max(s_max, float(np.max(p.samples)) ** 2)
             continue

@@ -28,7 +28,6 @@ __all__ = [
     "TimeEnvelope",
     "autocorrelation",
     "autocorrelations",
-    "time_side_values",
 ]
 
 _TWO_PI = 2.0 * math.pi
@@ -223,13 +222,13 @@ class Piece:
         idx = np.floor((xi - self.lo) / width).astype(int)
         return self.samples[np.clip(idx, 0, self.samples.size - 1)]
 
-    # coefficients (c0, c1, c2) of phi_hat**power (power 1 or 2) on [lo, hi)
-    def _poly(self, power):
+    # coefficients (c0, c1, c2) of phi_hat**2 on [lo, hi)
+    def _poly(self):
         if self.const is not None:
-            return (self.const**power, 0.0, 0.0)
+            return (self.const**2, 0.0, 0.0)
         if self.affine is not None:
             s, c = self.affine
-            return (c, s, 0.0) if power == 1 else (c * c, 2.0 * s * c, s * s)
+            return (c * c, 2.0 * s * c, s * s)
         return None  # samples handled cell by cell
 
     def to_json(self):
@@ -297,7 +296,7 @@ class FourierProfile:
         """Exact integral of phi_hat^2 over the line."""
         total = 0.0
         for p in self.pieces:
-            poly = p._poly(2)
+            poly = p._poly()
             if poly is not None:
                 total += _poly_moment(*poly, p.lo, p.hi, 0)
             else:
@@ -387,19 +386,6 @@ def _cells_osc_integral(vals, lo, hi, a):
     return out
 
 
-def _fourier_integrals(profile, xs, power):
-    """``integral of phi_hat(xi)**power e^{2 pi i x xi}`` for every ``x`` in the 1-d ``xs``."""
-    xs = np.asarray(xs, dtype=float)
-    out = np.zeros(xs.shape, dtype=complex)
-    for p in profile.pieces:
-        poly = p._poly(power)
-        if poly is not None:
-            out += _poly_osc_integral(*poly, p.lo, p.hi, xs)
-        else:
-            out += _cells_osc_integral(p.samples**power, p.lo, p.hi, xs)
-    return out
-
-
 def autocorrelations(profile, shifts):
     """Exact ``<phi, phi(. - a)> = integral of phi_hat(xi)^2 e^{2 pi i a xi}`` per shift.
 
@@ -408,16 +394,15 @@ def autocorrelations(profile, shifts):
     small), sampled pieces cell by cell.  ``shifts`` is 1-d; returns a
     complex array of the same length.
     """
-    return _fourier_integrals(profile, shifts, 2)
-
-
-def time_side_values(profile, xs):
-    """Generator values ``phi(x) = integral of phi_hat(xi) e^{2 pi i x xi}``.
-
-    The first power of the profile, not its square: this is the inverse
-    transform of the (real, nonnegative) frequency data.  Exact per piece.
-    """
-    return _fourier_integrals(profile, np.atleast_1d(xs), 1)
+    xs = np.asarray(shifts, dtype=float)
+    out = np.zeros(xs.shape, dtype=complex)
+    for p in profile.pieces:
+        poly = p._poly()
+        if poly is not None:
+            out += _poly_osc_integral(*poly, p.lo, p.hi, xs)
+        else:
+            out += _cells_osc_integral(p.samples**2, p.lo, p.hi, xs)
+    return out
 
 
 # ----------------------------------------------------------------------------

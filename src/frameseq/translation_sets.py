@@ -181,8 +181,9 @@ class DyadicBlocks:
             raise ValueError("n_max out of the supported range [1, 24]")
         ns = np.arange(1, self.n_max + 1)
         self.m = np.maximum(np.floor(self.alpha * ns - np.sqrt(ns)).astype(int), 0)
-        start = math.ceil(1.0 / (4.0 * self.alpha**2)) + 1
-        tail = self.m[start - 1 :]
+        # alpha n - sqrt n grows from n = 1/(4 alpha^2) on; multiplied out, a
+        # tiny alpha whose square underflows leaves the range empty
+        tail = self.m[4.0 * self.alpha**2 * (ns - 1) >= 1.0]
         if tail.size > 1 and np.any(np.diff(tail) < 0):
             raise InconsistencyError("block exponents decreased in the stable range")
 
@@ -367,10 +368,12 @@ def density_exponent_fit(lam):
     transient dense prefixes would otherwise dominate the fit.
     """
     arr = as_indices(lam)
-    p_max = int(math.floor(math.log2(float(arr[-1] - arr[0]))))
-    ps = np.arange(p_max - 1, p_max + 1, dtype=float)
-    if ps[0] < 1:
+    span = float(arr[-1] - arr[0])
+    # the windows 2^(p_max - 1) and 2^p_max with p_max - 1 >= 1 need a span of 4
+    if span < 4.0:
         raise ValueError("not enough dyadic scales in the window for a tail fit")
+    p_max = int(math.floor(math.log2(span)))
+    ps = np.arange(p_max - 1, p_max + 1, dtype=float)
     ds = _density_sorted(arr, 2.0**ps).astype(float)
     slope = float(np.polyfit(ps, np.log2(ds), 1)[0])
     return slope, {"p": ps, "density": ds}

@@ -182,6 +182,14 @@ def test_sized_index_tokens_without_a_size_are_refused(capsys, token):
     assert f"token {token} needs a size" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("token", ["list:3", "geometric:0", "powers:2:0"])
+def test_one_point_index_sets_have_no_density_fit(capsys, token):
+    # a span of 0 has no dyadic scale: refused before its log is taken
+    code, out, err = run(capsys, "density", "--indices", token)
+    assert code == 1 and not out
+    assert err == "usage error: not enough dyadic scales in the window for a tail fit\n"
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -1,4 +1,6 @@
 import math
+import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from hypothesis import strategies as st
 from frameseq.constructions import (
     EPS_RESOLUTION,
     DyadicBlocks,
+    _concentration_threshold,
     block_wave,
     box_profile,
     gallery_profiles,
@@ -105,22 +108,99 @@ def test_dyadic_blocks_exponents_and_ranges():
     assert np.all(np.diff(lam) > 0)
     with pytest.raises(ValueError):
         DyadicBlocks(0.0, 8)
+    # alpha^2 underflows to 0: every block stays full
+    assert DyadicBlocks(1e-200, 8).m.tolist() == [0] * 8
     with pytest.raises(ValueError):
         DyadicBlocks(0.5, 30)
     with pytest.raises(ValueError):
         blocks.block(13)
 
 
+def _direct_power(alpha, n, m, xi):
+    """``|sum_k 2^((m-n)/2) e^{2 pi i lam_k xi}|^2`` over block ``n``, term by term.
+
+    ``lam_k xi`` is exact for dyadic midpoints, so the phases are reduced
+    mod 1 before the exponential and carry no error from large arguments.
+    """
+    lam = DyadicBlocks(alpha, n).block(n)
+    turns = np.mod(np.outer(xi, lam), 1.0)
+    total = np.exp(2j * np.pi * turns) @ np.full(lam.size, 2.0 ** ((m - n) / 2.0))
+    return np.abs(total) ** 2
+
+
 def test_block_wave_two_routes(rng):
     w = block_wave(0.5, 8, 2**12)
     grid = (np.arange(2**12) + 0.5) / 2**12
     idx = rng.choice(2**12, size=2000, replace=False)
-    direct = w.sum_values(grid[idx])
-    assert np.max(np.abs(w.values[idx] - direct)) < 1e-10
-    assert abs(float(np.mean(np.abs(w.values) ** 2)) - 1.0) < 1e-9
-    peak = 2.0 ** ((8 - w.m) / 2.0)
-    assert np.max(np.abs(w.values)) <= peak + 1e-9
-    assert np.max(np.abs(w.values)) > 0.9 * peak
+    peak = 2.0 ** (8 - w.m)
+    assert np.max(np.abs(w.power[idx] - _direct_power(0.5, 8, w.m, grid[idx]))) < 1e-12 * peak
+    assert abs(float(np.mean(w.power)) - 1.0) < 1e-9
+    assert np.max(w.power) <= peak * (1.0 + 1e-12)
+    assert np.max(w.power) > 0.81 * peak
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(
+    alpha=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    n=st.integers(1, 12),
+    extra=st.integers(2, 4),
+    data=st.data(),
+)
+def test_block_wave_power_is_the_squared_exponential_sum(alpha, n, extra, data):
+    M = 2 ** max(n + extra, 4)  # the grid floor is 16 points
+    w = block_wave(alpha, n, M)
+    idx = np.array(data.draw(st.lists(st.integers(0, M - 1), min_size=1, max_size=64)))
+    direct = _direct_power(alpha, n, w.m, (idx + 0.5) / M)
+    assert np.max(np.abs(w.power[idx] - direct)) <= 1e-12 * 2.0 ** (n - w.m)
+
+
+def _complex_block_wave(alpha, n, M):
+    """The block wave's complex values on the midpoint grid: the phase times the ratio of sines."""
+    blocks = DyadicBlocks(alpha, n)
+    m = int(blocks.m[-1])
+    count = blocks.block(n).size
+    xi = (np.arange(M) + 0.5) / M
+    half = np.pi * (1 << m) * xi
+    ratio = np.sin(count * half) / np.sin(half)
+    phase = np.exp(2j * np.pi * (1 << n) * xi + 1j * (count + 1) * half)
+    return m, 2.0 ** ((m - n) / 2.0) * phase * ratio
+
+
+@pytest.mark.parametrize(
+    "alpha, n_range, M", [(0.5, range(4, 13), 2**16), (0.3, range(2, 11), 2**14), (0.7, range(5, 15), 2**18)]
+)
+def test_real_modulus_reproduces_the_complex_construction(alpha, n_range, M):
+    ref = np.ones(M)
+    for n in range(1, n_range[-1] + 1):
+        m, values = _complex_block_wave(alpha, n, M)
+        thr = _concentration_threshold(n, m)
+        ref[np.abs(values) ** 2 >= thr * thr] = 2.0**-n
+    assert np.array_equal(infimum_spectrum(alpha, n_range[-1], M).spectrum.values, ref)
+    ws = [float(np.mean(np.abs(_complex_block_wave(alpha, n, M)[1]) ** 2 * ref)) for n in n_range]
+    if not ws[-1] < 0.5 * ws[0]:
+        # the range is too short to halve the norms: the refusal quotes the same two norms
+        quoted = f"w_{n_range[0]} = {ws[0]:.6g}, w_{n_range[-1]} = {ws[-1]:.6g}"
+        with pytest.raises(RuntimeError, match=re.escape(quoted)):
+            verify_lower_collapse(alpha, n_range, M)
+        for n, w in zip(n_range, ws):
+            assert math.isclose(float(np.mean(block_wave(alpha, n, M).power * ref)), w, rel_tol=1e-12)
+        return
+    out = verify_lower_collapse(alpha, n_range, M)
+    assert [r["n"] for r in out["rows"]] == list(n_range)
+    for row, w in zip(out["rows"], ws):
+        assert math.isclose(row["w"], w, rel_tol=1e-12)
+    assert math.isclose(out["w_ratio"], ws[-1] / ws[0], rel_tol=1e-12)
+
+
+def test_block_wave_memory():
+    # one real array of M floats and its temporaries; a complex evaluation of f_n peaks at 64 MiB
+    tracemalloc.start()
+    try:
+        block_wave(0.5, 12, 2**20)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40 * 2**20
 
 
 def test_block_wave_grid_refusal():

@@ -12,7 +12,6 @@ from frameseq.spectrum import (
     QuadratureError,
     TimeEnvelope,
     autocorrelation,
-    time_side_values,
 )
 from frameseq.translation_sets import g_function
 
@@ -68,15 +67,6 @@ def test_autocorrelation_symmetry_and_bound(taper, tent, rng):
             rev = autocorrelation(profile, float(-x))
             assert abs(ac - np.conj(rev)) < 1e-13
             assert abs(ac) <= n2 + 1e-13  # Cauchy-Schwarz
-
-
-def test_time_side_values_closed_forms(box, tent):
-    xs = np.array([0.25, 1.5, 3.0, 7.5])
-    want_box = np.exp(1j * np.pi * xs) * np.sinc(xs)
-    assert np.max(np.abs(time_side_values(box, xs) - want_box)) < 1e-14
-    # tent transform: e^{i pi x} * (1/2) * sinc(x/2)^2
-    want_tent = np.exp(1j * np.pi * xs) * 0.5 * np.sinc(xs / 2.0) ** 2
-    assert np.max(np.abs(time_side_values(tent, xs) - want_tent)) < 1e-14
 
 
 def test_piece_validation():
