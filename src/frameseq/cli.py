@@ -200,11 +200,6 @@ def _blocks_grid(n_max):
 
 
 def _load_indices(token, window):
-    if token.startswith("list:"):
-        vals = [float(v) for v in token[5:].split(",") if v]
-        if not vals:
-            raise UsageError("empty list: index token")
-        return TranslationSet.explicit(vals)
     try:
         return TranslationSet.from_token(token, window=window)
     except ValueError as exc:
@@ -306,10 +301,9 @@ def _cmd_density(args, cfg):
     if not math.isfinite(args.xmax):
         raise UsageError(f"--xmax must be finite, got {args.xmax}")
     ts = _load_indices(args.indices, args.window)
-    lam = ts.realize()
-    xs = [2.0**k for k in range(0, int(math.log2(max(args.xmax, 2.0))) + 1)]
-    rows = list(zip(xs, density(lam, xs).tolist()))
     exponent, windows = density_exponent_fit(ts)
+    xs = [2.0**k for k in range(0, int(math.log2(max(args.xmax, 2.0))) + 1)]
+    rows = list(zip(xs, density(ts, xs).tolist()))
     payload = {
         "seed": args.seed,
         "table": [{"x": x, "D": d} for x, d in rows],
@@ -436,7 +430,7 @@ def _cmd_verify(args, cfg):
     if args.csv:
         _write_rows(args.csv, ["n", "w"], [(r["n"], r["w"]) for r in report["rows"]])
     _emit(payload, cfg, args.out)
-    return EXIT_OK
+    return EXIT_OK if report["density_ok"] else EXIT_UNDETERMINED
 
 
 # ----------------------------------------------------------------------------

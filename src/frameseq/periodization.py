@@ -20,6 +20,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .spectrum import _on_sorted
+
 GRID_CAP = 2**22
 
 __all__ = [
@@ -123,15 +125,7 @@ def periodize_at(profile, b, xi):
     once and the values scattered back) by :func:`_periodize_sorted`.
     """
     b = check_spacing(b)
-    xi = np.asarray(xi, dtype=float)
-    flat = xi.ravel()
-    if np.all(flat[1:] >= flat[:-1]):
-        return _periodize_sorted(profile, b, flat.size, lambda j, k: flat[j:k]).reshape(xi.shape)
-    order = np.argsort(flat)
-    pts = flat[order]
-    out = np.empty_like(flat)
-    out[order] = _periodize_sorted(profile, b, pts.size, lambda j, k: pts[j:k])
-    return out.reshape(xi.shape)
+    return _on_sorted(lambda x: _periodize_sorted(profile, b, x.size, lambda j, k: x[j:k]), xi)
 
 
 def _periodize_sorted(profile, b, size, points):
@@ -144,12 +138,11 @@ def _periodize_sorted(profile, b, size, points):
     a point with ``x`` in the support is within ``2.01 eps |b X|`` of the
     exact edges (``X`` the largest ``|x|`` of the support), and the computed
     edges are within ``eps (3 |b X| + 2 |n|)`` of theirs; ``pad = 256 eps
-    (|n| + b X)`` covers both.  ``x`` is sorted on the run, so each piece
-    takes the sub-run with ``lo <= x < hi`` (the test of :meth:`Piece.eval`),
-    and the pieces' values add before squaring, in the order of
-    :meth:`FourierProfile.eval`.  The squares add in increasing ``n``, and a
-    skipped translate would add ``+0.0``, so every value is bit for bit
-    ``sum_n eval((xi + n) / b)^2`` over all translates in turn.
+    (|n| + b X)`` covers both.  ``x`` is sorted on the run, so
+    :meth:`FourierProfile.eval_sorted` evaluates it.  The squares add in
+    increasing ``n``, and a skipped translate would add ``+0.0``, so every
+    value is bit for bit ``sum_n eval((xi + n) / b)^2`` over all translates
+    in turn.
     """
     out = np.zeros(size)
     if not size:
@@ -166,15 +159,8 @@ def _periodize_sorted(profile, b, size, points):
         first = np.searchsorted(xi, b * lo - ns - pad, side="left")
         stop = np.searchsorted(xi, b * hi - ns + pad, side="right")
         for n, i, k in zip(ns.tolist(), first.tolist(), stop.tolist()):
-            if i == k:
-                continue
-            x = (xi[i:k] + n) / b
-            vals = np.zeros_like(x)
-            for p in profile.pieces:
-                u, v = np.searchsorted(x, (p.lo, p.hi))
-                if u < v:
-                    vals[u:v] += p.eval_inside(x[u:v])
-            acc[i:k] += vals * vals
+            if i < k:  # no run's values outlive their square, so one run's arrays are alive at a time
+                acc[i:k] += np.square(profile.eval_sorted((xi[i:k] + n) / b))
     return out
 
 
@@ -216,19 +202,8 @@ _BLOCK = 2**15  # points per block where a sweep over many cells or grid points 
 
 
 def _breakpoints(profile, b):
-    """Positions ``b x`` (not reduced mod 1) of the breakpoints of ``Phi_b``.
-
-    ``Phi_b`` is piecewise quadratic on the circle, with a breakpoint at
-    ``b x mod 1`` for every breakpoint ``x`` of ``phi_hat^2`` (piece ends,
-    sample-cell edges).
-    """
-    pos = []
-    for p in profile.pieces:
-        if p._poly() is None:
-            pos.append(p.lo + (p.hi - p.lo) / p.samples.size * np.arange(p.samples.size + 1))
-        else:
-            pos.append(np.array([p.lo, p.hi]))
-    return b * np.concatenate(pos)
+    """Positions ``b x`` (not reduced mod 1) of the breakpoints ``x`` of ``phi_hat^2``, each one of ``Phi_b``."""
+    return b * profile.breakpoints()
 
 
 def _circle_breakpoints(profile, b):
@@ -440,16 +415,7 @@ def exact_bounds(profile, b):
     zero = np.all(f == 0.0, axis=1)
 
     n_lo, n_hi = _cover_range(profile, b, 0.0, 1.0)
-    s_max = d_max = 0.0
-    for p in profile.pieces:
-        poly = p._poly()
-        if poly is None:
-            s_max = max(s_max, float(np.max(p.samples)) ** 2)
-            continue
-        q0, q1, q2 = poly  # phi_hat^2 = q0 + q1 x + q2 x^2, convex: extremes at the piece ends
-        for x in (p.lo, p.hi):
-            s_max = max(s_max, q0 + q1 * x + q2 * x * x)
-            d_max = max(d_max, abs(q1 + 2.0 * q2 * x))
+    s_max, d_max = profile.square_bounds()
     x_max = max(abs(v) for v in profile.support())
     budget = 9.0 * (n_hi - n_lo + 1) * _ROUNDOFF * (s_max + d_max * max(x_max, 1.0 / b))
     sup = float(hi.max())

@@ -166,30 +166,45 @@ def _integrate_gaps(f, knots):
 # ----------------------------------------------------------------------------
 
 
-@dataclass
+def _on_sorted(fn, xi):
+    """``fn``, which maps sorted 1-d points to values, at points ``xi`` of any shape (argsorted if unsorted)."""
+    xi = np.asarray(xi, dtype=float)
+    flat = xi.ravel()
+    if np.all(flat[1:] >= flat[:-1]):
+        return fn(flat).reshape(xi.shape)
+    order = np.argsort(flat)
+    out = np.empty_like(flat)
+    out[order] = fn(flat[order])
+    return out.reshape(xi.shape)
+
+
+@dataclass(init=False)
 class Piece:
     """One interval ``[lo, hi)`` of the profile with a closed-form shape.
 
-    Exactly one of ``const``, ``affine``, ``samples`` is set.  ``affine``
-    is a ``(slope, intercept)`` pair evaluated as ``slope*xi + intercept``;
-    ``samples`` is a nonnegative step function on uniform cells spanning
-    ``[lo, hi)``.
+    Exactly one of ``affine``, ``samples`` is set.  ``affine`` is a
+    ``(slope, intercept)`` pair evaluated as ``slope*xi + intercept``; the
+    constructor keyword ``const=c`` (and the JSON shape ``{"const": c}``)
+    spells the slope-0 piece ``affine=(0.0, c)``.  ``samples`` is a
+    nonnegative step function on uniform cells spanning ``[lo, hi)``.
     """
 
     lo: float
     hi: float
-    const: float | None = None
     affine: tuple[float, float] | None = None
     samples: np.ndarray | None = None
 
-    def __post_init__(self):
+    def __init__(self, lo, hi, const=None, affine=None, samples=None):
+        self.lo, self.hi, self.affine, self.samples = lo, hi, affine, samples
         if not (math.isfinite(self.lo) and math.isfinite(self.hi) and self.hi > self.lo):
             raise ValueError(f"piece needs finite ends with hi > lo, got [{self.lo}, {self.hi})")
-        set_fields = sum(x is not None for x in (self.const, self.affine, self.samples))
+        set_fields = sum(x is not None for x in (const, self.affine, self.samples))
         if set_fields != 1:
             raise ValueError("piece must set exactly one of const, affine, samples")
-        if self.const is not None and self.const < 0:
-            raise ValueError("profile values must be nonnegative")
+        if const is not None:
+            if const < 0:
+                raise ValueError("profile values must be nonnegative")
+            self.affine = (0.0, const)
         if self.affine is not None:
             s, c = self.affine
             lo_val = s * self.lo + c
@@ -203,38 +218,26 @@ class Piece:
             if np.any(self.samples < 0):
                 raise ValueError("profile values must be nonnegative")
 
-    def eval(self, xi):
-        """Value of the profile on this piece at points ``xi`` (0 outside)."""
-        xi = np.asarray(xi, dtype=float)
-        inside = (xi >= self.lo) & (xi < self.hi)
-        out = np.zeros_like(xi)
-        out[inside] = self.eval_inside(xi[inside])
-        return out
-
     def eval_inside(self, xi):
-        """Value at points ``xi`` that lie in ``[lo, hi)``: a scalar for a ``const`` piece, else an array."""
-        if self.const is not None:
-            return self.const
+        """Value at points ``xi`` that lie in ``[lo, hi)``."""
         if self.affine is not None:
             s, c = self.affine
-            return s * xi + c
+            vals = s * xi
+            vals += c  # in place: one temporary the size of xi
+            return vals
         width = (self.hi - self.lo) / self.samples.size
         idx = np.floor((xi - self.lo) / width).astype(int)
         return self.samples[np.clip(idx, 0, self.samples.size - 1)]
 
     # coefficients (c0, c1, c2) of phi_hat**2 on [lo, hi)
     def _poly(self):
-        if self.const is not None:
-            return (self.const**2, 0.0, 0.0)
         if self.affine is not None:
             s, c = self.affine
             return (c * c, 2.0 * s * c, s * s)
         return None  # samples handled cell by cell
 
     def to_json(self):
-        if self.const is not None:
-            shape = {"const": self.const}
-        elif self.affine is not None:
+        if self.affine is not None:
             shape = {"affine": {"slope": self.affine[0], "intercept": self.affine[1]}}
         else:
             shape = {"samples": [float(v) for v in self.samples]}
@@ -282,15 +285,44 @@ class FourierProfile:
             raise ValueError(f"||phi||^2 = {norm:g} over the support {self.support()} must be positive and finite")
 
     def eval(self, xi):
-        """phi_hat at points ``xi`` (vectorized)."""
-        xi = np.asarray(xi, dtype=float)
-        out = np.zeros_like(xi)
+        """phi_hat at points ``xi`` of any shape, through :meth:`eval_sorted`."""
+        return _on_sorted(self.eval_sorted, xi)
+
+    def eval_sorted(self, x):
+        """phi_hat at sorted 1-d points ``x``: each piece, in order, adds its values on the run ``lo <= x < hi``."""
+        vals = np.zeros_like(x)
         for p in self.pieces:
-            out += p.eval(xi)
-        return out
+            u, v = np.searchsorted(x, (p.lo, p.hi))
+            if u < v:
+                vals[u:v] += p.eval_inside(x[u:v])
+        return vals
 
     def support(self):
         return (self.pieces[0].lo, self.pieces[-1].hi)
+
+    def breakpoints(self):
+        """Breakpoints of ``phi_hat^2``: piece ends and sample-cell edges, piece by piece."""
+        pos = []
+        for p in self.pieces:
+            if p.samples is None:
+                pos.append(np.array([p.lo, p.hi]))
+            else:
+                pos.append(p.lo + (p.hi - p.lo) / p.samples.size * np.arange(p.samples.size + 1))
+        return np.concatenate(pos)
+
+    def square_bounds(self):
+        """``(S, D)``, the largest value and slope of ``phi_hat^2``, piece by piece: a sampled piece is
+        flat between its cell edges, an affine piece's square is convex, with its extremes at the ends."""
+        s_max = d_max = 0.0
+        for p in self.pieces:
+            if p.samples is not None:
+                s_max = max(s_max, float(np.max(p.samples)) ** 2)
+                continue
+            q0, q1, q2 = p._poly()
+            for x in (p.lo, p.hi):
+                s_max = max(s_max, q0 + q1 * x + q2 * x * x)
+                d_max = max(d_max, abs(q1 + 2.0 * q2 * x))
+        return s_max, d_max
 
     def norm_squared(self):
         """Exact integral of phi_hat^2 over the line."""
@@ -510,13 +542,18 @@ class TimeEnvelope:
     # -- structural flags ------------------------------------------------
 
     @property
+    def decay_exponent(self):
+        """The exponent ``s`` of the tail ``F(x) ~ x^s``: ``-a`` (power), the tail slope (table), ``-inf`` (exponential)."""
+        if self.kind == "power":
+            return -self.a
+        if self.kind == "exponential":
+            return -math.inf
+        return self._tail_slope
+
+    @property
     def integrable(self):
         """Whether F is integrable on (0, infinity)."""
-        if self.kind == "power":
-            return self.a > 1.0
-        if self.kind == "exponential":
-            return True
-        return self._tail_slope < -1.0
+        return self.decay_exponent < -1.0
 
     def admissibility(self):
         """Doubling and divergence diagnostics for the exponential rate h.

@@ -119,7 +119,12 @@ class TranslationSet:
 
     @staticmethod
     def from_token(token, window=None):
-        """Parse compact CLI tokens like ``Z``, ``N``, ``mZ:3``, ``squares:100``."""
+        """Parse compact CLI tokens like ``Z``, ``N``, ``mZ:3``, ``squares:100``, ``list:0.5,2``."""
+        if token.startswith("list:"):
+            vals = [float(v) for v in token[5:].split(",") if v]
+            if not vals:
+                raise ValueError("empty list: index token")
+            return TranslationSet.explicit(vals)
         if token == "Z":
             if window is None:
                 raise ValueError("token Z needs a window (half width)")

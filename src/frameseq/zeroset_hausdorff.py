@@ -323,8 +323,7 @@ def exactness_evidence(b, ts, a, profile=None, envelope=None, budgets=None):
     The decay exponent ``s`` is proven, not fitted.  A profile ``phi_hat``
     has bounded variation and compact support, so integrating by parts
     gives ``|phi(x)| <= TV(phi_hat) / (2 pi |x|)``: ``s = -1``.  An envelope
-    has its closed form: ``-a`` (power), the tail slope (table), ``-inf``
-    (exponential).
+    has its closed form, :attr:`TimeEnvelope.decay_exponent`.
     """
     if not (0.5 < a < 1.0):
         raise ValueError("exponent a must lie in (1/2, 1)")
@@ -333,14 +332,7 @@ def exactness_evidence(b, ts, a, profile=None, envelope=None, budgets=None):
     budgets = budgets or Budgets()
     hyps = []
 
-    if envelope is None:
-        slope = -1.0
-    elif envelope.kind == "power":
-        slope = -envelope.a
-    elif envelope.kind == "table":
-        slope = envelope._tail_slope
-    else:
-        slope = -math.inf
+    slope = -1.0 if envelope is None else envelope.decay_exponent
     hyps.append(Hypothesis("time-decay rate", slope, -a, slope <= -a))
 
     if profile is not None:

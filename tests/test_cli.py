@@ -5,12 +5,14 @@ import subprocess
 import sys
 import textwrap
 
+import numpy as np
 import pytest
 
 import frameseq.cli as cli
 import frameseq.periodization as periodization
 from frameseq.constructions import ramp_plateau_profile
 from frameseq.gram import InconsistencyError
+from frameseq.translation_sets import density
 
 
 def run(capsys, *argv):
@@ -175,6 +177,36 @@ def test_density_csv_rows_equal_the_json_table(capsys, tmp_path):
     assert table == doc["result"]["table"]
 
 
+def test_density_past_the_realized_span_is_refused(capsys):
+    # Z with --window 10 spans 20, so every window from 32 on would count only the realized points
+    code, out, err = run(capsys, "density", "--indices", "Z", "--window", "10", "--xmax", "4000")
+    assert code == 1 and not out
+    assert err == "usage error: realized window span 20 is shorter than x = 2048; enlarge the realization window\n"
+
+
+def test_readme_density_table_counts_the_realized_set(capsys):
+    # the README command fits its span: its table is the density of the realized window
+    code, doc = run_json(capsys, "density", "--indices", "Z", "--window", "4000", "--xmax", "4000", "--envelope", "power:0.75")
+    assert code == 0
+    xs = [2.0**k for k in range(12)]
+    want = density(np.arange(-4000, 4001), xs).tolist()
+    assert doc["result"]["table"] == [{"x": x, "D": d} for x, d in zip(xs, want)]
+
+
+@pytest.mark.parametrize(
+    "token, message",
+    [
+        ("list:", "empty list: index token"),
+        ("list:1,a", "could not convert string to float: 'a'"),
+        ("list:1,1", "index set has repeated points"),
+    ],
+)
+def test_malformed_list_tokens_are_usage_errors(capsys, token, message):
+    code, out, err = run(capsys, "gram", "--profile", "tent", "--indices", token)
+    assert code == 1 and not out
+    assert err == f"usage error: {message}\n"
+
+
 @pytest.mark.parametrize("token", ["squares", "geometric"])
 def test_sized_index_tokens_without_a_size_are_refused(capsys, token):
     code, out, err = run(capsys, "density", "--indices", token)
@@ -261,6 +293,14 @@ def test_verify_blocks_failure_exit(capsys):
     assert code == 3 and "verification failed" in err
 
 
+def test_verify_blocks_inconclusive_density_exits_2(capsys):
+    # at alpha = 0.2 the blocks set is full up to n = 25: the density fit reads 1 > 0.9, so nothing is decided
+    code, doc = run_json(capsys, "verify", "blocks", "--alpha", "0.2")
+    assert code == 2
+    assert doc["result"]["density_ok"] is False
+    assert doc["result"]["conclusion"] == "inconclusive: density exponent fit 1.000 exceeded 0.900"
+
+
 def test_verify_blocks_csv(capsys, tmp_path):
     csv_path = tmp_path / "w.csv"
     code, doc = run_json(
@@ -281,7 +321,7 @@ def test_verify_blocks_csv(capsys, tmp_path):
 def test_verify_default_grid_stays_under_the_cap(capsys, monkeypatch, n_max, grid):
     # 2^(n_max + 4) points, capped at GRID_CAP = 2^22, which still resolves block n_max up to 20
     seen = []
-    monkeypatch.setattr(cli, "verify_lower_collapse", lambda alpha, n_range, g: seen.append(g) or {"rows": []})
+    monkeypatch.setattr(cli, "verify_lower_collapse", lambda alpha, n_range, g: seen.append(g) or {"rows": [], "density_ok": True})
     code, out, err = run(capsys, "verify", "blocks", "--nmax", str(n_max))
     assert code == 0 and seen == [grid], err
 

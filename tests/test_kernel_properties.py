@@ -55,7 +55,7 @@ def quad_autocorrelation(profile, a):
     total = 0.0
     for p in profile.pieces:
         if p.samples is None:
-            cells = [(p.lo, p.hi, lambda x, p=p: float(p.eval(np.array([x]))[0]) ** 2)]
+            cells = [(p.lo, p.hi, lambda x, p=p: float(p.eval_inside(x)) ** 2)]
         else:
             w = (p.hi - p.lo) / p.samples.size
             cells = [(p.lo + j * w, p.lo + (j + 1) * w, lambda x, s=s: s * s) for j, s in enumerate(p.samples)]

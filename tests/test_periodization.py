@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 import frameseq.periodization as periodization
-from frameseq.constructions import indicator_profile, infimum_spectrum, ramp_plateau_profile, tent_profile
+from frameseq.constructions import gallery_profiles, indicator_profile, infimum_spectrum, ramp_plateau_profile, tent_profile
 from frameseq.periodization import (
     GRID_CAP,
     ResourceLimitError,
@@ -192,9 +192,7 @@ def _piece_by_mask(p, x):
     """A piece's values at ``x`` through the mask ``lo <= x < hi``, as the piece evaluator defines them."""
     inside = (x >= p.lo) & (x < p.hi)
     out = np.zeros_like(x)
-    if p.const is not None:
-        out[inside] = p.const
-    elif p.affine is not None:
+    if p.affine is not None:
         out[inside] = p.affine[0] * x[inside] + p.affine[1]
     else:
         width = (p.hi - p.lo) / p.samples.size
@@ -263,6 +261,57 @@ def test_sampler_equals_the_translate_loop(seed, b, block):
             assert got.shape == xi.shape, name
             assert np.array_equal(got, _periodize_by_translates(profile, b, xi)), name
         assert np.array_equal(periodize(profile, b, 256).values, _periodize_by_translates(profile, b, grid))
+
+
+@given(seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=80, deadline=None)
+def test_profile_eval_equals_the_piece_masks(seed):
+    # unsorted points, on and one ulp either side of every piece end and cell edge, bit for bit
+    rng = np.random.default_rng(seed)
+    profile = _random_profile(rng)
+    edges = profile.breakpoints()
+    xi = np.concatenate((edges, np.nextafter(edges, -np.inf), np.nextafter(edges, np.inf), rng.uniform(-3.0, 4.0, 200)))
+    rng.shuffle(xi)
+    want = np.zeros_like(xi)
+    for p in profile.pieces:
+        want += _piece_by_mask(p, xi)
+    assert np.array_equal(profile.eval(xi), want)
+    assert np.array_equal(profile.eval(xi[:120].reshape(10, 12)), want[:120].reshape(10, 12))
+    assert profile.eval(xi[0]).shape == () and profile.eval(xi[0]) == want[0]
+
+
+def _square_bounds_by_loop(profile):
+    """``(S, D)`` of ``phi_hat^2`` by the loop over pieces that ``exact_bounds`` ran inline."""
+    s_max = d_max = 0.0
+    for p in profile.pieces:
+        if p.samples is not None:
+            s_max = max(s_max, float(np.max(p.samples)) ** 2)
+            continue
+        s, c = p.affine
+        q0, q1, q2 = c * c, 2.0 * s * c, s * s
+        for x in (p.lo, p.hi):
+            s_max = max(s_max, q0 + q1 * x + q2 * x * x)
+            d_max = max(d_max, abs(q1 + 2.0 * q2 * x))
+    return s_max, d_max
+
+
+def _breakpoints_by_loop(profile):
+    pos = []
+    for p in profile.pieces:
+        if p.samples is None:
+            pos.append(np.array([p.lo, p.hi]))
+        else:
+            pos.append(p.lo + (p.hi - p.lo) / p.samples.size * np.arange(p.samples.size + 1))
+    return np.concatenate(pos)
+
+
+_SHAPES = {entry.name: entry.profile for entry in gallery_profiles()} | {"blocks:0.5:8": infimum_spectrum(0.5, 8, 2**12).profile}
+
+
+@pytest.mark.parametrize("profile", _SHAPES.values(), ids=_SHAPES.keys())
+def test_square_bounds_and_breakpoints_match_the_piece_loops(profile):
+    assert profile.square_bounds() == _square_bounds_by_loop(profile)
+    assert np.array_equal(profile.breakpoints(), _breakpoints_by_loop(profile))
 
 
 def test_sampler_on_breakpoints_at_midpoints():

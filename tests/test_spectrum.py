@@ -25,7 +25,7 @@ def quad_autocorrelation(profile, x):
         v = 0.0
         for p in profile.pieces:
             if p.lo <= xi < p.hi:
-                v = p.eval(np.array([xi]))[0]
+                v = p.eval_inside(np.array([xi]))[0]
         return v
 
     re = quad(lambda t: f(t) ** 2 * math.cos(2 * math.pi * x * t), lo, hi,
@@ -80,6 +80,35 @@ def test_piece_validation():
         Piece(1.0, 0.5, const=1.0)
 
 
+@pytest.mark.parametrize("c", [0.0, 0.75, 2.0])
+def test_const_is_the_slope_zero_affine_piece(c):
+    # the keyword, the JSON shape and the affine pair build one piece, with the same values
+    spellings = [
+        Piece(-0.5, 1.0, const=c),
+        Piece.from_json({"lo": -0.5, "hi": 1.0, "shape": {"const": c}}),
+        Piece(-0.5, 1.0, affine=(0.0, c)),
+    ]
+    xs = np.array([-0.75, -0.5, -0.25, 0.0, 0.5, np.nextafter(1.0, 0.0), 1.0, 1.5, 2.0])
+    values = []
+    for piece in spellings:
+        assert piece == spellings[-1] and piece.samples is None and not hasattr(piece, "const")
+        profile = FourierProfile([piece, Piece(1.0, 2.0, affine=(1.0, -1.0))])
+        values.append(profile.eval(xs))
+        back = FourierProfile.from_json(json.loads(json.dumps(profile.to_json())))
+        assert back.pieces == profile.pieces and np.array_equal(back.eval(xs), values[-1])
+    assert all(np.array_equal(v, values[0]) for v in values)
+    assert values[0][1:6].tolist() == [c] * 5
+
+
+def test_negative_const_is_refused_in_both_spellings():
+    with pytest.raises(ValueError, match="^profile values must be nonnegative$"):
+        Piece(0.0, 1.0, const=-0.5)
+    with pytest.raises(ValueError, match="^profile values must be nonnegative$"):
+        FourierProfile.from_json({"pieces": [{"lo": 0.0, "hi": 1.0, "shape": {"const": -0.5}}]})
+    with pytest.raises(ValueError, match="exactly one of const, affine, samples"):
+        Piece(0.0, 1.0, const=1.0, samples=[1.0])
+
+
 @pytest.mark.parametrize("lo, hi", [(0.0, math.inf), (-math.inf, 0.0), (0.0, math.nan)])
 def test_piece_ends_must_be_finite(lo, hi):
     with pytest.raises(ValueError, match="finite ends"):
@@ -111,8 +140,7 @@ def test_profile_json_roundtrip(taper):
     blob = json.dumps(taper.to_json())
     back = FourierProfile.from_json(json.loads(blob))
     xs = np.linspace(-0.5, 1.5, 301)
-    for p, q in zip(taper.pieces, back.pieces):
-        assert np.allclose(p.eval(xs), q.eval(xs))
+    assert np.array_equal(taper.eval(xs), back.eval(xs))
 
 
 def test_samples_profile_json_roundtrip():
@@ -120,7 +148,7 @@ def test_samples_profile_json_roundtrip():
     prof = FourierProfile(pieces=[Piece(0.0, 1.0, samples=vals)])
     back = FourierProfile.from_json(prof.to_json())
     xs = np.array([0.1, 0.3, 0.6, 0.9])
-    assert np.allclose(prof.pieces[0].eval(xs), back.pieces[0].eval(xs))
+    assert np.allclose(prof.eval(xs), back.eval(xs))
     assert np.allclose(back.pieces[0].samples, vals)
 
 

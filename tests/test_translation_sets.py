@@ -235,6 +235,21 @@ def test_token_parsing():
         TranslationSet.from_token("wavelets:3")
 
 
+def test_list_tokens_parse_to_explicit_sets():
+    assert TranslationSet.from_token("list:2.25,0.5,,1.5") == TranslationSet.explicit([0.5, 1.5, 2.25])
+    assert TranslationSet.from_token("list:3", window=8) == TranslationSet.explicit([3])
+    for token, message in [
+        ("list:", "empty list: index token"),
+        ("list:,", "empty list: index token"),
+        ("list:1,a", "could not convert string to float: 'a'"),
+        ("list:1,1", "index set has repeated points"),
+        ("list", "unknown translation-set token: 'list'"),
+    ]:
+        with pytest.raises(ValueError) as exc:
+            TranslationSet.from_token(token)
+        assert str(exc.value) == message
+
+
 def test_g_function_frozen_values():
     env = TimeEnvelope.power(0.75)
     assert abs(g_function(env, 0.0) - 3.0) < 1e-12
