@@ -409,7 +409,10 @@ def exact_bounds(profile, b):
     coeffs = np.column_stack((f[:, 1], c1, c2))
     left = f[:, 1] - 0.5 * c1 + 0.25 * c2
     inside = np.abs(c1) < np.abs(c2)  # the vertex -c1 / (2 c2) lies inside the cell
-    vertex = np.where(inside, f[:, 1] - c1 * c1 / (4.0 * np.where(inside, c2, 1.0)), left)
+    # c1^2 / (4 c2) on c1, c2 scaled by 2^-e, exact unless c1^2 would underflow unscaled
+    e = int(np.frexp(f.max())[1])
+    g1, g2 = np.ldexp(c1, -e), np.where(inside, np.ldexp(c2, -e), 1.0)
+    vertex = np.where(inside, f[:, 1] - np.ldexp(g1 * g1 / (4.0 * g2), e), left)
     extremes = np.column_stack((left, f[:, 1] + 0.5 * c1 + 0.25 * c2, vertex))
     lo, hi = extremes.min(axis=1), extremes.max(axis=1)
     zero = np.all(f == 0.0, axis=1)

@@ -73,6 +73,11 @@ _GK_GAUSS[11:20:2] = _GK_WG[::-1]
 _EPS = np.finfo(float).eps
 _TINY = np.finfo(float).tiny
 _SUBNORMAL = np.finfo(float).smallest_subnormal
+# smallest peak of a piece that is not identically 0: phi_hat^2 rounds to 0 where
+# |phi_hat| < sqrt(u / 2), u the smallest subnormal, which on a sloped piece of
+# length L is a band of width at most sqrt(2 u) L / peak around a root; this peak
+# keeps the band within eps L, so underflow makes no zeros wider than roundoff
+_PEAK_MIN = math.sqrt(2.0 * _SUBNORMAL) / _EPS
 # every gap integral is held to this relative tolerance
 _QUAD_RTOL = 1e-11
 # gaps are integrated this many at a time: a gap holds about 1.2 KB in its
@@ -229,6 +234,13 @@ class Piece:
         idx = np.floor((xi - self.lo) / width).astype(int)
         return self.samples[np.clip(idx, 0, self.samples.size - 1)]
 
+    def peak(self):
+        """Largest value on the piece: its largest sample, or the larger end value of an affine piece."""
+        if self.samples is not None:
+            return float(np.max(self.samples))
+        s, c = self.affine
+        return max(s * self.lo + c, s * self.hi + c)
+
     # coefficients (c0, c1, c2) of phi_hat**2 on [lo, hi)
     def _poly(self):
         if self.affine is not None:
@@ -276,6 +288,13 @@ class FourierProfile:
             if cur.lo < prev.hi - 1e-15:
                 raise ValueError(
                     f"pieces overlap: [{prev.lo}, {prev.hi}) and [{cur.lo}, {cur.hi})"
+                )
+        for p in self.pieces:
+            peak = p.peak()
+            if 0.0 < peak < _PEAK_MIN:
+                raise ValueError(
+                    f"piece [{p.lo}, {p.hi}) peaks at {peak:.3g}, below {_PEAK_MIN:.3g}: "
+                    "its square would underflow to 0 beyond roundoff; scale the profile up"
                 )
         try:
             norm = self.norm_squared()

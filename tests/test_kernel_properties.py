@@ -46,7 +46,7 @@ def profiles(draw):
     assume(pieces)
     try:
         return FourierProfile(pieces)
-    except ValueError:  # identically zero
+    except ValueError:  # identically zero, or too small to square without underflow
         assume(False)
 
 
@@ -130,6 +130,8 @@ def _phi_slope(profile, b):
 @settings(max_examples=60, deadline=None)
 # the tent at b = 2: two translates sum to a cell whose minimum is its vertex
 @example(profile=FourierProfile([Piece(0.0, 0.5, affine=(2.0, 0.0)), Piece(0.5, 1.0, affine=(-2.0, 2.0))]), b=2.0)
+# phi_hat^2 near 1e-200: the square of the cell's slope term underflows unless scaled first
+@example(profile=FourierProfile([Piece(0.0, 1.0, affine=(1e-100, -1e-101))]), b=1.0)
 def test_exact_bounds_hold_every_grid(profile, b):
     eb = exact_bounds(profile, b)
     slope = _phi_slope(profile, b)

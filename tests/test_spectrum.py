@@ -131,6 +131,18 @@ def test_profile_samples_whose_squares_overflow_are_refused(samples):
         FourierProfile(pieces=[Piece(0.0, 1.0, samples=samples)])
 
 
+@pytest.mark.parametrize(
+    "piece",
+    [Piece(0.25, 1.75, affine=(1.6670099920820399e-161, -4.1675249802050997e-162)), Piece(0.0, 1.0, const=1e-161),
+     Piece(0.0, 1.0, samples=[0.0, 1e-150])],
+)
+def test_profile_pieces_whose_squares_underflow_are_refused(piece):
+    # a sloped piece this small squares to exact zeros on a band around its root, zeros no cell of Phi_b accounts for
+    with pytest.raises(ValueError, match="would underflow"):
+        FourierProfile(pieces=[piece])
+    FourierProfile(pieces=[Piece(-1.0, 0.0, const=0.0), Piece(0.0, 1.0, affine=(1e-100, 0.0))])  # 0 or large enough
+
+
 def test_profile_pieces_must_be_disjoint_sorted():
     with pytest.raises(ValueError):
         FourierProfile(pieces=[Piece(0.0, 0.6, const=1.0), Piece(0.5, 1.0, const=1.0)])
