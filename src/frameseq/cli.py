@@ -298,11 +298,13 @@ def _cmd_gram(args, cfg):
 
 
 def _cmd_density(args, cfg):
-    if not math.isfinite(args.xmax):
+    if args.xmax is not None and not math.isfinite(args.xmax):
         raise UsageError(f"--xmax must be finite, got {args.xmax}")
     ts = _load_indices(args.indices, args.window)
     exponent, windows = density_exponent_fit(ts)
-    xs = [2.0**k for k in range(0, int(math.log2(max(args.xmax, 2.0))) + 1)]
+    # without --xmax the largest window is the fit's, the largest 2^k inside the realized span
+    xmax = _given(args.xmax, 2.0 ** float(windows["p"][-1]))
+    xs = [2.0**k for k in range(0, int(math.log2(max(xmax, 2.0))) + 1)]
     rows = list(zip(xs, density(ts, xs).tolist()))
     payload = {
         "seed": args.seed,
@@ -312,8 +314,8 @@ def _cmd_density(args, cfg):
     }
     if args.envelope:
         env = _load_envelope(args.envelope)
-        suff = upper_bound_sufficient(env, ts, x_max=args.xmax)
-        nec = upper_bound_necessary(env, ts, x_max=args.xmax)
+        suff = upper_bound_sufficient(env, ts, x_max=xmax)
+        nec = upper_bound_necessary(env, ts, x_max=xmax)
         payload["upper_bound_sufficient"] = {
             "verdict": suff.verdict,
             "integral": suff.integral,
@@ -326,7 +328,7 @@ def _cmd_density(args, cfg):
             "sup_estimate": nec.sup_estimate,
         }
         try:
-            eq = g_equivalence_check(env, x_grid=np.geomspace(1.0, args.xmax, 400))
+            eq = g_equivalence_check(env, x_grid=np.geomspace(1.0, xmax, 400))
             payload["g_equivalence"] = {"C": eq.C, "hypotheses_hold": True}
         except ValueError as exc:
             payload["g_equivalence"] = {"refusal": str(exc), "hypotheses_hold": False}
@@ -598,7 +600,7 @@ def _build_parser():
 
     sp = sub.add_parser("density", help="window densities and growth tests")
     common(sp, profile=False, spacing=False, indices=True, window=True, grid=False)
-    sp.add_argument("--xmax", type=float, default=1e4)
+    sp.add_argument("--xmax", type=float, default=None, help="largest window (default: largest 2^k in the span)")
     sp.add_argument("--envelope", default=None, help="power:<a> or exp:<delta>:<rate>")
     sp.add_argument("--csv", default=None)
     sp.set_defaults(func=_cmd_density)

@@ -420,6 +420,9 @@ def classify(profile, b, ts, budgets=None):
             label, note = "undetermined", "not enough nested windows for a trend verdict"
         elif a_fall <= 0.5 and b_grow <= 1.2:
             label = "upper bound only"
+        elif any(fb.numerical_rank < k for fb, k in zip(fbs, windows)):
+            # a Riesz sequence has no singular window, and A_est then reads past the kernel
+            label, note = "undetermined", "a window is singular to working precision, so its A_est bounds nothing"
         elif a_fall >= 0.8 and b_grow <= 1.2:
             label = "exact frame sequence"
         else:

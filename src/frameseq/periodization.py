@@ -203,7 +203,9 @@ _BLOCK = 2**15  # points per block where a sweep over many cells or grid points 
 
 def _breakpoints(profile, b):
     """Positions ``b x`` (not reduced mod 1) of the breakpoints ``x`` of ``phi_hat^2``, each one of ``Phi_b``."""
-    return b * profile.breakpoints()
+    x = profile.breakpoints()
+    x *= b
+    return x
 
 
 def _circle_breakpoints(profile, b):
@@ -211,14 +213,19 @@ def _circle_breakpoints(profile, b):
 
     Breakpoints from different translates (:func:`_breakpoints`) that land
     within roundoff of one circle point are one breakpoint.  Positions come
-    sorted in ``[-tol, 1 - tol]``.
+    sorted in ``[-tol, 1 - tol]``.  They are reduced and sorted in place, so
+    at most two floats and a flag per breakpoint are alive at a time, the
+    result's included.
     """
-    x = _breakpoints(profile, b)
-    frac = x - np.floor(x)
-    tol = _ROUNDOFF * max(1.0, float(np.max(np.abs(x))))  # positions this close coincide
+    frac = _breakpoints(profile, b)
+    tol = _ROUNDOFF * max(1.0, -float(frac.min()), float(frac.max()))  # positions this close coincide
+    frac -= np.floor(frac)
     frac[frac > 1.0 - tol] -= 1.0  # the circle closes: 1 is 0
     frac.sort()
-    pos = frac[np.concatenate(([0], np.flatnonzero(np.diff(frac) > tol) + 1))]
+    keep = np.empty(frac.size, dtype=bool)
+    keep[0] = True
+    np.greater(np.diff(frac), tol, out=keep[1:])
+    pos = frac[keep]
     if pos.size > 1 and pos[0] + 1.0 - pos[-1] <= tol:  # the last one coincides with the first
         pos = pos[:-1]
     return pos, tol
@@ -385,6 +392,13 @@ def exact_bounds(profile, b):
     when its samples are exactly 0: every translate term vanishes there, and
     a quadratic that is not identically zero has at most two roots.
 
+    The cells go in blocks of ``_BLOCK // 3``: one pass fills the samples,
+    a second turns each block of them into its coefficients in place and
+    folds the block into the bounds.  Memory is the result, five floats and
+    a flag per cell, plus the temporaries of one block.  The vertex scaling
+    and the zero measure read all cells at once (a maximum, and one sum over
+    the zero cells' widths), so the result does not depend on the block size.
+
     The budget is derived.  A sample sums ``T`` translate terms, each the
     square of at most ``S = max phi_hat^2`` at a point known to relative
     roundoff ``rho = 256 eps``, so it is off by at most
@@ -401,27 +415,45 @@ def exact_bounds(profile, b):
     """
     b = check_spacing(b)
     pos, tol = _circle_breakpoints(profile, b)
-    widths = np.diff(pos, append=pos[0] + 1.0)
-    xi = (pos[:, None] + widths[:, None] * np.array([0.25, 0.5, 0.75])).ravel()
-    f = periodize_at(profile, b, xi).reshape(-1, 3)
-    c1 = 2.0 * (f[:, 2] - f[:, 0])
-    c2 = 8.0 * (f[:, 0] - 2.0 * f[:, 1] + f[:, 2])
-    coeffs = np.column_stack((f[:, 1], c1, c2))
-    left = f[:, 1] - 0.5 * c1 + 0.25 * c2
-    inside = np.abs(c1) < np.abs(c2)  # the vertex -c1 / (2 c2) lies inside the cell
-    # c1^2 / (4 c2) on c1, c2 scaled by 2^-e, exact unless c1^2 would underflow unscaled
-    e = int(np.frexp(f.max())[1])
-    g1, g2 = np.ldexp(c1, -e), np.where(inside, np.ldexp(c2, -e), 1.0)
-    vertex = np.where(inside, f[:, 1] - np.ldexp(g1 * g1 / (4.0 * g2), e), left)
-    extremes = np.column_stack((left, f[:, 1] + 0.5 * c1 + 0.25 * c2, vertex))
-    lo, hi = extremes.min(axis=1), extremes.max(axis=1)
-    zero = np.all(f == 0.0, axis=1)
+    cells, rows, quarters = pos.size, max(1, _BLOCK // 3), np.array([0.25, 0.5, 0.75])
+    widths = np.empty(cells)
+    np.subtract(pos[1:], pos[:-1], out=widths[:-1])
+    widths[-1] = pos[0] + 1.0 - pos[-1]
+    # the samples at s = -1/4, 0, 1/4 of each cell, turned into its coefficients block by block below;
+    # cells are wider than tol, so the points come sorted
+    coeffs = np.empty((cells, 3))
+    # refuse before any work, naming the translate count of all sample points rather than of one block's
+    _cover_range(profile, b, pos[0] + widths[0] * 0.25, pos[-1] + widths[-1] * 0.75)
+    for j in range(0, cells, rows):
+        xi = pos[j : j + rows, None] + widths[j : j + rows, None] * quarters
+        coeffs[j : j + rows] = periodize_at(profile, b, xi)
+    # c1^2 / (4 c2) on c1, c2 scaled by 2^-e, exact unless c1^2 would underflow unscaled; e is global, so
+    # a block of tiny cells is scaled as the whole profile is
+    e = int(np.frexp(coeffs.max())[1])
+    zero = np.empty(cells, dtype=bool)
+    inf = inf_nonzero = math.inf
+    sup = -math.inf
+    for j in range(0, cells, rows):
+        f = coeffs[j : j + rows]
+        c1 = 2.0 * (f[:, 2] - f[:, 0])
+        c2 = 8.0 * (f[:, 0] - 2.0 * f[:, 1] + f[:, 2])
+        left = f[:, 1] - 0.5 * c1 + 0.25 * c2
+        inside = np.abs(c1) < np.abs(c2)  # the vertex -c1 / (2 c2) lies inside the cell
+        g1, g2 = np.ldexp(c1, -e), np.where(inside, np.ldexp(c2, -e), 1.0)
+        vertex = np.where(inside, f[:, 1] - np.ldexp(g1 * g1 / (4.0 * g2), e), left)
+        extremes = np.column_stack((left, f[:, 1] + 0.5 * c1 + 0.25 * c2, vertex))
+        lo, hi = extremes.min(axis=1), extremes.max(axis=1)
+        z = zero[j : j + rows]
+        np.all(f == 0.0, axis=1, out=z)
+        inf, sup = min(inf, float(lo.min())), max(sup, float(hi.max()))
+        if not z.all():
+            inf_nonzero = min(inf_nonzero, float(lo[~z].min()))
+        f[:, 0], f[:, 1], f[:, 2] = f[:, 1], c1, c2
 
     n_lo, n_hi = _cover_range(profile, b, 0.0, 1.0)
     s_max, d_max = profile.square_bounds()
     x_max = max(abs(v) for v in profile.support())
     budget = 9.0 * (n_hi - n_lo + 1) * _ROUNDOFF * (s_max + d_max * max(x_max, 1.0 / b))
-    sup = float(hi.max())
     if budget >= sup:
         raise ValueError(
             f"spacing b = {b:g} is too small: the cells' roundoff budget {budget:.3g} reaches "
@@ -433,10 +465,10 @@ def exact_bounds(profile, b):
         widths=widths,
         coeffs=coeffs,
         zero=zero,
-        inf=float(lo.min()),
-        inf_nonzero=float(lo[~zero].min()),
+        inf=inf,
+        inf_nonzero=inf_nonzero,
         sup=sup,
-        zero_measure=float(widths[zero].sum()),
+        zero_measure=float(widths[zero].sum()),  # one sum over all zero cells, in the order np.sum takes it
         budget=budget,
         tol=tol,
     )

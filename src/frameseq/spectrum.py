@@ -320,13 +320,20 @@ class FourierProfile:
         return (self.pieces[0].lo, self.pieces[-1].hi)
 
     def breakpoints(self):
-        """Breakpoints of ``phi_hat^2``: piece ends and sample-cell edges, piece by piece."""
+        """Breakpoints of ``phi_hat^2``: piece ends and sample-cell edges, piece by piece.
+
+        A sampled piece's edges are made in place, so the pieces' edges and
+        their concatenation are the only arrays the size of the samples.
+        """
         pos = []
         for p in self.pieces:
             if p.samples is None:
-                pos.append(np.array([p.lo, p.hi]))
+                pos.append(np.array([p.lo, p.hi], dtype=float))
             else:
-                pos.append(p.lo + (p.hi - p.lo) / p.samples.size * np.arange(p.samples.size + 1))
+                edges = np.arange(p.samples.size + 1, dtype=float)
+                edges *= (p.hi - p.lo) / p.samples.size
+                edges += p.lo
+                pos.append(edges)
         return np.concatenate(pos)
 
     def square_bounds(self):

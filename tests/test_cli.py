@@ -12,7 +12,7 @@ import frameseq.cli as cli
 import frameseq.periodization as periodization
 from frameseq.constructions import ramp_plateau_profile
 from frameseq.gram import InconsistencyError
-from frameseq.translation_sets import density
+from frameseq.translation_sets import TranslationSet, density
 
 
 def run(capsys, *argv):
@@ -182,6 +182,18 @@ def test_density_past_the_realized_span_is_refused(capsys):
     code, out, err = run(capsys, "density", "--indices", "Z", "--window", "10", "--xmax", "4000")
     assert code == 1 and not out
     assert err == "usage error: realized window span 20 is shorter than x = 2048; enlarge the realization window\n"
+
+
+def test_density_without_xmax_stops_at_the_realized_span(capsys):
+    # squares:80 spans 6400: the table and the envelope tests run to 2^12, the largest window inside it
+    code, doc = run_json(capsys, "density", "--indices", "squares:80", "--envelope", "power:0.75")
+    assert code == 0 and "xmax" not in doc["config"]
+    res = doc["result"]
+    assert [row["x"] for row in res["table"]] == [2.0**k for k in range(13)]
+    assert res["table"][-1]["D"] == density(TranslationSet.squares(80), 4096.0)
+    assert res["fit_windows"]["p"] == [11.0, 12.0]
+    code, given = run_json(capsys, "density", "--indices", "squares:80", "--envelope", "power:0.75", "--xmax", "4096")
+    assert code == 0 and given["result"] == res
 
 
 def test_readme_density_table_counts_the_realized_set(capsys):

@@ -329,6 +329,17 @@ def test_classify_half_lattice_vs_naturals(half):
     assert any(e["rule"] == "restricted-index-exactness" for e in one_sided.evidence)
 
 
+def test_classify_singular_windows_are_undetermined(half):
+    # 7k + {0, 1, 2, 3}: every window has a kernel (ranks 61, 118, 230, 455 of 64 to 512), so no
+    # Riesz bound can be read off it, however little A_est moves across the ladder
+    lam = (7 * np.arange(128)[:, None] + np.arange(4)).ravel()
+    rep = classify(half, 1.0, TranslationSet.explicit(lam))
+    (trend,) = [e for e in rep.evidence if e["rule"] == "eigenvalue-window-trend"]
+    assert trend["numerical_rank"] == [61, 118, 230, 455] and trend["windows"] == [64, 128, 256, 512]
+    assert rep.classification == "undetermined" and rep.A_est is None
+    assert "singular" in rep.notes[0]
+
+
 def test_classify_subgroup_rescales(taper):
     rep = classify(taper, 1.0, TranslationSet.subgroup(2, 64))
     assert rep.classification == "exact frame sequence"

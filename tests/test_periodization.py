@@ -349,3 +349,118 @@ def test_periodize_holds_the_output_and_one_block():
     finally:
         tracemalloc.stop()
     assert peak <= 10 * 2**20
+
+
+# ---------------------------------------------------------------------------
+# the cells block by block against the one-shot cells they replaced
+# ---------------------------------------------------------------------------
+
+
+def _circle_breakpoints_one_shot(profile, b):
+    x = b * _breakpoints_by_loop(profile)
+    frac = x - np.floor(x)
+    tol = periodization._ROUNDOFF * max(1.0, float(np.max(np.abs(x))))
+    frac[frac > 1.0 - tol] -= 1.0
+    frac.sort()
+    pos = frac[np.concatenate(([0], np.flatnonzero(np.diff(frac) > tol) + 1))]
+    if pos.size > 1 and pos[0] + 1.0 - pos[-1] <= tol:
+        pos = pos[:-1]
+    return pos, tol
+
+
+def _exact_bounds_one_shot(profile, b):
+    """The cells with every cell-sized array alive at once, as ``exact_bounds`` made them before blocks."""
+    pos, tol = _circle_breakpoints_one_shot(profile, b)
+    widths = np.diff(pos, append=pos[0] + 1.0)
+    xi = (pos[:, None] + widths[:, None] * np.array([0.25, 0.5, 0.75])).ravel()
+    f = periodize_at(profile, b, xi).reshape(-1, 3)
+    c1 = 2.0 * (f[:, 2] - f[:, 0])
+    c2 = 8.0 * (f[:, 0] - 2.0 * f[:, 1] + f[:, 2])
+    coeffs = np.column_stack((f[:, 1], c1, c2))
+    left = f[:, 1] - 0.5 * c1 + 0.25 * c2
+    inside = np.abs(c1) < np.abs(c2)
+    e = int(np.frexp(f.max())[1])
+    g1, g2 = np.ldexp(c1, -e), np.where(inside, np.ldexp(c2, -e), 1.0)
+    vertex = np.where(inside, f[:, 1] - np.ldexp(g1 * g1 / (4.0 * g2), e), left)
+    extremes = np.column_stack((left, f[:, 1] + 0.5 * c1 + 0.25 * c2, vertex))
+    lo, hi = extremes.min(axis=1), extremes.max(axis=1)
+    zero = np.all(f == 0.0, axis=1)
+    n_lo, n_hi = _cover_range(profile, b, 0.0, 1.0)
+    s_max, d_max = profile.square_bounds()
+    x_max = max(abs(v) for v in profile.support())
+    budget = 9.0 * (n_hi - n_lo + 1) * periodization._ROUNDOFF * (s_max + d_max * max(x_max, 1.0 / b))
+    sup = float(hi.max())
+    if budget >= sup:
+        raise ValueError(
+            f"spacing b = {b:g} is too small: the cells' roundoff budget {budget:.3g} reaches "
+            f"ess sup {sup:.3g} of Phi_b, so the cells cannot tell Phi_b from 0"
+        )
+    return {
+        "starts": pos, "widths": widths, "coeffs": coeffs, "zero": zero, "inf": float(lo.min()),
+        "inf_nonzero": float(lo[~zero].min()), "sup": sup, "zero_measure": float(widths[zero].sum()),
+        "budget": budget, "tol": tol,
+    }
+
+
+def _tiny_and_unit_profile():
+    """Sampled cells of order 1 next to cells below 1e-77, under a sloped piece near 1e-100.
+
+    The sloped piece gives every cell of ``Phi_b`` a vertex term near
+    1e-200, so a cell whose samples are tiny too reads a different minimum
+    when ``c1^2 / (4 c2)`` is scaled by its own block's exponent instead of
+    the profile's.
+    """
+    samples = np.array([1.0, 1e-100, 0.5, 1e-90, 1e-80, 2.0, 1e-100, 0.0, 1e-78, 0.75])
+    return FourierProfile([Piece(-1.0, 0.0, samples=samples), Piece(0.0, 1.0, affine=(1e-100, -3e-101))])
+
+
+def _assert_cells_equal(profile, b, block):
+    try:
+        want = _exact_bounds_one_shot(profile, b)
+    except ValueError as exc:  # a spacing whose budget reaches the ess sup is refused alike
+        with mock.patch.object(periodization, "_BLOCK", block), pytest.raises(ValueError) as refusal:
+            exact_bounds(profile, b)
+        assert str(refusal.value) == str(exc)
+        return
+    with mock.patch.object(periodization, "_BLOCK", block):
+        eb = exact_bounds(profile, b)
+    for name, value in want.items():
+        got = getattr(eb, name)
+        assert np.array_equal(got, value) and np.shape(got) == np.shape(value), name
+        assert np.asarray(got).dtype == np.asarray(value).dtype, name
+
+
+@given(seed=st.integers(0, 2**32 - 1), b=st.floats(0.3, 50.0), block=st.sampled_from([3, 7, 37]))
+@settings(max_examples=80, deadline=None)
+def test_blocked_cells_equal_the_one_shot_cells(seed, b, block):
+    _assert_cells_equal(_random_profile(np.random.default_rng(seed)), b, block)
+
+
+def _many_zero_cells_profile():
+    """About fifty zero cells of uneven width: at ``b = 0.37`` their measure summed block by block,
+    for each block size tested, differs in the last bit from one ``np.sum`` over them all."""
+    rng = np.random.default_rng(3)
+    samples = np.where(rng.uniform(size=60) < 0.25, rng.uniform(0.5, 2.0, 60), 0.0)
+    return FourierProfile([Piece(0.1, 0.1 + math.pi / 2.0, samples=samples)])
+
+
+@pytest.mark.parametrize("block", [3, 7, 37])
+@pytest.mark.parametrize(
+    "make, b",
+    [(_tiny_and_unit_profile, b) for b in (0.5, 1.0, 2.0, 3.7)]
+    + [(_many_zero_cells_profile, b) for b in (0.37, 0.61, 1.37)],
+)
+def test_blocked_cells_read_the_vertex_scale_and_zero_measure_off_all_cells(make, b, block):
+    _assert_cells_equal(make(), b, block)
+
+
+def test_exact_bounds_holds_its_result_and_one_block():
+    # 65,536 cells: the result takes 2.6 MiB; the one-shot cells peaked at 11.7 MiB
+    profile = infimum_spectrum(0.5, 12, 2**16).profile
+    tracemalloc.start()
+    try:
+        eb = exact_bounds(profile, 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert eb.cells == 2**16 and peak <= 5 * 2**20
