@@ -304,7 +304,9 @@ def _cmd_density(args, cfg):
     exponent, windows = density_exponent_fit(ts)
     # without --xmax the largest window is the fit's, the largest 2^k inside the realized span
     xmax = _given(args.xmax, 2.0 ** float(windows["p"][-1]))
-    xs = [2.0**k for k in range(0, int(math.log2(max(xmax, 2.0))) + 1)]
+    if xmax < 1.0:
+        raise UsageError(f"--xmax {xmax:g} is below 1: it leaves no window 2^k <= --xmax")
+    xs = [2.0**k for k in range(math.frexp(xmax)[1])]  # frexp's exponent is floor(log2 xmax) + 1, exactly
     rows = list(zip(xs, density(ts, xs).tolist()))
     payload = {
         "seed": args.seed,

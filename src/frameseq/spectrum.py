@@ -463,6 +463,11 @@ def autocorrelations(profile, shifts):
     return out
 
 
+def autocorrelation(profile, a):
+    """``<phi, phi(. - a)>`` at one shift ``a``, as a complex number: the scalar form of :func:`autocorrelations`."""
+    return complex(autocorrelations(profile, np.array([float(a)]))[0])
+
+
 # ----------------------------------------------------------------------------
 # time-domain envelopes
 # ----------------------------------------------------------------------------
@@ -581,39 +586,47 @@ class TimeEnvelope:
         """Whether F is integrable on (0, infinity)."""
         return self.decay_exponent < -1.0
 
-    def admissibility(self):
-        """Doubling and divergence diagnostics for the exponential rate h.
+    # -- integrals ------------------------------------------------------
 
-        Checks on 200 points of ``[1, 1e6]`` that constants ``1 < c1 < c2``
-        exist with ``c1 h(x) <= h(2x) <= c2 h(x)``, and that the partial sums
-        of ``integral of t^-2 h(t)`` over the 40 doubling windows
-        ``[2^k, 2^(k+1)]`` (one kernel call) keep growing (increment decay
-        fitted against ``k^-rho``; divergent iff rho <= 1).
+    def integrals(self, x):
+        """``(integral_0^x F, integral_x^inf F^2)`` at every point of ``x`` (any shape, ``x >= 0``).
+
+        The power kind has both in closed form.  Every other kind takes one
+        cumulative quadrature over the sorted knots ``{0, 1} U x``: the kernel
+        :func:`_integrate_gaps` integrates ``F`` and ``F^2`` over every gap
+        between consecutive knots, each to ``1e-11`` relative (or to its
+        underflow floor), a forward running sum gives ``integral_0^x F`` at
+        every knot, and a backward one, seeded by :func:`_tail_F2` at the
+        largest knot, gives ``integral_x^inf F^2``.  Both thus carry a relative
+        quadrature error of about 1e-10 wherever ``F^2`` does not underflow; a
+        value the kernel cannot certify raises :class:`QuadratureError`.
         """
-        if self.kind != "exponential":
-            raise ValueError("admissibility check applies to exponential envelopes")
-        x_grid = np.geomspace(1.0, 1e6, 200)
-        h = self._rate_fn
-        ratios = h(2.0 * x_grid) / h(x_grid)
-        c1 = float(np.min(ratios))
-        c2 = float(np.max(ratios))
-        increments = _integrate_gaps(lambda t: (h(t) / t**2)[None], 2.0 ** np.arange(41.0))[0]
-        ks = np.arange(1, increments.size + 1, dtype=float)
-        good = increments > 1e-300
-        if good.sum() >= 3:
-            slope = float(np.polyfit(np.log(ks[good]), np.log(increments[good]), 1)[0])
-        else:
-            slope = -math.inf
-        divergent = slope >= -1.05
-        ok = (c1 > 1.0) and (c2 < math.inf) and divergent
-        return {
-            "c1": c1,
-            "c2": c2,
-            "doubling_ok": c1 > 1.0 and math.isfinite(c2),
-            "increment_decay": slope,
-            "divergent": divergent,
-            "admissible": ok,
-        }
+        x = np.asarray(x, dtype=float)
+        if self.kind == "power":
+            return _power_int0F(self.a, x), _tail_F2(self, x)
+        knots, where = np.unique(np.concatenate(([0.0, 1.0], x.ravel())), return_inverse=True)
+
+        def f_and_f2(t):
+            f = self.F(t)
+            return np.stack((f, f * f))
+
+        gaps_F, gaps_F2 = _integrate_gaps(f_and_f2, knots)
+        int0F = np.concatenate(([0.0], np.cumsum(gaps_F)))
+        # backward sum from the tail inward: the smallest terms are added first
+        tail = np.cumsum(np.concatenate(([_tail_F2(self, knots[-1])], gaps_F2[::-1])))[::-1]
+        where = where[2:].reshape(x.shape)
+        return int0F[where], tail[where]
+
+
+def _power_int0F(a, x):
+    """integral_0^x F for F = min(1, t^-a), vectorized."""
+    x = np.asarray(x, dtype=float)
+    out = np.minimum(x, 1.0, out=np.empty_like(x))  # an array even where x is 0-d
+    big = x > 1.0
+    if np.any(big):
+        xb = x[big]
+        out[big] = 1.0 + (np.log(xb) if a == 1.0 else (xb ** (1.0 - a) - 1.0) / (1.0 - a))
+    return out
 
 
 # a doubling sum has 80 windows; one of F^2 stops where its rest cap is 1e-10 of the sum
@@ -657,39 +670,3 @@ def _tail_F2(env, x):
         raise QuadratureError(f"the tail of F^2 past {x:g} still holds up to {rest_cap[-1]:.3g}")
     return float(total[stop[0]] + rest_cap[stop[0]])
 
-
-def autocorrelation(source, a):
-    """Autocorrelation of the generator at shift ``a``.
-
-    For a :class:`FourierProfile` the value is ``integral of phi_hat(xi)^2
-    e^{2 pi i a xi}``, exact from closed-form piece antiderivatives, as a
-    complex number (its imaginary part vanishes only for even data).
-
-    For a :class:`TimeEnvelope` it is the float ``integral of F(|x|)
-    F(|x - a|) dx = 2 integral_0^inf F(t + c) F(|t - c|) dt``, ``c = |a| / 2``.
-    One kernel call integrates the gaps between the kinks
-    ``{0, |1 - c|, c, c + 1}`` (distinct in floating point only for
-    ``|a| < 2^54``; larger shifts are refused) and the doubling edges
-    ``(c + 1) 2^k`` past them.  Past an edge ``H`` the integrand lies between ``F(t + c)^2`` and
-    ``F(t - c)^2``, so :func:`_tail_F2` at ``H`` is within
-    ``integral_{H-c}^{H+c} F^2 <= 2c F(H - c)^2`` of the rest.  The sum
-    stops at the first edge where that width is at most the kernel's
-    relative tolerance times the running sum; if none qualifies,
-    :class:`QuadratureError` is raised.
-    """
-    if isinstance(source, FourierProfile):
-        return complex(autocorrelations(source, np.array([float(a)]))[0])
-    if not isinstance(source, TimeEnvelope):
-        raise TypeError(f"unsupported source type: {type(source).__name__}")
-    F, c = source.F, 0.5 * abs(float(a))
-    if not c + 1.0 > c:  # the kinks at c - 1, c, c + 1 would merge
-        raise ValueError(f"envelope autocorrelation needs a finite shift below 2^54, not {a:g}")
-    edges = (c + 1.0) * 2.0 ** np.arange(1.0, _DOUBLINGS + 1)
-    knots = np.unique(np.concatenate(([0.0, abs(1.0 - c), c, c + 1.0], edges)))
-    running = np.cumsum(_integrate_gaps(lambda t: (F(t + c) * F(np.abs(t - c)))[None], knots)[0])
-    ends = knots[1:]
-    width = 2.0 * c * F(np.abs(ends - c)) ** 2
-    stop = np.flatnonzero((ends >= c + 1.0) & (width <= _QUAD_RTOL * running))
-    if stop.size == 0:
-        raise QuadratureError(f"envelope autocorrelation at shift {a:g}: the tail bracket never closes")
-    return 2.0 * float(running[stop[0]] + _tail_F2(source, float(ends[stop[0]])))

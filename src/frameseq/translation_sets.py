@@ -20,8 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .periodization import InconsistencyError
-from .spectrum import _integrate_gaps, _tail_F2
+from .periodization import GRID_CAP, InconsistencyError, ResourceLimitError
 
 __all__ = [
     "TranslationSet",
@@ -96,10 +95,19 @@ class TranslationSet:
         return dict(self.params)[key]
 
     def realize(self):
-        """The realized points, normalized by :func:`as_indices`."""
+        """The realized points, normalized by :func:`as_indices`; past ``GRID_CAP`` of them are refused before any is made."""
         k = self.kind
         if k == "explicit":
             return as_indices(self._p("points"))
+        if k == "dyadic_blocks":
+            blocks = DyadicBlocks(self._p("alpha"), self._p("n_max"))
+            count = sum(1 << (n - m) for n, m in enumerate(blocks.m.tolist(), 1))
+        elif k in ("integers", "subgroup"):
+            count = 2 * self._p("half_width") + 1
+        else:
+            count = self._p("n_max") + (k != "naturals")
+        if count > GRID_CAP:
+            raise ResourceLimitError(f"the {k} index set has {count} points, past the cap {GRID_CAP}")
         if k == "integers":
             n = self._p("half_width")
             pts = np.arange(-n, n + 1, dtype=np.int64)
@@ -114,7 +122,7 @@ class TranslationSet:
         elif k == "geometric":
             pts = 2 ** np.arange(0, self._p("n_max") + 1, dtype=np.int64)
         else:
-            pts = DyadicBlocks(self._p("alpha"), self._p("n_max")).realize()
+            pts = blocks.realize()
         return as_indices(pts)
 
     @staticmethod
@@ -389,58 +397,25 @@ def density_exponent_fit(lam):
 # ----------------------------------------------------------------------------
 
 
-def _power_int0F(a, x):
-    """integral_0^x F for F = min(1, t^-a), vectorized."""
-    x = np.asarray(x, dtype=float)
-    small = np.minimum(x, 1.0)
-    out = small.copy()
-    big = x > 1.0
-    if np.any(big):
-        xb = x[big]
-        if a == 1.0:
-            out[big] = 1.0 + np.log(xb)
-        else:
-            out[big] = 1.0 + (xb ** (1.0 - a) - 1.0) / (1.0 - a)
-    return out
-
-
 # the direct pair sum takes this many pairs at a time, so its memory does
 # not grow with the set; G's temporaries at this size are a few hundred KB
 _PAIR_BLOCK = 1 << 14
 
 
 def g_function(env, x):
-    """``G(x) = F(x) int_0^x F + int_x^inf F^2``; closed form for power kind.
+    """``G(x) = F(x) int_0^x F + int_x^inf F^2`` at one x or an array, from :meth:`TimeEnvelope.integrals`.
 
-    ``G(0)`` equals the squared L2 norm of the envelope.  Other kinds take
-    one cumulative quadrature over the sorted knots ``{0, 1} U x``: the
-    G10-K21 kernel ``spectrum._integrate_gaps`` integrates ``F`` and ``F^2``
-    over every gap between consecutive knots, each to ``1e-11`` relative
-    (or to its underflow floor), a forward running sum gives ``int_0^x F``
-    at every knot, and a backward one, seeded by ``spectrum._tail_F2`` at
-    the largest knot, gives ``int_x^inf F^2``.  ``G`` thus carries a
-    relative quadrature error of about 1e-10 wherever ``F^2`` does not
-    underflow; a value the kernel cannot certify raises ``QuadratureError``.
+    ``G(0)`` equals the squared L2 norm of the envelope.  Power envelopes
+    are closed form; other kinds carry the integrals' relative quadrature
+    error of about 1e-10, and a value the kernel cannot certify raises
+    ``QuadratureError``.
     """
     scalar = np.isscalar(x) or np.ndim(x) == 0
     x = np.atleast_1d(np.asarray(x, dtype=float))
     if np.any(x < 0):
         raise ValueError("G is defined for x >= 0")
-    if env.kind == "power":
-        out = env.F(x) * _power_int0F(env.a, x) + _tail_F2(env, x)
-    else:
-        knots, where = np.unique(np.concatenate(([0.0, 1.0], x.ravel())), return_inverse=True)
-
-        def f_and_f2(t):
-            f = env.F(t)
-            return np.stack((f, f * f))
-
-        gaps_F, gaps_F2 = _integrate_gaps(f_and_f2, knots)
-        int0F = np.concatenate(([0.0], np.cumsum(gaps_F)))
-        # backward sum from the tail inward: the smallest terms are added first
-        tail = np.cumsum(np.concatenate(([_tail_F2(env, knots[-1])], gaps_F2[::-1])))[::-1]
-        where = where[2:].reshape(x.shape)
-        out = env.F(x) * int0F[where] + tail[where]
+    int0F, tail = env.integrals(x)
+    out = env.F(x) * int0F + tail
     return float(out[0]) if scalar else out
 
 

@@ -196,6 +196,27 @@ def test_density_without_xmax_stops_at_the_realized_span(capsys):
     assert code == 0 and given["result"] == res
 
 
+def test_density_table_stops_at_xmax(capsys):
+    # an --xmax in [1, 2) keeps the one window x = 1; below 1 no window is left
+    code, doc = run_json(capsys, "density", "--indices", "squares:80", "--xmax", "1.5")
+    assert code == 0 and doc["result"]["table"] == [{"x": 1.0, "D": 2}]
+    # the largest double below 8, whose log2 rounds up to 3
+    code, doc = run_json(capsys, "density", "--indices", "squares:80", "--xmax", "7.999999999999999")
+    assert code == 0 and [row["x"] for row in doc["result"]["table"]] == [1.0, 2.0, 4.0]
+    for xmax in ("0.5", "-3"):
+        code, out, err = run(capsys, "density", "--indices", "squares:80", "--xmax", xmax)
+        assert code == 1 and not out
+        assert err.startswith("usage error: --xmax") and "below 1" in err
+
+
+@pytest.mark.parametrize("command", [("density",), ("gram", "--profile", "tent")])
+def test_index_sets_past_the_cap_exit_1(capsys, command):
+    # 10^12 + 1 squares are refused from their count, before any array is made
+    code, out, err = run(capsys, *command, "--indices", "squares:1000000000000")
+    assert code == 1 and not out
+    assert err == f"resource limit: the squares index set has 1000000000001 points, past the cap {periodization.GRID_CAP}\n"
+
+
 def test_readme_density_table_counts_the_realized_set(capsys):
     # the README command fits its span: its table is the density of the realized window
     code, doc = run_json(capsys, "density", "--indices", "Z", "--window", "4000", "--xmax", "4000", "--envelope", "power:0.75")
@@ -627,11 +648,9 @@ def test_runtime_runs_without_scipy():
         import sys
         sys.modules["scipy"] = None
         import frameseq.cli as cli
-        from frameseq.spectrum import TimeEnvelope, autocorrelation
+        from frameseq.spectrum import TimeEnvelope
         from frameseq.translation_sets import TranslationSet, upper_bound_sufficient
         env = TimeEnvelope.exponential(0.3, {"xlog": {}})
-        assert autocorrelation(env, 30.0) > 0
-        assert env.admissibility()["admissible"]
         assert upper_bound_sufficient(env, TranslationSet.integers(500), x_max=500.0).integral > 0
         sys.exit(cli.main(["selftest", "--seed", "7"]))
         """

@@ -174,98 +174,6 @@ def test_envelope_constructors_and_refusals():
         TimeEnvelope.exponential(-1.0, {"xlog": {}})
 
 
-def test_envelope_autocorrelation_bracket():
-    env = TimeEnvelope.power(0.8)
-    a0 = autocorrelation(env, 0.0)
-    assert abs(a0 - 2.0 * (1.0 + 1.0 / 0.6)) < 1e-6
-    for x in (0.5, 1.0, 4.0):
-        assert abs(autocorrelation(env, x)) <= a0 + 1e-6
-    assert abs(autocorrelation(env, 3.0) - autocorrelation(env, -3.0)) < 1e-10
-    for a in (1e17, math.inf, math.nan):  # c - 1, c and c + 1 merge or are not numbers
-        with pytest.raises(ValueError, match="finite shift below 2"):
-            autocorrelation(env, a)
-
-
-def _power_pair_tail(a, c, h):
-    """``int_h^inf (t^2 - c^2)^-a dt`` for ``h > c``, by its binomial series."""
-    total, coef = 0.0, 1.0
-    for k in range(60):
-        term = coef * c ** (2 * k) * h ** (1 - 2 * a - 2 * k) / (2 * a + 2 * k - 1)
-        total += term
-        if abs(term) < 1e-18 * abs(total):
-            break
-        coef *= (a + k) / (k + 1)
-    return total
-
-
-_S12 = math.log2(0.4)
-# name: (envelope, F written out independently, kinks of F, power tail (a, scale) or None)
-_ENVELOPES = {
-    "power 0.55": (TimeEnvelope.power(0.55), lambda x: min(1.0, x**-0.55) if x else 1.0, [1.0], (0.55, 1.0)),
-    "power 0.75": (TimeEnvelope.power(0.75), lambda x: min(1.0, x**-0.75) if x else 1.0, [1.0], (0.75, 1.0)),
-    "power 1.5": (TimeEnvelope.power(1.5), lambda x: min(1.0, x**-1.5) if x else 1.0, [1.0], (1.5, 1.0)),
-    "xlog 0.3": (
-        TimeEnvelope.exponential(0.3, {"xlog": {}}),
-        lambda x: math.exp(-0.3 * x / math.log(math.e + x)), [], None,
-    ),
-    "beta 1/2": (
-        TimeEnvelope.exponential(1.0, {"power": {"beta": 0.5}}), lambda x: math.exp(-math.sqrt(x)), [], None,
-    ),
-    "table -2": (
-        TimeEnvelope.table([1.0, 2.0, 4.0], [1.0, 0.4, 0.1]),
-        lambda x: 1.0 if x <= 1 else (x**_S12 if x <= 2 else 1.6 / x**2), [1.0, 2.0], (2.0, 1.6**2),
-    ),
-}
-
-
-def _autocorrelation_oracle(F, kinks, power_tail, a):
-    """``2 int_0^inf F(t + c) F(|t - c|) dt``, ``c = |a| / 2``, by quad split at
-    the kinks and over doubling windows; power tails add their series past the last."""
-    c = abs(a) / 2
-    f = lambda t: F(t + c) * F(abs(t - c))
-    pts = {0.0, c, c + 1.0}
-    for k in kinks:
-        pts |= {p for p in (k - c, c - k, c + k) if p > 0}
-    pts = sorted(pts)
-    total = sum(quad(f, lo, hi, epsabs=0, epsrel=1e-13, limit=200)[0] for lo, hi in zip(pts, pts[1:]))
-    h = pts[-1]
-    for _ in range(40 if power_tail is None else 8):
-        piece = quad(f, h, 2 * h, epsabs=0, epsrel=1e-13, limit=200)[0]
-        total, h = total + piece, 2 * h
-        if piece < 1e-17 * total:
-            break
-    if power_tail is not None:
-        total += power_tail[1] * _power_pair_tail(power_tail[0], c, h)
-    return 2 * total
-
-
-@pytest.mark.parametrize("name", list(_ENVELOPES))
-def test_envelope_autocorrelation_matches_quad_oracle(name):
-    # "xlog 0.3" at shift 30 used to raise QuadratureError at its default tolerance
-    env, F, kinks, power_tail = _ENVELOPES[name]
-    a0 = autocorrelation(env, 0.0)
-    assert abs(a0 - 2.0 * g_function(env, 0.0)) <= 1e-12 * a0
-    for a in (0.0, 0.7, 3.0, 30.0, 100.0, 500.0):
-        got = autocorrelation(env, a)
-        assert abs(got - _autocorrelation_oracle(F, kinks, power_tail, a)) <= 1e-10 * got
-        assert autocorrelation(env, -a) == got and 0.0 < got <= a0
-
-
-def test_envelope_power_frozen_value():
-    env = TimeEnvelope.power(0.75)
-    assert abs(autocorrelation(env, 2.0) - 5.478475185232736) < 1e-9
-
-
-def test_envelope_admissibility():
-    # x/log x rate diverges, x^(1/2) rate has convergent doubling increments
-    slow = TimeEnvelope.exponential(1.0, {"xlog": {}}).admissibility()
-    assert slow["divergent"] and slow["doubling_ok"] and slow["admissible"]
-    fast = TimeEnvelope.exponential(1.0, {"power": {"beta": 0.5}}).admissibility()
-    assert not fast["divergent"] and not fast["admissible"]
-    with pytest.raises(ValueError):
-        TimeEnvelope.power(0.75).admissibility()
-
-
 def test_envelope_table_monotone_refusal():
     with pytest.raises(ValueError):
         TimeEnvelope.table(np.array([1.0, 2.0, 4.0]), np.array([0.5, 0.8, 0.1]))
@@ -291,6 +199,6 @@ def test_envelope_quadrature_tolerance_guard(monkeypatch):
     # bisecting every piece until memory runs out
     monkeypatch.setattr(spectrum, "_QUAD_RTOL", 0.0)
     with pytest.raises(QuadratureError):
-        autocorrelation(TimeEnvelope.power(0.6), 1.0)
+        g_function(TimeEnvelope.exponential(0.5, {"xlog": {}}), 1.0)
 
 

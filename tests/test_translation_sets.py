@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from frameseq import spectrum, translation_sets
-from frameseq.spectrum import QuadratureError, TimeEnvelope, _integrate_gaps, _tail_F2, autocorrelation
+from frameseq.periodization import GRID_CAP, ResourceLimitError
+from frameseq.spectrum import QuadratureError, TimeEnvelope, _integrate_gaps, _tail_F2
 from frameseq.translation_sets import (
     DyadicBlocks,
     TranslationSet,
@@ -304,6 +305,156 @@ def test_g_function_sweep_matches_pointwise_quadrature(delta, rate, xs):
     assert np.allclose(got, want, rtol=1e-9, atol=0.0)
 
 
+def test_g_function_table_matches_pointwise_quadrature():
+    # the table kind's quadrature at x = 0, at its knots, between them and past the last
+    env = TimeEnvelope.table([1.0, 2.0, 4.0], [1.0, 0.4, 0.1])
+    xs = [0.0, 0.5, 1.0, 1.5, 2.0, 3.0, 4.0, 10.0]
+    want = np.array([_g_reference(env, x) for x in xs])
+    assert np.allclose(g_function(env, xs), want, rtol=1e-9, atol=0.0)
+
+
+def _power_int0F_reference(a, x):
+    x = np.asarray(x, dtype=float)
+    small = np.minimum(x, 1.0)
+    out = small.copy()
+    big = x > 1.0
+    if np.any(big):
+        xb = x[big]
+        if a == 1.0:
+            out[big] = 1.0 + np.log(xb)
+        else:
+            out[big] = 1.0 + (xb ** (1.0 - a) - 1.0) / (1.0 - a)
+    return out
+
+
+def _g_function_reference(env, x):
+    """``g_function`` with the quadrature written out in place, as it stood before ``TimeEnvelope.integrals``."""
+    scalar = np.isscalar(x) or np.ndim(x) == 0
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    if np.any(x < 0):
+        raise ValueError("G is defined for x >= 0")
+    if env.kind == "power":
+        out = env.F(x) * _power_int0F_reference(env.a, x) + _tail_F2(env, x)
+    else:
+        knots, where = np.unique(np.concatenate(([0.0, 1.0], x.ravel())), return_inverse=True)
+
+        def f_and_f2(t):
+            f = env.F(t)
+            return np.stack((f, f * f))
+
+        gaps_F, gaps_F2 = _integrate_gaps(f_and_f2, knots)
+        int0F = np.concatenate(([0.0], np.cumsum(gaps_F)))
+        tail = np.cumsum(np.concatenate(([_tail_F2(env, knots[-1])], gaps_F2[::-1])))[::-1]
+        where = where[2:].reshape(x.shape)
+        out = env.F(x) * int0F[where] + tail[where]
+    return float(out[0]) if scalar else out
+
+
+_MOVE_ENVELOPES = {
+    "power 0.55": TimeEnvelope.power(0.55),
+    "power 1": TimeEnvelope.power(1.0),
+    "power 1.5": TimeEnvelope.power(1.5),
+    "exp xlog": TimeEnvelope.exponential(0.3, {"xlog": {}}),
+    "exp beta 1/2": TimeEnvelope.exponential(0.5, {"power": {"beta": 0.5}}),
+    "table -2": TimeEnvelope.table([1.0, 2.0, 4.0], [1.0, 0.4, 0.1]),
+    "table -0.55": TimeEnvelope.table([1.0, 2.0], [1.0, 2.0**-0.55]),
+}
+_MOVE_POINTS = {
+    "scalar 0": 0.0,
+    "scalar int": 5,
+    "scalar 0-d": np.array(3.7),
+    "repeated": [2.0, 2.0, 0.0, 1.0, 1.0],
+    "unsorted": [30.0, 0.5, 7.0, 1e-3],
+    "2-d": np.array([[0.0, 1.5, 40.0], [3.0, 0.25, 1e3]]),
+    "log grid": np.geomspace(1.0, 1e4, 64),
+}
+
+
+def _same(got, want):
+    """Equal bit for bit, with the same type, and the same dtype and shape for arrays."""
+    if type(got) is not type(want):
+        return False
+    if isinstance(got, np.ndarray):
+        return got.dtype == want.dtype and got.shape == want.shape and np.array_equal(got, want)
+    if hasattr(got, "__dataclass_fields__"):
+        return all(_same(getattr(got, k), getattr(want, k)) for k in got.__dataclass_fields__)
+    if isinstance(got, list):
+        return len(got) == len(want) and all(_same(a, b) for a, b in zip(got, want))
+    return got == want
+
+
+@pytest.mark.parametrize("points", list(_MOVE_POINTS))
+@pytest.mark.parametrize("name", list(_MOVE_ENVELOPES))
+def test_g_function_matches_its_inline_reference(name, points):
+    env, x = _MOVE_ENVELOPES[name], _MOVE_POINTS[points]
+    assert _same(g_function(env, x), _g_function_reference(env, x))
+
+
+@pytest.mark.parametrize("name", list(_MOVE_ENVELOPES))
+def test_envelope_integrals_take_any_shape(name):
+    env = _MOVE_ENVELOPES[name]
+    for x in (np.array(3.7), np.array([[0.0, 0.5], [3.7, 40.0]])):
+        got, flat = env.integrals(x), env.integrals(x.ravel())
+        assert all(g.shape == x.shape and np.array_equal(g.ravel(), f) for g, f in zip(got, flat))
+
+
+@pytest.mark.parametrize("name", list(_MOVE_ENVELOPES))
+def test_upper_bound_and_energy_tests_match_the_inline_reference(monkeypatch, name):
+    env, ts = _MOVE_ENVELOPES[name], TranslationSet.squares(40)
+    intervals = [(0, 100), (0, 1600), (50, 50.5)]
+
+    def run():
+        return (
+            upper_bound_sufficient(env, ts, x_max=1000.0, n_grid=64),
+            upper_bound_necessary(env, ts, x_max=1000.0, n_grid=64),
+            interval_energy_test(env, ts, intervals),
+        )
+
+    got = run()
+    monkeypatch.setattr(translation_sets, "g_function", _g_function_reference)
+    want = run()
+    assert all(_same(a, b) for a, b in zip(got, want))
+
+
+@pytest.mark.parametrize(
+    "ts",
+    [
+        TranslationSet.integers(7),
+        TranslationSet.subgroup(3, 5),
+        TranslationSet.naturals(9),
+        TranslationSet.squares(6),
+        TranslationSet.powers(3, 5),
+        TranslationSet.geometric(8),
+        TranslationSet.dyadic_blocks(0.5, 9),
+        TranslationSet.dyadic_blocks(0.05, 6),
+    ],
+    ids=lambda ts: ts.kind,
+)
+def test_index_sets_are_counted_before_they_are_made(monkeypatch, ts):
+    # a cap of exactly the realized size passes, one less refuses, naming the count
+    n = ts.realize().size
+    monkeypatch.setattr(translation_sets, "GRID_CAP", n)
+    assert ts.realize().size == n
+    monkeypatch.setattr(translation_sets, "GRID_CAP", n - 1)
+    with pytest.raises(ResourceLimitError, match=f"has {n} points, past the cap {n - 1}"):
+        ts.realize()
+
+
+@pytest.mark.parametrize(
+    "ts, count",
+    [
+        (TranslationSet.squares(10**12), 10**12 + 1),
+        (TranslationSet.integers(10**12), 2 * 10**12 + 1),
+        (TranslationSet.naturals(10**13), 10**13),
+        (TranslationSet.dyadic_blocks(0.01, 24), 2**25 - 2),
+    ],
+    ids=["squares", "integers", "naturals", "blocks"],
+)
+def test_index_sets_past_the_cap_are_refused(ts, count):
+    with pytest.raises(ResourceLimitError, match=f"has {count} points, past the cap {GRID_CAP}"):
+        ts.realize()
+
+
 @given(
     pts=st.lists(st.integers(-200, 200), min_size=1, max_size=40, unique=True),
     x=st.floats(0.0, 500.0),
@@ -362,7 +513,7 @@ def test_tail_that_never_closes_raises():
     with pytest.raises(QuadratureError, match="tail of F"):
         g_function(env, 1.0)
     with pytest.raises(QuadratureError):
-        autocorrelation(env, 3.0)
+        g_function(env, [0.5, 3.0])
 
 
 def test_underflowing_envelope_is_certified_without_warnings():
