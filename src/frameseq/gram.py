@@ -19,7 +19,7 @@ trends over nested windows, where only windowed evidence is available.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -98,6 +98,14 @@ def _real_if_close(vals):
     return vals
 
 
+def _lag_matrix(lam, fn):
+    """``fn`` of the distinct lags ``|lam_j - lam_i|`` at entry ``(i, j)``, conjugated where ``lam_j < lam_i``."""
+    diffs = lam[None, :] - lam[:, None]  # entry (i, j) holds the shift lam_j - lam_i
+    lags, inv = np.unique(np.abs(diffs).ravel(), return_inverse=True)
+    m = fn(lags)[inv.reshape(diffs.shape)]
+    return np.where(diffs < 0, np.conj(m), m) if np.iscomplexobj(m) else m
+
+
 def build_gram(profile, b, lam, eb=None, rng_seed=0):
     """Gram matrix of ``(tau_{lam_i b} phi)_i`` with a dual-route spot check.
 
@@ -137,12 +145,7 @@ def build_gram(profile, b, lam, eb=None, rng_seed=0):
     if n > EIGENSOLVE_CAP:
         raise ResourceLimitError(f"window of {n} translates exceeds the dense cap {EIGENSOLVE_CAP}")
     if lam.dtype != np.int64:
-        diffs = lam[None, :] - lam[:, None]  # entry (i, j) holds the shift lam_j - lam_i
-        uniq, inv = np.unique(np.abs(diffs).ravel(), return_inverse=True)
-        vals = _real_if_close(np.conj(autocorrelations(profile, b * uniq)))
-        g = vals[inv.reshape(n, n)]
-        if np.iscomplexobj(g):
-            g = np.where(diffs < 0, np.conj(g), g)
+        g = _lag_matrix(lam, lambda d: _real_if_close(np.conj(autocorrelations(profile, b * d))))
         return GramOperator(matrix=g, b=b, indices=lam, route="autocorrelation")
 
     span = int(lam[-1] - lam[0])
@@ -264,31 +267,15 @@ class FrameReport:
     A_est: float | None
     B_est: float | None
     numerical_rank: int | None
-    evidence: list
     b: float
     index_kind: str
     grid_sizes: list
     windows: list
+    evidence: list
     notes: list = field(default_factory=list)
 
     def to_json(self):
-        def num(x):
-            if x is None:
-                return None
-            return float(x)
-
-        return {
-            "classification": self.classification,
-            "A_est": num(self.A_est),
-            "B_est": num(self.B_est),
-            "numerical_rank": self.numerical_rank,
-            "b": float(self.b),
-            "index_kind": self.index_kind,
-            "grid_sizes": list(self.grid_sizes),
-            "windows": list(self.windows),
-            "evidence": self.evidence,
-            "notes": list(self.notes),
-        }
+        return asdict(self)
 
 
 def _lattice_verdict(eb):
@@ -303,84 +290,85 @@ def _lattice_verdict(eb):
     return "not a frame sequence", None, eb.sup / b
 
 
+def _trend_verdict(label, fbs, windows):
+    """Verdict on a generic integer set ``(classification, A, B, note)`` from its lattice label and window ladder."""
+    a_seq = [fb.A_est for fb in fbs]
+    b_seq = [fb.B_est for fb in fbs]
+    # B <= ess sup Phi_b / b on every integer set, so B growth alone decides nothing
+    a_fall = a_seq[-1] / a_seq[0] if a_seq[0] > 0 else 0.0
+    b_grow = b_seq[-1] / b_seq[0] if b_seq[0] > 0 else float("inf")
+    note = "generic-set verdicts are windowed eigenvalue trends, not lattice theorems"
+    if label == "exact frame sequence" and a_fall > 0.5:
+        note = "subset of an exact lattice family: a Riesz sequence within the lattice bounds"
+    elif len(windows) < 3:
+        label, note = "undetermined", "not enough nested windows for a trend verdict"
+    elif a_fall <= 0.5 and b_grow <= 1.2:
+        label = "upper bound only"
+    elif any(fb.numerical_rank < k for fb, k in zip(fbs, windows)):
+        # a Riesz sequence has no singular window, and A_est then reads past the kernel
+        label, note = "undetermined", "a window is singular to working precision, so its A_est bounds nothing"
+    elif a_fall >= 0.8 and b_grow <= 1.2:
+        label = "exact frame sequence"
+    else:
+        label = "undetermined"
+    return label, a_seq[-1] if label == "exact frame sequence" else None, b_seq[-1], note
+
+
 def classify(profile, b, ts, budgets=None):
     """Frame-property decision for the translate family on the index set.
 
-    Every integer set takes one pipeline: the exact cell bounds of the
-    periodized spectrum, checked against one grid, decide the lattice
-    family, and a checked Gram window (:func:`nested_window_bounds`) must
-    agree with them.  Lattices (all integers, the naturals; a subgroup is
-    rescaled) take the lattice verdict.  A generic integer set inherits an
-    orthonormal lattice family's verdict, and an exact one's unless its
-    windowed lower estimate halves; otherwise eigenvalue trends over nested
-    windows decide it, ``undetermined`` when they conflict.  Non-integer explicit sets carry no lattice structure and
-    are always ``undetermined`` (with window evidence attached).
+    One pipeline for every set.  A subgroup ``mZ`` is first rescaled to
+    the full lattice at spacing ``m b``.  On integer sets the exact cell
+    bounds of the periodized spectrum, checked against one grid, decide
+    the lattice family; non-integer sets carry no lattice structure and
+    are always ``undetermined``.  Every set then reads its Gram windows
+    through :func:`nested_window_bounds`.  Lattices (all integers, the
+    naturals) take the lattice verdict, which their window must agree
+    with.  A generic integer set inherits an orthonormal lattice family's
+    verdict, and an exact one's unless its windowed lower estimate halves;
+    otherwise eigenvalue trends over nested windows decide it
+    (:func:`_trend_verdict`), ``undetermined`` when they conflict.
+    Non-integer sets attach the evidence of one window of at most 256 points.
     """
     budgets = budgets or Budgets()
     if not isinstance(ts, TranslationSet):
         ts = TranslationSet.explicit(ts)
-    kind = ts.kind
-
+    kind, w, spacing = ts.kind, budgets.window, b
+    evidence, notes = [], []
     if kind == "subgroup":
-        m = dict(ts.params)["m"]
-        inner = classify(profile, b * m, TranslationSet.integers(dict(ts.params)["half_width"]), budgets)
-        inner.evidence.insert(
-            0,
-            {"rule": "subgroup-rescaling", "m": int(m), "effective_spacing": float(b * m)},
-        )
-        inner.b = float(b)
-        inner.index_kind = "subgroup"
-        inner.notes.append(f"subgroup step {m} analyzed as the full lattice at spacing {b * m:g}")
-        return inner
-
-    w = budgets.window
-    lattice = kind in ("integers", "naturals")
-    if kind == "integers":
+        m, half_width = (dict(ts.params)[k] for k in ("m", "half_width"))
+        ts, spacing = TranslationSet.integers(half_width), b * m
+        evidence.append({"rule": "subgroup-rescaling", "m": int(m), "effective_spacing": float(spacing)})
+        notes.append(f"subgroup step {m} analyzed as the full lattice at spacing {spacing:g}")
+    lattice = ts.kind in ("integers", "naturals")
+    if ts.kind == "integers":
         lam = np.arange(-w, w + 1, dtype=np.int64)
-    elif kind == "naturals":
+    elif ts.kind == "naturals":
         lam = np.arange(1, w + 1, dtype=np.int64)
     else:
         lam = ts.realize()
-    if lam.dtype != np.int64:
-        g = build_gram(profile, b, lam[: min(lam.size, 256)])
-        fb = frame_bound_estimates(g)
-        return FrameReport(
-            classification="undetermined",
-            A_est=fb.A_est,
-            B_est=fb.B_est,
-            numerical_rank=fb.numerical_rank,
-            evidence=[
-                {
-                    "rule": "eigenvalue-window-trend",
-                    "windows": [int(g.dim)],
-                    "A_est": [fb.A_est],
-                    "B_est": [fb.B_est],
-                }
-            ],
-            b=float(b),
-            index_kind=kind,
-            grid_sizes=[],
-            windows=[int(g.dim)],
-            notes=["no lattice structure for a periodization decision; window evidence only"],
-        )
 
-    eb = exact_bounds(profile, b)
-    evidence = [cell_evidence(eb, periodize(profile, b, budgets.grid_size))]
-    label, a_val, b_val = _lattice_verdict(eb)
-    # lattices and orthonormal families agree with one window, other sets read a ladder of them
-    trend = not lattice and label != "orthonormal"
-    windows = [lam.size] if lattice else (window_ladder(lam.size, w) if trend else [])
+    eb, trend = None, lam.dtype != np.int64
+    if trend:  # no lattice structure: one window of evidence
+        windows = [min(lam.size, 256)]
+    else:
+        eb = exact_bounds(profile, spacing)
+        evidence.append(cell_evidence(eb, periodize(profile, spacing, budgets.grid_size)))
+        label, a_val, b_val = _lattice_verdict(eb)
+        # lattices and orthonormal families agree with one window, other sets read a ladder of them
+        trend = not lattice and label != "orthonormal"
+        windows = [lam.size] if lattice else (window_ladder(lam.size, w) if trend else [])
     sizes = windows or [min(lam.size, 2 * w)]
-    fbs, interval, check = nested_window_bounds(profile, b, lam, sizes, eb=eb)
-    notes = []
+    fbs, interval, check = nested_window_bounds(profile, spacing, lam, sizes, eb=eb)
+
     if not trend:
         evidence.append(
             {
                 "rule": "pathway-agreement",
                 "window": sizes[-1],
                 "B_gram": fbs[-1].B_est,
-                "A_phi": eb.inf / b,
-                "B_phi": eb.sup / b,
+                "A_phi": eb.inf / spacing,
+                "B_phi": eb.sup / spacing,
                 "min_eigenvalue": fbs[-1].min_eigenvalue,
                 **check,
             }
@@ -395,51 +383,28 @@ def classify(profile, b, ts, budgets=None):
             )
             label, a_val = "not a frame sequence", None
         if not lattice:
-            notes = ["constant periodized spectrum; any subfamily of the lattice family is orthonormal"]
+            notes.append("constant periodized spectrum; any subfamily of the lattice family is orthonormal")
     else:
-        a_seq = [fb.A_est for fb in fbs]
-        b_seq = [fb.B_est for fb in fbs]
-        evidence.append(
-            {
-                "rule": "eigenvalue-window-trend",
-                "windows": windows,
-                "A_est": a_seq,
-                "B_est": b_seq,
-                "numerical_rank": [fb.numerical_rank for fb in fbs],
-                "lattice_interval": interval,
-                **check,
-            }
-        )
-        # B <= ess sup Phi_b / b on every integer set, so B growth alone decides nothing
-        a_fall = a_seq[-1] / a_seq[0] if a_seq[0] > 0 else 0.0
-        b_grow = b_seq[-1] / b_seq[0] if b_seq[0] > 0 else float("inf")
-        note = "generic-set verdicts are windowed eigenvalue trends, not lattice theorems"
-        if label == "exact frame sequence" and a_fall > 0.5:
-            note = "subset of an exact lattice family: a Riesz sequence within the lattice bounds"
-        elif len(windows) < 3:
-            label, note = "undetermined", "not enough nested windows for a trend verdict"
-        elif a_fall <= 0.5 and b_grow <= 1.2:
-            label = "upper bound only"
-        elif any(fb.numerical_rank < k for fb, k in zip(fbs, windows)):
-            # a Riesz sequence has no singular window, and A_est then reads past the kernel
-            label, note = "undetermined", "a window is singular to working precision, so its A_est bounds nothing"
-        elif a_fall >= 0.8 and b_grow <= 1.2:
-            label = "exact frame sequence"
+        a_seq, b_seq = [fb.A_est for fb in fbs], [fb.B_est for fb in fbs]
+        row = {"rule": "eigenvalue-window-trend", "windows": windows, "A_est": a_seq, "B_est": b_seq}
+        if eb is None:
+            label, a_val, b_val = "undetermined", a_seq[-1], b_seq[-1]
+            note = "no lattice structure for a periodization decision; window evidence only"
         else:
-            label = "undetermined"
-        a_val = a_seq[-1] if label == "exact frame sequence" else None
-        b_val = b_seq[-1]
-        notes = [note]
+            row.update(numerical_rank=[fb.numerical_rank for fb in fbs], lattice_interval=interval, **check)
+            label, a_val, b_val, note = _trend_verdict(label, fbs, windows)
+        evidence.append(row)
+        notes.append(note)
     return FrameReport(
         classification=label,
         A_est=a_val,
         B_est=b_val,
         numerical_rank=fbs[-1].numerical_rank,
-        evidence=evidence,
         b=float(b),
         index_kind=kind,
-        grid_sizes=[budgets.grid_size],
+        grid_sizes=[] if eb is None else [budgets.grid_size],
         windows=windows,
+        evidence=evidence,
         notes=notes,
     )
 
@@ -458,7 +423,8 @@ def nested_window_bounds(profile, b, lam, sizes, eb):
     """Checked frame-bound estimates of the leading principal windows of ``lam`` of the given sizes.
 
     The largest window is built once by :func:`build_gram` (spot-checked
-    against the exact cells ``eb`` of ``Phi_b``); each smaller one
+    against the exact cells ``eb`` of ``Phi_b``, which non-integer sets,
+    unchecked, may pass as ``None``); each smaller one
     is its leading principal submatrix.  On integer sets the largest
     window's eigenvalues must lie in ``eb.eigenvalue_interval``, else
     :class:`InconsistencyError`.  Returns one :class:`FrameBounds` per size
@@ -511,10 +477,7 @@ def weighted_norm_identity_check(profile, b, lam, coeffs):
     # the transform of a translate carries e^{-2 pi i}, so the trig sum is
     # f(xi) = sum c_n e^{-2 pi i lam_n xi}; its (i, j) cross term integrates
     # against Phi to conj(Phi_hat(lam_j - lam_i)), and Phi_hat(-d) = conj(Phi_hat(d))
-    diffs = lam[None, :] - lam[:, None]
-    lags, inv = np.unique(np.abs(diffs), return_inverse=True)
-    cm = eb.coefficients(lags)[0][inv.reshape(diffs.shape)]
-    cm = np.where(diffs < 0, cm, np.conj(cm))
+    cm = np.conj(_lag_matrix(lam, lambda d: eb.coefficients(d)[0]))
     rhs = float(np.real(np.sum(np.outer(c, np.conj(c)) * cm))) / b
 
     dev = abs(lhs - rhs) / max(abs(lhs), 1e-30)

@@ -581,11 +581,6 @@ class TimeEnvelope:
             return -math.inf
         return self._tail_slope
 
-    @property
-    def integrable(self):
-        """Whether F is integrable on (0, infinity)."""
-        return self.decay_exponent < -1.0
-
     # -- integrals ------------------------------------------------------
 
     def integrals(self, x):

@@ -129,7 +129,7 @@ class TranslationSet:
     def from_token(token, window=None):
         """Parse compact CLI tokens like ``Z``, ``N``, ``mZ:3``, ``squares:100``, ``list:0.5,2``."""
         if token.startswith("list:"):
-            vals = [float(v) for v in token[5:].split(",") if v]
+            vals = [_number(v) for v in token[5:].split(",") if v]
             if not vals:
                 raise ValueError("empty list: index token")
             return TranslationSet.explicit(vals)
@@ -163,6 +163,14 @@ class TranslationSet:
                 raise ValueError("token blocks:<alpha>:<n_max>")
             return TranslationSet.dyadic_blocks(float(args[0]), int(args[1]))
         raise ValueError(f"unknown translation-set token: {token!r}")
+
+
+def _number(text):
+    """An integer literal as an exact int (so a point past 2^53 is refused, not moved), else a float."""
+    try:
+        return int(text)
+    except ValueError:
+        return float(text)
 
 
 def _check_alpha(alpha):
@@ -241,7 +249,11 @@ def as_indices(lam, coeffs=None):
         if arr.dtype.kind not in "iuf":
             raise ValueError(f"index points must be real numbers, not {arr.dtype}")
         x = arr.astype(float)
-        if not np.max(np.abs(x)) <= _MAX_INDEX:  # NaN fails too
+        if arr.dtype.kind == "f":
+            in_range = np.max(np.abs(x)) <= _MAX_INDEX  # NaN fails too
+        else:  # exactly, since 2^53 + 1 rounds to 2^53 as a float
+            in_range = max(-int(arr.min()), int(arr.max())) <= _MAX_INDEX
+        if not in_range:
             raise ValueError("index points must be finite, of magnitude at most 2^53")
         integer = arr.dtype.kind != "f" or bool(np.all(x == np.round(x)))
         pts = arr.astype(np.int64, copy=False) if integer else x

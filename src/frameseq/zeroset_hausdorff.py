@@ -184,12 +184,14 @@ def coefficient_sum_bound_check(lam, coeffs, j_interval):
     of frequencies whose difference lies in ``J``, found by binary search
     in the sorted frequencies, so the cost is ``O(n min(n, |J|))`` whatever
     the span.  Unnormalized input is normalized (the bound assumes a unit
-    vector) and flagged in the result.
+    vector) and flagged in the result.  ``J`` is the integers
+    ``ceil(lo)..floor(hi)`` of the interval, so none lies outside it; an
+    interval that holds no integer gives ``lhs = 0``.
     """
     lam, c, normalized = _unit_coeffs(lam, coeffs)
-    lo, hi = int(j_interval[0]), int(j_interval[1])
-    if hi < lo:
-        raise ValueError("empty integer interval")
+    if j_interval[1] < j_interval[0]:
+        raise ValueError("interval ends reversed")
+    lo, hi = math.ceil(j_interval[0]), math.floor(j_interval[1])
     span = int(lam[-1] - lam[0])
     lo_c, hi_c = max(lo, -span), min(hi, span)
     # pair (i, j) has lag lam_i - lam_j in J exactly when j lies in [first_i, last_i)

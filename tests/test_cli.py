@@ -209,6 +209,14 @@ def test_density_table_stops_at_xmax(capsys):
         assert err.startswith("usage error: --xmax") and "below 1" in err
 
 
+@pytest.mark.parametrize("points", ["0,9007199254740993", "9007199254740992,9007199254740993"])
+def test_list_points_past_2_53_exit_1(capsys, points):
+    # integer literals are parsed as ints: 2^53 + 1 is refused, not moved onto 2^53 (nor taken for a repeat)
+    code, out, err = run(capsys, "density", "--indices", f"list:{points}")
+    assert code == 1 and not out
+    assert err == "usage error: index points must be finite, of magnitude at most 2^53\n"
+
+
 @pytest.mark.parametrize("command", [("density",), ("gram", "--profile", "tent")])
 def test_index_sets_past_the_cap_exit_1(capsys, command):
     # 10^12 + 1 squares are refused from their count, before any array is made

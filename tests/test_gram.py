@@ -1,3 +1,5 @@
+import dataclasses
+import json
 from dataclasses import replace
 from unittest import mock
 
@@ -10,10 +12,12 @@ import frameseq.cli as cli
 import frameseq.gram as gram
 import frameseq.periodization as periodization
 from frameseq.constructions import (
+    box_profile,
     gallery_profiles,
     indicator_profile,
     plateau_taper_profile,
     ramp_plateau_profile,
+    tent_profile,
 )
 from frameseq.gram import (
     EIGENSOLVE_CAP,
@@ -370,6 +374,211 @@ def test_classify_report_json(half):
     assert obj["classification"] == rep.classification
     assert obj["A_est"] == rep.A_est
     assert isinstance(obj["evidence"], list)
+
+
+# ---------------------------------------------------------------------------
+# the classify pipeline against the earlier recursive classify
+# ---------------------------------------------------------------------------
+
+
+def _reference_to_json(rep):
+    """The earlier ``FrameReport.to_json``, which listed its fields by hand."""
+
+    def num(x):
+        if x is None:
+            return None
+        return float(x)
+
+    return {
+        "classification": rep.classification,
+        "A_est": num(rep.A_est),
+        "B_est": num(rep.B_est),
+        "numerical_rank": rep.numerical_rank,
+        "b": float(rep.b),
+        "index_kind": rep.index_kind,
+        "grid_sizes": list(rep.grid_sizes),
+        "windows": list(rep.windows),
+        "evidence": rep.evidence,
+        "notes": list(rep.notes),
+    }
+
+
+def _reference_classify(profile, b, ts, budgets=None):
+    """The earlier ``classify``: a subgroup recursed and patched the inner report, float sets returned early."""
+    budgets = budgets or Budgets()
+    if not isinstance(ts, TranslationSet):
+        ts = TranslationSet.explicit(ts)
+    kind = ts.kind
+
+    if kind == "subgroup":
+        m = dict(ts.params)["m"]
+        inner = _reference_classify(profile, b * m, TranslationSet.integers(dict(ts.params)["half_width"]), budgets)
+        inner.evidence.insert(
+            0,
+            {"rule": "subgroup-rescaling", "m": int(m), "effective_spacing": float(b * m)},
+        )
+        inner.b = float(b)
+        inner.index_kind = "subgroup"
+        inner.notes.append(f"subgroup step {m} analyzed as the full lattice at spacing {b * m:g}")
+        return inner
+
+    w = budgets.window
+    lattice = kind in ("integers", "naturals")
+    if kind == "integers":
+        lam = np.arange(-w, w + 1, dtype=np.int64)
+    elif kind == "naturals":
+        lam = np.arange(1, w + 1, dtype=np.int64)
+    else:
+        lam = ts.realize()
+    if lam.dtype != np.int64:
+        g = build_gram(profile, b, lam[: min(lam.size, 256)])
+        fb = frame_bound_estimates(g)
+        return gram.FrameReport(
+            classification="undetermined",
+            A_est=fb.A_est,
+            B_est=fb.B_est,
+            numerical_rank=fb.numerical_rank,
+            evidence=[
+                {
+                    "rule": "eigenvalue-window-trend",
+                    "windows": [int(g.dim)],
+                    "A_est": [fb.A_est],
+                    "B_est": [fb.B_est],
+                }
+            ],
+            b=float(b),
+            index_kind=kind,
+            grid_sizes=[],
+            windows=[int(g.dim)],
+            notes=["no lattice structure for a periodization decision; window evidence only"],
+        )
+
+    eb = exact_bounds(profile, b)
+    evidence = [gram.cell_evidence(eb, gram.periodize(profile, b, budgets.grid_size))]
+    label, a_val, b_val = gram._lattice_verdict(eb)
+    trend = not lattice and label != "orthonormal"
+    windows = [lam.size] if lattice else (window_ladder(lam.size, w) if trend else [])
+    sizes = windows or [min(lam.size, 2 * w)]
+    fbs, interval, check = gram.nested_window_bounds(profile, b, lam, sizes, eb=eb)
+    notes = []
+    if not trend:
+        evidence.append(
+            {
+                "rule": "pathway-agreement",
+                "window": sizes[-1],
+                "B_gram": fbs[-1].B_est,
+                "A_phi": eb.inf / b,
+                "B_phi": eb.sup / b,
+                "min_eigenvalue": fbs[-1].min_eigenvalue,
+                **check,
+            }
+        )
+        if kind == "naturals" and label in ("frame sequence (non-exact)", "not a frame sequence"):
+            evidence.append(
+                {
+                    "rule": "restricted-index-exactness",
+                    "lattice_verdict": label,
+                    "consequence": "one-sided families are frames only when the full lattice family is exact",
+                }
+            )
+            label, a_val = "not a frame sequence", None
+        if not lattice:
+            notes = ["constant periodized spectrum; any subfamily of the lattice family is orthonormal"]
+    else:
+        a_seq = [fb.A_est for fb in fbs]
+        b_seq = [fb.B_est for fb in fbs]
+        evidence.append(
+            {
+                "rule": "eigenvalue-window-trend",
+                "windows": windows,
+                "A_est": a_seq,
+                "B_est": b_seq,
+                "numerical_rank": [fb.numerical_rank for fb in fbs],
+                "lattice_interval": interval,
+                **check,
+            }
+        )
+        a_fall = a_seq[-1] / a_seq[0] if a_seq[0] > 0 else 0.0
+        b_grow = b_seq[-1] / b_seq[0] if b_seq[0] > 0 else float("inf")
+        note = "generic-set verdicts are windowed eigenvalue trends, not lattice theorems"
+        if label == "exact frame sequence" and a_fall > 0.5:
+            note = "subset of an exact lattice family: a Riesz sequence within the lattice bounds"
+        elif len(windows) < 3:
+            label, note = "undetermined", "not enough nested windows for a trend verdict"
+        elif a_fall <= 0.5 and b_grow <= 1.2:
+            label = "upper bound only"
+        elif any(fb.numerical_rank < k for fb, k in zip(fbs, windows)):
+            label, note = "undetermined", "a window is singular to working precision, so its A_est bounds nothing"
+        elif a_fall >= 0.8 and b_grow <= 1.2:
+            label = "exact frame sequence"
+        else:
+            label = "undetermined"
+        a_val = a_seq[-1] if label == "exact frame sequence" else None
+        b_val = b_seq[-1]
+        notes = [note]
+    return gram.FrameReport(
+        classification=label,
+        A_est=a_val,
+        B_est=b_val,
+        numerical_rank=fbs[-1].numerical_rank,
+        evidence=evidence,
+        b=float(b),
+        index_kind=kind,
+        grid_sizes=[budgets.grid_size],
+        windows=windows,
+        notes=notes,
+    )
+
+
+_PIPELINE_SETS = {
+    "Z": TranslationSet.integers(20),
+    "N": TranslationSet.naturals(20),
+    "mZ:2": TranslationSet.subgroup(2, 20),
+    "mZ:3": TranslationSet.subgroup(3, 20),
+    "squares": TranslationSet.squares(40),
+    "powers": TranslationSet.powers(3, 20),
+    "geometric": TranslationSet.geometric(12),
+    "blocks": TranslationSet.dyadic_blocks(0.5, 7),
+    "random": TranslationSet.explicit(np.random.default_rng(5).choice(200, 70, replace=False)),
+    "7k + {0..3}": TranslationSet.explicit([7 * k + r for k in range(20) for r in range(4)]),
+    "floats": TranslationSet.explicit(np.arange(40) * 0.7 + 0.25),
+    "one point": [5],
+    "two floats": [0.0, 2.5],
+    "plain list": [0, 1, 2, 4, 8, 9, 15, 16, 30],
+}
+
+
+@pytest.mark.parametrize("name", ["box", "tent", "taper", "ramp", "half"])
+def test_classify_reports_match_the_recursive_classify(name):
+    profile = {
+        "box": box_profile(),
+        "tent": tent_profile(),
+        "taper": plateau_taper_profile(2.0, 1.0),
+        "ramp": ramp_plateau_profile(3.0, 2.0)[0],
+        "half": indicator_profile(0.0, 0.5),
+    }[name]
+    verdicts = set()
+    for b in (1.0, 2.0):
+        for ts in _PIPELINE_SETS.values():
+            for budgets in (Budgets(grid_size=1024, window=4), Budgets(grid_size=2048, window=8)):
+                rep, ref = classify(profile, b, ts, budgets), _reference_classify(profile, b, ts, budgets)
+                for f in dataclasses.fields(rep):
+                    assert getattr(rep, f.name) == getattr(ref, f.name), (b, ts, budgets, f.name)
+                got, want = rep.to_json(), _reference_to_json(ref)
+                assert json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True)
+                assert {k: type(v) for k, v in got.items()} == {k: type(v) for k, v in want.items()}
+                verdicts.add((rep.index_kind, rep.classification))
+    assert {kind for kind, _ in verdicts} == {
+        "integers", "naturals", "subgroup", "squares", "powers", "geometric", "dyadic_blocks", "explicit"
+    }
+
+
+def test_subgroup_classify_makes_one_call(taper):
+    real = gram.classify
+    with mock.patch.object(gram, "classify", wraps=real) as spy:
+        rep = gram.classify(taper, 2.0, TranslationSet.subgroup(3, 16))
+    assert spy.call_count == 1 and rep.index_kind == "subgroup" and rep.b == 2.0
+    assert rep.evidence[0] == {"rule": "subgroup-rescaling", "m": 3, "effective_spacing": 6.0}
 
 
 # ---------------------------------------------------------------------------

@@ -63,6 +63,17 @@ def test_repeats_and_malformed_sets_are_refused():
         TranslationSet.powers(5, 10000).realize()
 
 
+def test_integers_past_2_53_are_refused_not_moved():
+    # 2^53 + 1 rounds to 2^53 as a float, so an integer dtype is compared exactly
+    with pytest.raises(ValueError, match="2\\^53"):
+        as_indices(np.array([0, 2**53 + 1]))
+    assert as_indices(np.array([-(2**53), 2**53])).tolist() == [-(2**53), 2**53]
+    for token in ("list:0,9007199254740993", "list:9007199254740992,9007199254740993"):
+        with pytest.raises(ValueError, match="2\\^53"):
+            TranslationSet.from_token(token)
+    assert TranslationSet.from_token("list:9007199254740992,0.5,-3").realize().tolist() == [-3.0, 0.5, 2.0**53]
+
+
 def brute_coefficient_sum(lam, c, lo, hi):
     """Independent oracle: corr(n) summed pair by pair, for every lag n in [lo, hi]."""
     c = c / np.linalg.norm(c)

@@ -190,7 +190,6 @@ def test_envelope_table_tail_extrapolation():
     env = TimeEnvelope.table(xs, xs**-1.5)
     # log-log extrapolation keeps the power tail beyond the table
     assert abs(float(env.F(64.0)) - 64.0**-1.5) < 1e-12
-    assert env.integrable
 
 
 def test_envelope_quadrature_tolerance_guard(monkeypatch):

@@ -303,6 +303,19 @@ def test_coefficient_sum_random_battery(rng):
         assert res.passed, (lam, lo, hi)
 
 
+def test_coefficient_sum_takes_the_integers_inside_a_float_interval():
+    # lags -3, -2, 2, 3, 5 all occur: J is ceil(lo)..floor(hi), no end moved toward zero
+    lam = np.array([0, 2, 5, 7, 12])
+    c = np.array([1.0, -2.0, 0.5j, 1.0 + 1.0j, 3.0])
+    for j, inside in (((-10.3, -2.5), (-10, -3)), ((3.7, 5.2), (4, 5)), ((-0.5, 0.5), (0, 0))):
+        res, ref = coefficient_sum_bound_check(lam, c, j), coefficient_sum_bound_check(lam, c, inside)
+        assert res.interval == inside and res.lhs == ref.lhs and res.rhs == ref.rhs
+    empty = coefficient_sum_bound_check(lam, c, (2.3, 2.7))
+    assert empty.lhs == 0.0 and empty.passed
+    with pytest.raises(ValueError, match="reversed"):
+        coefficient_sum_bound_check(lam, c, (2.7, 2.3))
+
+
 def test_coefficient_sum_normalization_flag():
     lam = np.array([0, 3, 5])
     c = np.array([2.0, 2.0, 1.0])
