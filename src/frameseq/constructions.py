@@ -90,13 +90,15 @@ def ramp_plateau_profile(a, b):
     ``-a eps < a/b - n < eps``; with ``r`` the fractional part of ``a/b``
     only ``n = floor(a/b)`` and ``n + 1`` can, so ``eps`` is the widest
     clear width ``min(r, (1 - r)/a)`` rounded down to a multiple of 2^-22.
-    Requires ``0 < b < a`` with ``a/b`` not an integer.  Returns
+    Requires ``0 < b < a`` with ``a/b`` finite and not an integer.  Returns
     ``(profile, eps)``.
     """
     a, b = float(a), float(b)
     if not (0.0 < b < a):
         raise ValueError(f"need 0 < b < a, got a={a}, b={b}")
     ratio = a / b
+    if not math.isfinite(ratio):
+        raise ValueError(f"need a finite a/b, got a={a}, b={b}")
     if abs(ratio - round(ratio)) <= 1e-9:
         raise ValueError(f"a/b = {ratio:g} is an integer; no plateau placement exists")
     r = ratio - math.floor(ratio)

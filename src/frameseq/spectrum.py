@@ -474,15 +474,15 @@ def autocorrelation(profile, a):
 
 
 def _rate_function(rate):
-    """Resolve an admissible-rate description to a vectorized callable."""
-    if callable(rate):
-        return rate
-    if isinstance(rate, dict):
-        if "power" in rate:
-            beta = float(rate["power"]["beta"] if isinstance(rate["power"], dict) else rate["power"])
-            return lambda x: np.power(x, beta)
-        if "xlog" in rate:
-            return lambda x: x / np.log(np.e + x)
+    """The rate ``h`` of ``{"xlog": {}}`` (``x / log(e + x)``) or ``{"power": {"beta": b}}`` (``x**b``)."""
+    if rate == {"xlog": {}}:
+        return lambda x: x / np.log(np.e + x)
+    params = rate.get("power") if isinstance(rate, dict) and len(rate) == 1 else None
+    if isinstance(params, dict) and params.keys() == {"beta"}:
+        beta = float(params["beta"])
+        if not 0.0 < beta < math.inf:  # NaN fails too
+            raise ValueError(f"power rate needs a finite beta > 0 (h = x**beta must grow), got {beta:g}")
+        return lambda x: np.power(x, beta)
     raise ValueError(f"unknown rate description: {rate!r}")
 
 
@@ -493,24 +493,18 @@ class TimeEnvelope:
     Kinds
     -----
     power
-        ``F(x) = min(1, x**-a)`` with ``a > 1/2`` so that ``F`` is square
-        integrable.  ``F`` is integrable iff ``a > 1``.
+        ``F(x) = min(1, x**-a)`` with a finite ``a > 1/2`` so that ``F`` is
+        square integrable.  ``F`` is integrable iff ``a > 1``.
     exponential
-        ``F(x) = exp(-delta * h(x))`` for a rate function ``h``.
-    table
-        tabulated values, interpolated log-linearly, extrapolated on the
-        right with the final log-log slope ``s`` so power tails are
-        preserved; ``s < -1/2`` so that ``F`` is square integrable.
+        ``F(x) = exp(-delta * h(x))`` with a finite ``delta > 0`` and a rate
+        ``h`` from :func:`_rate_function`.
     """
 
     kind: str
     a: float | None = None
     delta: float | None = None
     rate: object | None = None
-    xs: np.ndarray | None = None
-    fs: np.ndarray | None = None
     _rate_fn: object = field(default=None, repr=False)
-    _tail_slope: float | None = field(default=None, repr=False)
 
     @classmethod
     def power(cls, a):
@@ -520,33 +514,15 @@ class TimeEnvelope:
     def exponential(cls, delta, rate):
         return cls(kind="exponential", delta=float(delta), rate=rate)
 
-    @classmethod
-    def table(cls, xs, fs):
-        return cls(kind="table", xs=xs, fs=fs)
-
     def __post_init__(self):
+        # each check fails on NaN too
         if self.kind == "power":
-            if self.a is None or self.a <= 0.5:
-                raise ValueError("power envelope needs exponent a > 1/2 (square integrability)")
+            if not 0.5 < self.a < math.inf:
+                raise ValueError(f"power envelope needs a finite a > 1/2 (square integrability), got {self.a:g}")
         elif self.kind == "exponential":
-            if self.delta is None or self.delta <= 0:
-                raise ValueError("exponential envelope needs delta > 0")
+            if not 0.0 < self.delta < math.inf:
+                raise ValueError(f"exponential envelope needs a finite delta > 0, got {self.delta:g}")
             self._rate_fn = _rate_function(self.rate)
-        elif self.kind == "table":
-            self.xs = np.asarray(self.xs, dtype=float)
-            self.fs = np.asarray(self.fs, dtype=float)
-            if self.xs.ndim != 1 or self.xs.shape != self.fs.shape or self.xs.size < 2:
-                raise ValueError("table envelope needs matching 1-d xs, fs with >= 2 points")
-            if np.any(np.diff(self.xs) <= 0) or np.any(self.xs <= 0):
-                raise ValueError("table xs must be positive and strictly increasing")
-            if np.any(self.fs <= 0):
-                raise ValueError("table fs must be positive (log interpolation)")
-            if np.any(np.diff(self.fs) > 1e-12):
-                raise ValueError("envelope must be nonincreasing")
-            lx, lf = np.log(self.xs[-2:]), np.log(self.fs[-2:])
-            self._tail_slope = s = float((lf[1] - lf[0]) / (lx[1] - lx[0]))
-            if s >= -0.5:
-                raise ValueError(f"table envelope tail slope {s:g} >= -1/2: F is not square integrable")
         else:
             raise ValueError(f"unknown envelope kind: {self.kind!r}")
 
@@ -560,33 +536,22 @@ class TimeEnvelope:
         if self.kind == "power":
             # the power is taken only where it is used, so x near 0 cannot overflow
             return np.power(x, -self.a, out=np.ones_like(x), where=~(x <= 1.0))
-        if self.kind == "exponential":
+        with np.errstate(over="ignore"):  # delta h past the float range gives exp(-inf) = 0, as it should
             return np.exp(-self.delta * self._rate_fn(x))
-        logx = np.log(np.maximum(x, 1e-300))
-        lx = np.log(self.xs)
-        lf = np.log(self.fs)
-        vals = np.interp(logx, lx, lf)
-        # right extrapolation with the final slope keeps power-law tails
-        vals = np.where(logx > lx[-1], lf[-1] + self._tail_slope * (logx - lx[-1]), vals)
-        return np.minimum(np.exp(vals), 1.0)
 
     # -- structural flags ------------------------------------------------
 
     @property
     def decay_exponent(self):
-        """The exponent ``s`` of the tail ``F(x) ~ x^s``: ``-a`` (power), the tail slope (table), ``-inf`` (exponential)."""
-        if self.kind == "power":
-            return -self.a
-        if self.kind == "exponential":
-            return -math.inf
-        return self._tail_slope
+        """The exponent ``s`` of the tail ``F(x) ~ x^s``: ``-a`` (power), ``-inf`` (exponential)."""
+        return -self.a if self.kind == "power" else -math.inf
 
     # -- integrals ------------------------------------------------------
 
     def integrals(self, x):
         """``(integral_0^x F, integral_x^inf F^2)`` at every point of ``x`` (any shape, ``x >= 0``).
 
-        The power kind has both in closed form.  Every other kind takes one
+        The power kind has both in closed form.  The exponential kind takes one
         cumulative quadrature over the sorted knots ``{0, 1} U x``: the kernel
         :func:`_integrate_gaps` integrates ``F`` and ``F^2`` over every gap
         between consecutive knots, each to ``1e-11`` relative (or to its
@@ -632,9 +597,7 @@ _TAIL_RTOL = 1e-10
 def _tail_F2(env, x):
     """``integral_x^inf F^2`` at a float ``x >= 0`` (for the power kind, at any array).
 
-    Power kind: the closed form.  Table kind: the kernel up to the last table
-    point ``x_n``, then the closed form of ``F = min(1, f_n (t / x_n)^s)``,
-    which holds exactly past ``x_n``.  Exponential kind: doubling windows
+    Power kind: the closed form.  Exponential kind: doubling windows
     ``[x, 2 max(x, 1/2)]``, ... in one kernel call, summed up to the first
     right end ``h`` whose rest cap ``2 h F(h)^2`` is below 1e-10 of the sum,
     plus that cap.  The cap bounds the rest when ``F(2t) <= F(t) / 2`` for
@@ -650,13 +613,6 @@ def _tail_F2(env, x):
         out[big] = x[big] ** (1.0 - 2.0 * env.a) / (2.0 * env.a - 1.0)
         out[~big] = (1.0 - x[~big]) + 1.0 / (2.0 * env.a - 1.0)
         return out
-    if env.kind == "table":
-        x_n, f_n, s = env.xs[-1], env.fs[-1], env._tail_slope
-        knots = np.concatenate(([x], env.xs[env.xs > x]))
-        head = float(np.sum(_integrate_gaps(lambda t: env.F(t)[None] ** 2, knots))) if knots.size > 1 else 0.0
-        start = max(x, x_n)
-        flat = max(start, x_n * f_n ** (-1.0 / s))  # F = 1 on [start, flat]
-        return head + (flat - start) + f_n**2 * x_n * (flat / x_n) ** (2.0 * s + 1.0) / -(2.0 * s + 1.0)
     edges = np.concatenate(([x], 2.0 * max(x, 0.5) * 2.0 ** np.arange(_DOUBLINGS)))
     total = np.cumsum(_integrate_gaps(lambda t: env.F(t)[None] ** 2, edges)[0])
     rest_cap = env.F(edges[1:]) ** 2 * edges[1:] * 2.0

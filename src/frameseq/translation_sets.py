@@ -250,7 +250,11 @@ def as_indices(lam, coeffs=None):
             raise ValueError(f"index points must be real numbers, not {arr.dtype}")
         x = arr.astype(float)
         if arr.dtype.kind == "f":
-            in_range = np.max(np.abs(x)) <= _MAX_INDEX  # NaN fails too
+            top = np.max(np.abs(x))
+            in_range = top <= _MAX_INDEX  # NaN fails too
+            if top == _MAX_INDEX and not isinstance(lam, np.ndarray):
+                # a list mixing floats with an integer past 2^53 arrives rounded onto 2^53
+                in_range = all(abs(v) <= 1 << 53 for v in lam)
         else:  # exactly, since 2^53 + 1 rounds to 2^53 as a float
             in_range = max(-int(arr.min()), int(arr.max())) <= _MAX_INDEX
         if not in_range:
@@ -397,7 +401,7 @@ def density_exponent_fit(lam):
     # the windows 2^(p_max - 1) and 2^p_max with p_max - 1 >= 1 need a span of 4
     if span < 4.0:
         raise ValueError("not enough dyadic scales in the window for a tail fit")
-    p_max = int(math.floor(math.log2(span)))
+    p_max = math.frexp(span)[1] - 1  # floor(log2 span), exactly
     ps = np.arange(p_max - 1, p_max + 1, dtype=float)
     ds = _density_sorted(arr, 2.0**ps).astype(float)
     slope = float(np.polyfit(ps, np.log2(ds), 1)[0])
@@ -558,12 +562,15 @@ def upper_bound_necessary(env, ts, x_max=1e4, n_grid=256):
     running = np.maximum.accumulate(product)
     sup_est = float(running[-1])
 
-    def run_max_upto(x):
-        mask = xs <= x * (1 + 1e-12)
-        return float(np.max(product[mask]))
+    def growth_from(x):
+        # a product that is 0 throughout does not grow; one that leaves 0 grows without bound
+        if sup_est == 0.0:
+            return 1.0
+        earlier = float(np.max(product[xs <= x * (1 + 1e-12)]))
+        return sup_est / earlier if earlier > 0.0 else math.inf
 
-    growth_half = sup_est / run_max_upto(x_max / 2.0)
-    growth_quarter = sup_est / run_max_upto(x_max / 4.0)
+    growth_half = growth_from(x_max / 2.0)
+    growth_quarter = growth_from(x_max / 4.0)
     if growth_quarter >= 1.5 and growth_half >= 1.15:
         verdict = "necessary condition violated (product growing)"
     elif growth_quarter <= 1.1:

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import re
 import subprocess
@@ -12,6 +13,7 @@ import frameseq.cli as cli
 import frameseq.periodization as periodization
 from frameseq.constructions import ramp_plateau_profile
 from frameseq.gram import InconsistencyError
+from frameseq.spectrum import TimeEnvelope
 from frameseq.translation_sets import TranslationSet, density
 
 
@@ -215,6 +217,66 @@ def test_list_points_past_2_53_exit_1(capsys, points):
     code, out, err = run(capsys, "density", "--indices", f"list:{points}")
     assert code == 1 and not out
     assert err == "usage error: index points must be finite, of magnitude at most 2^53\n"
+
+
+def test_mixed_list_point_past_2_53_exit_1(capsys):
+    # a float among the points made the whole list float64, which moved 2^53 + 1 onto 2^53
+    code, out, err = run(capsys, "density", "--indices", "list:0.5,9007199254740993")
+    assert code == 1 and not out
+    assert err == "usage error: index points must be finite, of magnitude at most 2^53\n"
+
+
+@pytest.mark.parametrize("n", [49, 52, 53])
+def test_density_fit_reads_its_largest_window_exactly(capsys, n):
+    # geometric:n spans 2^n - 1, whose log2 rounds up to n; the largest window inside it is 2^(n - 1)
+    code, doc = run_json(capsys, "density", "--indices", f"geometric:{n}")
+    assert code == 0
+    assert doc["result"]["fit_windows"]["p"] == [n - 2.0, n - 1.0]
+    assert len(doc["result"]["table"]) == n  # the windows 2^0 .. 2^(n - 1)
+
+
+_BAD_ENVELOPES = [
+    ("power:nan", lambda: TimeEnvelope.power(math.nan), "a > 1/2"),
+    ("power:inf", lambda: TimeEnvelope.power(math.inf), "a > 1/2"),
+    ("exp:nan:xlog", lambda: TimeEnvelope.exponential(math.nan, {"xlog": {}}), "delta > 0"),
+    ("exp:inf:xlog", lambda: TimeEnvelope.exponential(math.inf, {"xlog": {}}), "delta > 0"),
+    ("exp:0:xlog", lambda: TimeEnvelope.exponential(0.0, {"xlog": {}}), "delta > 0"),
+    ("exp:-1:xlog", lambda: TimeEnvelope.exponential(-1.0, {"xlog": {}}), "delta > 0"),
+    ("exp:0.5:nan", lambda: TimeEnvelope.exponential(0.5, {"power": {"beta": math.nan}}), "beta > 0"),
+    ("exp:0.5:inf", lambda: TimeEnvelope.exponential(0.5, {"power": {"beta": math.inf}}), "beta > 0"),
+    ("exp:0.5:0", lambda: TimeEnvelope.exponential(0.5, {"power": {"beta": 0.0}}), "beta > 0"),
+    ("exp:0.5:-1", lambda: TimeEnvelope.exponential(0.5, {"power": {"beta": -1.0}}), "beta > 0"),
+]
+
+
+@pytest.mark.parametrize("token, build, named", _BAD_ENVELOPES, ids=[t for t, _, _ in _BAD_ENVELOPES])
+def test_envelope_parameters_are_refused_where_the_envelope_is_made(capsys, token, build, named):
+    # a NaN exponent would make every number of the report nan: NaN, inf and out-of-range values fail at once
+    with pytest.raises(ValueError, match=re.escape(named)):
+        build()
+    code, out, err = run(capsys, "density", "--indices", "Z", "--window", "400", "--xmax", "256", "--envelope", token)
+    assert code == 1 and not out
+    assert err.startswith(f"usage error: cannot build envelope '{token}'") and named in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv", [("analyze", "--profile", "ramp:1e308:1e-10"), ("gallery", "ramp", "--a", "1e308", "--b", "1e-10"),
+             ("analyze", "--profile", "ramp:inf:1")]
+)
+def test_ramp_with_a_non_finite_ratio_exit_1(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and not out
+    assert err.startswith("usage error: ") and "need a finite a/b" in err and "Traceback" not in err
+
+
+def test_envelope_that_underflows_everywhere_reads_bounded(capsys):
+    # F = exp(-1e300 x / log(e + x)) is 0 past x = 0, so G D is 0 on every window
+    argv = ("density", "--indices", "Z", "--window", "400", "--xmax", "256", "--envelope", "exp:1e300:xlog")
+    code, doc = run_json(capsys, *argv)
+    assert code == 0
+    assert doc["result"]["upper_bound_necessary"] == {
+        "verdict": "consistent with bounded product", "growth_half": 1.0, "growth_quarter": 1.0, "sup_estimate": 0.0,
+    }
 
 
 @pytest.mark.parametrize("command", [("density",), ("gram", "--profile", "tent")])

@@ -97,6 +97,13 @@ def test_ramp_plateau_refusals():
         ramp_plateau_profile(2.0, 3.0)
 
 
+def test_ramp_plateau_refuses_a_non_finite_ratio():
+    # round(a/b) overflows at a/b = inf, so the ratio is checked first
+    for a, b in ((1e308, 1e-10), (math.inf, 1.0)):
+        with pytest.raises(ValueError, match="finite a/b"):
+            ramp_plateau_profile(a, b)
+
+
 def test_dyadic_blocks_exponents_and_ranges():
     blocks = DyadicBlocks(0.5, 12)
     assert blocks.m.tolist() == [0, 0, 0, 0, 0, 0, 0, 1, 1, 1, 2, 2]

@@ -74,6 +74,14 @@ def test_integers_past_2_53_are_refused_not_moved():
     assert TranslationSet.from_token("list:9007199254740992,0.5,-3").realize().tolist() == [-3.0, 0.5, 2.0**53]
 
 
+
+def test_a_mixed_list_past_2_53_is_refused_not_moved():
+    # np.asarray makes a list holding a float float64, which rounds 2^53 + 1 onto 2^53
+    for bad in ([0.5, 2**53 + 1], (-(2**53) - 1, 0.5), [0.5, np.int64(2**53 + 1)]):
+        with pytest.raises(ValueError, match="2\\^53"):
+            as_indices(bad)
+    assert as_indices([0.5, 2**53, -(2.0**53)]).tolist() == [-(2.0**53), 0.5, 2.0**53]
+
 def brute_coefficient_sum(lam, c, lo, hi):
     """Independent oracle: corr(n) summed pair by pair, for every lag n in [lo, hi]."""
     c = c / np.linalg.norm(c)

@@ -174,24 +174,6 @@ def test_envelope_constructors_and_refusals():
         TimeEnvelope.exponential(-1.0, {"xlog": {}})
 
 
-def test_envelope_table_monotone_refusal():
-    with pytest.raises(ValueError):
-        TimeEnvelope.table(np.array([1.0, 2.0, 4.0]), np.array([0.5, 0.8, 0.1]))
-
-
-def test_envelope_table_refuses_a_tail_that_is_not_square_integrable():
-    for slope in (-0.4, -0.5):
-        with pytest.raises(ValueError, match=f"slope {slope:g} >= -1/2"):
-            TimeEnvelope.table([1.0, 2.0], [1.0, 2.0**slope])
-
-
-def test_envelope_table_tail_extrapolation():
-    xs = np.array([1.0, 2.0, 4.0, 8.0])
-    env = TimeEnvelope.table(xs, xs**-1.5)
-    # log-log extrapolation keeps the power tail beyond the table
-    assert abs(float(env.F(64.0)) - 64.0**-1.5) < 1e-12
-
-
 def test_envelope_quadrature_tolerance_guard(monkeypatch):
     # with no relative tolerance only the underflow floor is left, far below
     # the rule's roundoff floor: the kernel refuses at once, not after

@@ -186,6 +186,13 @@ def test_density_exponent_fit():
     assert abs(slope_sq - 0.5) < 0.05
 
 
+@pytest.mark.parametrize("n", [48, 49, 53])
+def test_density_exponent_fit_reads_its_largest_window_exactly(n):
+    # geometric(n) spans 2^n - 1; from n = 49 on its float log2 rounds up to n
+    _, windows = density_exponent_fit(TranslationSet.geometric(n))
+    assert windows["p"].tolist() == [n - 2.0, n - 1.0]
+
+
 def test_realize_kinds_and_dtypes():
     assert TranslationSet.integers(3).realize().tolist() == [-3, -2, -1, 0, 1, 2, 3]
     assert TranslationSet.subgroup(3, 2).realize().tolist() == [-6, -3, 0, 3, 6]
@@ -305,14 +312,6 @@ def test_g_function_sweep_matches_pointwise_quadrature(delta, rate, xs):
     assert np.allclose(got, want, rtol=1e-9, atol=0.0)
 
 
-def test_g_function_table_matches_pointwise_quadrature():
-    # the table kind's quadrature at x = 0, at its knots, between them and past the last
-    env = TimeEnvelope.table([1.0, 2.0, 4.0], [1.0, 0.4, 0.1])
-    xs = [0.0, 0.5, 1.0, 1.5, 2.0, 3.0, 4.0, 10.0]
-    want = np.array([_g_reference(env, x) for x in xs])
-    assert np.allclose(g_function(env, xs), want, rtol=1e-9, atol=0.0)
-
-
 def _power_int0F_reference(a, x):
     x = np.asarray(x, dtype=float)
     small = np.minimum(x, 1.0)
@@ -356,8 +355,6 @@ _MOVE_ENVELOPES = {
     "power 1.5": TimeEnvelope.power(1.5),
     "exp xlog": TimeEnvelope.exponential(0.3, {"xlog": {}}),
     "exp beta 1/2": TimeEnvelope.exponential(0.5, {"power": {"beta": 0.5}}),
-    "table -2": TimeEnvelope.table([1.0, 2.0, 4.0], [1.0, 0.4, 0.1]),
-    "table -0.55": TimeEnvelope.table([1.0, 2.0], [1.0, 2.0**-0.55]),
 }
 _MOVE_POINTS = {
     "scalar 0": 0.0,
@@ -497,19 +494,10 @@ def test_tail_doubling_closed_form(x):
         assert want * (1 - 1e-13) <= got <= want * (1 + 1e-10)
 
 
-def test_table_tail_is_the_power_closed_form():
-    # past its last point a table is exactly a power law; its G tail used to
-    # come from a doubling rule whose rest cap is no bound for slopes above -3/4
-    xs = np.array([1.0, 10.0, 100.0, 1000.0])
-    table = TimeEnvelope.table([1.0, 2.0], [1.0, 2.0**-0.55])
-    want = g_function(TimeEnvelope.power(0.55), xs)
-    assert np.allclose(g_function(table, xs), want, rtol=1e-10, atol=0.0)
-
-
 def test_tail_that_never_closes_raises():
-    # F = (1 + x)^-1/2 is not square integrable: the doubling sum of F^2
+    # F = exp(-x^0.001 / 2) decays so slowly that the doubling sum of F^2
     # never stops, and no partial sum is returned
-    env = TimeEnvelope.exponential(0.5, np.log1p)
+    env = TimeEnvelope.exponential(0.5, {"power": {"beta": 1e-3}})
     with pytest.raises(QuadratureError, match="tail of F"):
         g_function(env, 1.0)
     with pytest.raises(QuadratureError):
@@ -528,6 +516,20 @@ def test_underflowing_envelope_is_certified_without_warnings():
     assert suff.verdict == "undetermined" and np.isfinite(suff.integral) and suff.integral > 0
     assert nec.verdict == "consistent with bounded product"
     assert np.all(np.isfinite(nec.product)) and nec.sup_estimate > 0
+
+
+def test_necessary_growth_of_a_product_that_is_0(monkeypatch):
+    # F underflows past 0: G D is 0 on every window and its running max used to divide 0 by 0
+    env = TimeEnvelope.exponential(1e300, {"xlog": {}})
+    ts = TranslationSet.integers(200)
+    nec = upper_bound_necessary(env, ts, x_max=256.0)
+    assert (nec.growth_half, nec.growth_quarter, nec.sup_estimate) == (1.0, 1.0, 0.0)
+    assert nec.verdict == "consistent with bounded product"
+    # a product that leaves 0 only in the top half window grows without bound
+    monkeypatch.setattr(translation_sets, "g_function", lambda env, xs: np.where(np.asarray(xs) > 128.0, 1.0, 0.0))
+    nec = upper_bound_necessary(env, ts, x_max=256.0)
+    assert (nec.growth_half, nec.growth_quarter) == (math.inf, math.inf)
+    assert nec.verdict == "necessary condition violated (product growing)"
 
 
 def test_gap_blocks_give_the_same_numbers(monkeypatch):
