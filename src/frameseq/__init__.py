@@ -59,7 +59,6 @@ from .translation_sets import (
 )
 from .zeroset_hausdorff import (
     coefficient_sum_bound_check,
-    exactness_evidence,
     hausdorff_sublevel,
     interval_mass_bound_check,
     interval_mass_scaling,
@@ -92,7 +91,6 @@ __all__ = [
     "density_exponent_fit",
     "dilation_identity_deviation",
     "exact_bounds",
-    "exactness_evidence",
     "fourier_coeff",
     "frame_bound_estimates",
     "g_equivalence_check",

@@ -345,7 +345,7 @@ def _cmd_hausdorff(args, cfg):
         raise UsageError(f"--levels must be at least 1, got {args.levels}")
     profile, desc = _load_profile(args.profile)
     grid = check_grid_size(_given(args.grid, 2**14), "--grid")
-    ests, row, _ = sublevel_ladder(profile, args.b, args.alpha, range(2, 2 * args.levels + 1, 2), grid)
+    ests, row = sublevel_ladder(profile, args.b, args.alpha, range(2, 2 * args.levels + 1, 2), grid)
     levels = [
         {
             "eps": est.eps,

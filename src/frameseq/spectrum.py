@@ -539,13 +539,6 @@ class TimeEnvelope:
         with np.errstate(over="ignore"):  # delta h past the float range gives exp(-inf) = 0, as it should
             return np.exp(-self.delta * self._rate_fn(x))
 
-    # -- structural flags ------------------------------------------------
-
-    @property
-    def decay_exponent(self):
-        """The exponent ``s`` of the tail ``F(x) ~ x^s``: ``-a`` (power), ``-inf`` (exponential)."""
-        return -self.a if self.kind == "power" else -math.inf
-
     # -- integrals ------------------------------------------------------
 
     def integrals(self, x):
@@ -559,7 +552,8 @@ class TimeEnvelope:
         every knot, and a backward one, seeded by :func:`_tail_F2` at the
         largest knot, gives ``integral_x^inf F^2``.  Both thus carry a relative
         quadrature error of about 1e-10 wherever ``F^2`` does not underflow; a
-        value the kernel cannot certify raises :class:`QuadratureError`.
+        value the kernel cannot certify raises :class:`QuadratureError`, a
+        tail the doubling sum cannot close ``ValueError``.
         """
         x = np.asarray(x, dtype=float)
         if self.kind == "power":
@@ -603,8 +597,9 @@ def _tail_F2(env, x):
     plus that cap.  The cap bounds the rest when ``F(2t) <= F(t) / 2`` for
     every ``t >= h`` (the windows past ``h`` then hold at most ``h F(h)^2``,
     half that, ...): for a rate with ``r(2t) >= c1 r(t)``, ``c1 > 1``, that
-    is wherever ``delta (c1 - 1) r(t) >= ln 2``.  A sum that never stops
-    raises :class:`QuadratureError`.
+    is wherever ``delta (c1 - 1) r(t) >= ln 2``.  A sum that has not stopped
+    after ``_DOUBLINGS`` windows raises ``ValueError``: the envelope decays
+    too slowly for this sum, a limit of the input, not a failed check.
     """
     if env.kind == "power":
         x = np.asarray(x, dtype=float)
@@ -618,6 +613,9 @@ def _tail_F2(env, x):
     rest_cap = env.F(edges[1:]) ** 2 * edges[1:] * 2.0
     stop = np.flatnonzero(rest_cap < _TAIL_RTOL * np.maximum(total, 1e-300))
     if stop.size == 0:
-        raise QuadratureError(f"the tail of F^2 past {x:g} still holds up to {rest_cap[-1]:.3g}")
+        raise ValueError(
+            f"the tail of F^2 past {x:g} still holds up to {rest_cap[-1]:.3g} after "
+            f"{_DOUBLINGS} doublings: the envelope decays too slowly for the doubling sum"
+        )
     return float(total[stop[0]] + rest_cap[stop[0]])
 

@@ -369,6 +369,11 @@ def _density_sorted(lam, x):
     return out.reshape(xs.shape)
 
 
+def _span(arr):
+    """``arr[-1] - arr[0]`` of sorted points, exactly: an int for integer points, whose span can pass 2^53."""
+    return int(arr[-1] - arr[0]) if arr.dtype.kind == "i" else float(arr[-1] - arr[0])
+
+
 def density(lam, x):
     """Sliding-window density ``D(x)`` on the realized window, at one x or a grid.
 
@@ -379,10 +384,10 @@ def density(lam, x):
     finite sets are counted exactly for any ``x``.
     """
     arr = as_indices(lam)
-    span = float(arr[-1] - arr[0])
-    if isinstance(lam, TranslationSet) and lam.kind != "explicit" and np.max(x) > span:
+    span = _span(arr)
+    if isinstance(lam, TranslationSet) and lam.kind != "explicit" and float(np.max(x)) > span:
         raise ValueError(
-            f"realized window span {span:g} is shorter than x = {np.max(x):g}; "
+            f"realized window span {span} is shorter than x = {np.max(x):g}; "
             "enlarge the realization window"
         )
     return _density_sorted(arr, x)
@@ -397,11 +402,11 @@ def density_exponent_fit(lam):
     transient dense prefixes would otherwise dominate the fit.
     """
     arr = as_indices(lam)
-    span = float(arr[-1] - arr[0])
+    span = _span(arr)
     # the windows 2^(p_max - 1) and 2^p_max with p_max - 1 >= 1 need a span of 4
-    if span < 4.0:
+    if span < 4:
         raise ValueError("not enough dyadic scales in the window for a tail fit")
-    p_max = math.frexp(span)[1] - 1  # floor(log2 span), exactly
+    p_max = int(span).bit_length() - 1  # floor(log2 span), exactly
     ps = np.arange(p_max - 1, p_max + 1, dtype=float)
     ds = _density_sorted(arr, 2.0**ps).astype(float)
     slope = float(np.polyfit(ps, np.log2(ds), 1)[0])
@@ -457,9 +462,9 @@ def _window_table(env, ts, x_max):
     :func:`g_function` call) on their own grid of windows up to ``x_max``.
     """
     lam = as_indices(ts)
-    span = float(lam[-1] - lam[0])
-    if x_max > span:
-        raise ValueError(f"x_max {x_max:g} exceeds the realized window span {span:g}")
+    span = _span(lam)
+    if float(x_max) > span:
+        raise ValueError(f"x_max {x_max:g} exceeds the realized window span {span}")
     return lambda xs: (_density_sorted(lam, xs).astype(float), np.asarray(g_function(env, xs)))
 
 

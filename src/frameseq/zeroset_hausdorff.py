@@ -1,12 +1,12 @@
 """Dyadic covers of small-value sets and the trigonometric mass inequalities.
 
-Three ingredients of the exactness criterion live here: a box-counting
-surrogate for the essential alpha-dimensional content of ``{Phi_b <= eps}``,
-the bound of coefficient sums of ``|f|^2`` by window densities, and the
-bound of interval masses ``int_I |f|^2`` by ``l(I) D(1/l(I))``.  The true
-Hausdorff infimum over all covers is not computable; dyadic covers at the
-best depth give a reproducible upper bound, which is all the trend
-assertions need.
+The module holds three tools of the paper's section 5: dyadic covers
+giving a box-counting surrogate for the essential alpha-dimensional
+content of ``{Phi_b <= eps}``, the bound of coefficient sums of ``|f|^2``
+by window densities, and the bound of interval masses ``int_I |f|^2`` by
+``l(I) D(1/l(I))``.  The true Hausdorff infimum over all covers is not
+computable; dyadic covers at the best depth give a reproducible upper
+bound of it.
 """
 
 from __future__ import annotations
@@ -16,10 +16,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gram import Budgets, nested_window_bounds, window_ladder
 from .periodization import cell_evidence, cyclic_runs, exact_bounds, periodize, sublevel_runs
 from .spectrum import _poly_osc_integral
-from .translation_sets import _check_alpha, _density_sorted, as_indices, density_exponent_fit
+from .translation_sets import _check_alpha, _density_sorted, as_indices
 
 __all__ = [
     "CoverEstimate",
@@ -29,7 +28,6 @@ __all__ = [
     "coefficient_sum_bound_check",
     "interval_mass_bound_check",
     "interval_mass_scaling",
-    "exactness_evidence",
 ]
 
 
@@ -141,13 +139,13 @@ def sublevel_ladder(profile, b, alpha, powers, grid_size):
     """Covers of ``{Phi_b <= sup 2^-k}`` for each ``k`` in ``powers``, ``sup`` the ess sup of :func:`exact_bounds`.
 
     Counted on the ``grid_size``-point grid after :func:`cell_evidence` checks
-    it against the cells; returns the covers, its evidence row and the cells.
+    it against the cells; returns the covers and its evidence row.
     """
     alpha = _check_alpha(alpha)
     eb = exact_bounds(profile, b)
     ps = periodize(profile, b, grid_size)
     row = cell_evidence(eb, ps)
-    return [hausdorff_sublevel(ps, alpha, eb.sup * 2.0**-k) for k in powers], row, eb
+    return [hausdorff_sublevel(ps, alpha, eb.sup * 2.0**-k) for k in powers], row
 
 
 # ----------------------------------------------------------------------------
@@ -283,98 +281,3 @@ def interval_mass_scaling(lam, scales, n_trials=50, rng_seed=0, character=False)
     ys = np.log2([r["max_ratio"] for r in rows])
     slope = float(np.polyfit(xs, ys, 1)[0])
     return {"rows": rows, "slope": slope}
-
-
-# ----------------------------------------------------------------------------
-# exactness evidence: decay + small-set trend + density growth
-# ----------------------------------------------------------------------------
-
-
-@dataclass
-class Hypothesis:
-    name: str
-    value: float
-    threshold: float
-    passed: bool
-
-
-@dataclass
-class ExactnessEvidence:
-    a: float
-    hypotheses: list
-    all_hypotheses_pass: bool
-    windows: list
-    lower_estimates: list
-    lower_bounded: bool
-    verdict: str
-
-
-def exactness_evidence(b, ts, a, profile=None, envelope=None, budgets=None):
-    """Numerical check of the sparse-exactness hypotheses, then the verdict.
-
-    Hypotheses, for exponent ``1/2 < a < 1``: the generator decays like
-    ``x**(-a)`` or faster, read off a proven bound ``|phi(x)| <= C |x|^s``;
-    the dyadic-cover content of ``{Phi_b <= eps}`` at ``alpha = 2a - 1``
-    on a 2^14-point grid decreases as ``eps`` shrinks; and the window
-    density grows no faster than ``x**(2(1-a))``.  When all three hold the
-    lower Gram estimate over nested windows is examined: bounded means the
-    evidence supports an exact frame sequence, collapse is recorded as the
-    boundary case where the hypotheses hold without strict exponent margin
-    yet the lower bound still fails.
-
-    The decay exponent ``s`` is proven, not fitted.  A profile ``phi_hat``
-    has bounded variation and compact support, so integrating by parts
-    gives ``|phi(x)| <= TV(phi_hat) / (2 pi |x|)``: ``s = -1``.  An envelope
-    has its closed form, :attr:`TimeEnvelope.decay_exponent`.
-    """
-    if not (0.5 < a < 1.0):
-        raise ValueError("exponent a must lie in (1/2, 1)")
-    if profile is None and envelope is None:
-        raise ValueError("need a profile or an envelope")
-    budgets = budgets or Budgets()
-    hyps = []
-
-    slope = -1.0 if envelope is None else envelope.decay_exponent
-    hyps.append(Hypothesis("time-decay rate", slope, -a, slope <= -a))
-
-    if profile is not None:
-        (first, last), _, eb = sublevel_ladder(profile, b, 2.0 * a - 1.0, (2, 6), 2**14)
-        shrink = last.measure_sum / first.measure_sum if first.measure_sum > 0 else 0.0
-        hyps.append(Hypothesis("small-set cover trend", shrink, 0.7, shrink <= 0.7))
-    # envelope-only input has no periodization, so the cover trend is not a
-    # checkable hypothesis there; the verdict string records the gap instead
-
-    theta, _ = density_exponent_fit(ts)
-    hyps.append(Hypothesis("density growth exponent", theta, 2.0 * (1.0 - a), theta <= 2.0 * (1.0 - a) + 0.05))
-
-    all_pass = all(h.passed for h in hyps)
-    windows, a_ests = [], []
-    lower_bounded = False
-    if all_pass and profile is not None:
-        lam = as_indices(ts)
-        windows = window_ladder(lam.size, budgets.window)
-        if windows:
-            fbs, _, _ = nested_window_bounds(profile, b, lam, windows, eb=eb)
-            a_ests = [float(fb.A_est) for fb in fbs]
-        lower_bounded = len(a_ests) >= 2 and a_ests[-1] >= 0.7 * a_ests[0] and a_ests[-1] > 0
-        if lower_bounded:
-            verdict = "exactness evidence established"
-        else:
-            verdict = (
-                "boundary case: hypotheses hold without strict exponent margin, "
-                "lower estimate collapses"
-            )
-    elif all_pass:
-        verdict = "hypotheses pass (no spectrum model for the lower-bound check)"
-    else:
-        failed = ", ".join(h.name for h in hyps if not h.passed)
-        verdict = f"hypothesis failed: {failed}"
-    return ExactnessEvidence(
-        a=float(a),
-        hypotheses=hyps,
-        all_hypotheses_pass=all_pass,
-        windows=windows,
-        lower_estimates=a_ests,
-        lower_bounded=lower_bounded,
-        verdict=verdict,
-    )

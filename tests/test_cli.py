@@ -186,6 +186,15 @@ def test_density_past_the_realized_span_is_refused(capsys):
     assert err == "usage error: realized window span 20 is shorter than x = 2048; enlarge the realization window\n"
 
 
+@pytest.mark.parametrize("envelope", ["exp:0.5:1e-3", "exp:1e-300:xlog"])
+def test_density_tail_the_doubling_sum_cannot_close_is_refused(capsys, envelope):
+    # both envelopes decay too slowly for the tail sum of F^2: a limit of the input, not a failed check
+    argv = ["density", "--indices", "Z", "--window", "400", "--xmax", "256", "--envelope", envelope]
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and not out
+    assert err.startswith("usage error: the tail of F^2 past 256") and "after 80 doublings" in err
+
+
 def test_density_without_xmax_stops_at_the_realized_span(capsys):
     # squares:80 spans 6400: the table and the envelope tests run to 2^12, the largest window inside it
     code, doc = run_json(capsys, "density", "--indices", "squares:80", "--envelope", "power:0.75")
@@ -226,13 +235,28 @@ def test_mixed_list_point_past_2_53_exit_1(capsys):
     assert err == "usage error: index points must be finite, of magnitude at most 2^53\n"
 
 
-@pytest.mark.parametrize("n", [49, 52, 53])
-def test_density_fit_reads_its_largest_window_exactly(capsys, n):
-    # geometric:n spans 2^n - 1, whose log2 rounds up to n; the largest window inside it is 2^(n - 1)
-    code, doc = run_json(capsys, "density", "--indices", f"geometric:{n}")
+_SPAN_2_54 = "list:-9007199254740992,9007199254740991"
+
+
+@pytest.mark.parametrize(
+    ("indices", "n"),
+    [("geometric:49", 49), ("geometric:52", 52), ("geometric:53", 53), (_SPAN_2_54, 54)],
+    ids=["49", "52", "53", "list-54"],
+)
+def test_density_fit_reads_its_largest_window_exactly(capsys, indices, n):
+    # each set spans 2^n - 1, whose log2 rounds up to n; the largest window inside it is 2^(n - 1)
+    code, doc = run_json(capsys, "density", "--indices", indices)
     assert code == 0
     assert doc["result"]["fit_windows"]["p"] == [n - 2.0, n - 1.0]
     assert len(doc["result"]["table"]) == n  # the windows 2^0 .. 2^(n - 1)
+
+
+def test_xmax_past_an_integer_span_is_refused_with_the_exact_span(capsys):
+    # 2^54 and the span 2^54 - 1 are one float; the refusal compares and prints the span as an integer
+    argv = ["density", "--indices", _SPAN_2_54, "--xmax", "18014398509481984", "--envelope", "power:0.75"]
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and not out
+    assert err == "usage error: x_max 1.80144e+16 exceeds the realized window span 18014398509481983\n"
 
 
 _BAD_ENVELOPES = [

@@ -10,17 +10,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import frameseq.periodization as periodization
-import frameseq.zeroset_hausdorff as zeroset_hausdorff
-from frameseq.constructions import infimum_spectrum, plateau_taper_profile, tent_profile
-from frameseq.gram import Budgets, InconsistencyError
-from frameseq.periodization import PeriodizedSpectrum, cyclic_runs, periodize, sublevel_runs
-from frameseq.spectrum import TimeEnvelope
-from frameseq.translation_sets import TranslationSet, density
+from frameseq.constructions import plateau_taper_profile, tent_profile
+from frameseq.periodization import PeriodizedSpectrum, cyclic_runs, exact_bounds, periodize, sublevel_runs
+from frameseq.translation_sets import density
 from frameseq.zeroset_hausdorff import (
     CoverEstimate,
     coefficient_sum_bound_check,
     cover_mask,
-    exactness_evidence,
     hausdorff_sublevel,
     interval_mass_bound_check,
     interval_mass_scaling,
@@ -61,7 +57,8 @@ def test_sublevel_alpha_is_checked_on_the_full_circle_path(alpha):
 
 def test_sublevel_ladder_reads_its_levels_off_the_cells(tent):
     # the grid's largest value of the tent at b = 1 falls short of 1, the cells' ess sup
-    ests, row, eb = sublevel_ladder(tent, 1.0, 0.5, (2, 4), 2**13)
+    ests, row = sublevel_ladder(tent, 1.0, 0.5, (2, 4), 2**13)
+    eb = exact_bounds(tent, 1.0)
     assert eb.sup == 1.0 and [e.eps for e in ests] == [0.25, 0.0625]
     assert row["rule"] == "exact-cell-bounds" and row["check_grid"] == 2**13 and row["ess_sup"] == eb.sup
     with pytest.raises(ValueError, match=r"alpha must lie in \(0, 1\)"):
@@ -352,61 +349,3 @@ def test_interval_mass_scaling_characters_flat():
 def test_interval_mass_scaling_random_slope():
     out = interval_mass_scaling(np.arange(8), scales=[1 / 8, 1 / 16, 1 / 32, 1 / 64], n_trials=30)
     assert -0.5 < out["slope"] < 0.5
-
-
-def test_exactness_evidence_established(tent):
-    res = exactness_evidence(
-        2.0,
-        TranslationSet.squares(80),
-        0.7,
-        profile=tent,
-        budgets=Budgets(window=16),
-    )
-    assert res.all_hypotheses_pass
-    assert res.lower_bounded
-    assert res.verdict == "exactness evidence established"
-    names = [h.name for h in res.hypotheses]
-    assert names == ["time-decay rate", "small-set cover trend", "density growth exponent"]
-
-
-def test_exactness_evidence_boundary_case():
-    # n_max = 12: the density fit of the thinned blocks dips under the
-    # threshold there (the thinning is bursty, so the fit oscillates in n_max)
-    bs = infimum_spectrum(0.5, 12, 2**14)
-    ts = TranslationSet.dyadic_blocks(0.5, 12)
-    res = exactness_evidence(1.0, ts, 0.7, profile=bs.profile, budgets=Budgets(window=64))
-    assert res.all_hypotheses_pass
-    assert not res.lower_bounded
-    assert res.verdict.startswith("boundary case")
-    assert res.lower_estimates[-1] < 0.7 * res.lower_estimates[0]
-
-
-def test_exactness_evidence_envelope_only():
-    res = exactness_evidence(1.0, TranslationSet.squares(80), 0.7, envelope=TimeEnvelope.power(0.75))
-    assert res.all_hypotheses_pass
-    assert res.verdict == "hypotheses pass (no spectrum model for the lower-bound check)"
-    assert res.windows == [] and res.lower_estimates == []
-
-
-def test_exactness_evidence_failure_names_hypotheses():
-    res = exactness_evidence(1.0, TranslationSet.integers(2048), 0.9, envelope=TimeEnvelope.power(0.75))
-    assert not res.all_hypotheses_pass
-    assert "hypothesis failed" in res.verdict
-    assert "time-decay rate" in res.verdict
-    assert "density growth exponent" in res.verdict
-
-
-def test_exactness_evidence_windows_are_checked_against_the_lattice_bounds(monkeypatch, tent):
-    # raise the lattice infimum of the tent at b = 2 from 1/2 to 3/4: the windows now break it;
-    # the cells come from the cover ladder, which hands them on to the windows
-    real = zeroset_hausdorff.exact_bounds
-    monkeypatch.setattr(zeroset_hausdorff, "exact_bounds", lambda p, b: replace(real(p, b), inf=1.5))
-    with pytest.raises(InconsistencyError, match="outside the periodization interval"):
-        exactness_evidence(2.0, TranslationSet.squares(80), 0.7, profile=tent, budgets=Budgets(window=16))
-
-
-def test_exactness_evidence_validation(tent):
-    with pytest.raises(ValueError):
-        exactness_evidence(1.0, TranslationSet.squares(10), 0.4, profile=tent)
-    with pytest.raises(ValueError):
-        exactness_evidence(1.0, TranslationSet.squares(10), 0.7)
