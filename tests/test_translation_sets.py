@@ -193,6 +193,17 @@ def test_density_exponent_fit_reads_its_largest_window_exactly(n):
     assert windows["p"].tolist() == [n - 2.0, n - 1.0]
 
 
+def test_an_integer_span_past_2_53_is_read_exactly():
+    # the span 2^54 - 1 rounds to 2^54 as a float: the fit's largest window and the
+    # upper-bound refusal both read it as an int
+    ts = TranslationSet.explicit([-(2**53), 2**53 - 1])
+    _, windows = density_exponent_fit(ts)
+    assert windows["p"].tolist() == [52.0, 53.0]
+    for test in (upper_bound_sufficient, upper_bound_necessary):
+        with pytest.raises(ValueError, match="exceeds the realized window span 18014398509481983$"):
+            test(TimeEnvelope.power(0.75), ts, x_max=2.0**54)
+
+
 def test_realize_kinds_and_dtypes():
     assert TranslationSet.integers(3).realize().tolist() == [-3, -2, -1, 0, 1, 2, 3]
     assert TranslationSet.subgroup(3, 2).realize().tolist() == [-6, -3, 0, 3, 6]

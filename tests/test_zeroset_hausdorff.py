@@ -1,7 +1,9 @@
+import ast
 import math
 import tracemalloc
 import warnings
 from dataclasses import replace
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -10,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import frameseq.periodization as periodization
+import frameseq.zeroset_hausdorff as zeroset_hausdorff
 from frameseq.constructions import plateau_taper_profile, tent_profile
 from frameseq.periodization import PeriodizedSpectrum, cyclic_runs, exact_bounds, periodize, sublevel_runs
 from frameseq.translation_sets import density
@@ -349,3 +352,11 @@ def test_interval_mass_scaling_characters_flat():
 def test_interval_mass_scaling_random_slope():
     out = interval_mass_scaling(np.arange(8), scales=[1 / 8, 1 / 16, 1 / 32, 1 / 64], n_trials=30)
     assert -0.5 < out["slope"] < 0.5
+
+
+def test_module_imports_nothing_above_it():
+    # the covers and mass bounds read only periodization, spectrum and translation sets,
+    # so gram can import this module without a cycle
+    tree = ast.parse(Path(zeroset_hausdorff.__file__).read_text())
+    local = {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.level == 1}
+    assert local == {"periodization", "spectrum", "translation_sets"}
