@@ -317,14 +317,15 @@ def _trend_verdict(label, fbs, windows):
 def classify(profile, b, ts, budgets=None):
     """Frame-property decision for the translate family on the index set.
 
-    One pipeline for every set.  A subgroup ``mZ`` is first rescaled to
-    the full lattice at spacing ``m b``.  On integer sets the exact cell
-    bounds of the periodized spectrum, checked against one grid, decide
-    the lattice family; non-integer sets carry no lattice structure and
-    are always ``undetermined``.  Every set then reads its Gram windows
-    through :func:`nested_window_bounds`.  Lattices (all integers, the
-    naturals) take the lattice verdict, which their window must agree
-    with.  A generic integer set inherits an orthonormal lattice family's
+    One pipeline for every set.  A lattice of period ``m > 1`` is first
+    rescaled to the full lattice at spacing ``m b``.  On integer sets the
+    exact cell bounds of the periodized spectrum, checked against one grid,
+    decide the lattice family; non-integer sets carry no lattice structure
+    and are always ``undetermined``.  Every set then reads its Gram windows
+    through :func:`nested_window_bounds`.  Lattices (the sets with a
+    ``period``) take the lattice verdict, which their window must agree
+    with; on a ``one_sided`` lattice only an exact family is a frame.
+    A generic integer set inherits an orthonormal lattice family's
     verdict, and an exact one's unless its windowed lower estimate halves;
     otherwise eigenvalue trends over nested windows decide it
     (:func:`_trend_verdict`), ``undetermined`` when they conflict.
@@ -333,20 +334,13 @@ def classify(profile, b, ts, budgets=None):
     budgets = budgets or Budgets()
     if not isinstance(ts, TranslationSet):
         ts = TranslationSet.explicit(ts)
-    kind, w, spacing = ts.kind, budgets.window, b
-    evidence, notes = [], []
-    if kind == "subgroup":
-        m, half_width = (dict(ts.params)[k] for k in ("m", "half_width"))
-        ts, spacing = TranslationSet.integers(half_width), b * m
-        evidence.append({"rule": "subgroup-rescaling", "m": int(m), "effective_spacing": float(spacing)})
+    w, m, lattice = budgets.window, ts.period, ts.period is not None
+    spacing, evidence, notes = b, [], []
+    if lattice and m > 1:
+        spacing = b * m
+        evidence.append({"rule": "subgroup-rescaling", "m": m, "effective_spacing": float(spacing)})
         notes.append(f"subgroup step {m} analyzed as the full lattice at spacing {spacing:g}")
-    lattice = ts.kind in ("integers", "naturals")
-    if ts.kind == "integers":
-        lam = np.arange(-w, w + 1, dtype=np.int64)
-    elif ts.kind == "naturals":
-        lam = np.arange(1, w + 1, dtype=np.int64)
-    else:
-        lam = ts.realize()
+    lam = np.arange(1 if ts.one_sided else -w, w + 1, dtype=np.int64) if lattice else ts.realize()
 
     eb, trend = None, lam.dtype != np.int64
     if trend:  # no lattice structure: one window of evidence
@@ -373,7 +367,7 @@ def classify(profile, b, ts, budgets=None):
                 **check,
             }
         )
-        if kind == "naturals" and label in ("frame sequence (non-exact)", "not a frame sequence"):
+        if ts.one_sided and label in ("frame sequence (non-exact)", "not a frame sequence"):
             evidence.append(
                 {
                     "rule": "restricted-index-exactness",
@@ -401,7 +395,7 @@ def classify(profile, b, ts, budgets=None):
         B_est=b_val,
         numerical_rank=fbs[-1].numerical_rank,
         b=float(b),
-        index_kind=kind,
+        index_kind=ts.kind,
         grid_sizes=[] if eb is None else [budgets.grid_size],
         windows=windows,
         evidence=evidence,

@@ -37,90 +37,94 @@ __all__ = [
 
 @dataclass(frozen=True)
 class TranslationSet:
-    """A finite realization window into a (possibly infinite) index set."""
+    """A finite realization window into a (possibly infinite) index set.
+
+    Two facts describe the set the token stands for, not its window:
+    ``period`` is the lattice step (1 for ``Z`` and ``N``, ``m`` for
+    ``mZ:m``, ``None`` off the lattices), and ``one_sided`` says the set
+    lies in ``[0, inf)``.
+    """
 
     kind: str
     params: tuple  # sorted (key, value) pairs, hashable
+    period: int | None
+    one_sided: bool
 
     # -- constructors ------------------------------------------------------
 
     @staticmethod
-    def _make(kind, **params):
-        return TranslationSet(kind=kind, params=tuple(sorted(params.items())))
+    def _make(kind, period, one_sided, **params):
+        return TranslationSet(kind, tuple(sorted(params.items())), period, one_sided)
 
     @classmethod
     def explicit(cls, points):
-        return cls._make("explicit", points=tuple(float(p) for p in as_indices(points).tolist()))
+        pts = as_indices(points)
+        return cls._make("explicit", None, bool(pts[0] >= 0), points=tuple(float(p) for p in pts.tolist()))
 
     @classmethod
     def integers(cls, half_width):
         if half_width < 1:
             raise ValueError("half_width must be >= 1")
-        return cls._make("integers", half_width=int(half_width))
+        return cls._make("integers", 1, False, half_width=int(half_width))
 
     @classmethod
     def subgroup(cls, m, half_width):
         if m < 1:
             raise ValueError("subgroup step m must be >= 1")
-        return cls._make("subgroup", m=int(m), half_width=int(half_width))
+        return cls._make("subgroup", int(m), False, m=int(m), half_width=int(half_width))
 
     @classmethod
     def naturals(cls, n_max):
         if n_max < 1:
             raise ValueError("n_max must be >= 1")
-        return cls._make("naturals", n_max=int(n_max))
+        return cls._make("naturals", 1, True, n_max=int(n_max))
 
     @classmethod
     def squares(cls, n_max):
-        return cls._make("squares", n_max=int(n_max))
+        return cls._make("squares", None, True, n_max=int(n_max))
 
     @classmethod
     def powers(cls, exponent, n_max):
         if exponent < 2:
             raise ValueError("power exponent must be >= 2")
-        return cls._make("powers", exponent=int(exponent), n_max=int(n_max))
+        return cls._make("powers", None, True, exponent=int(exponent), n_max=int(n_max))
 
     @classmethod
     def geometric(cls, n_max):
-        return cls._make("geometric", n_max=int(n_max))
+        return cls._make("geometric", None, True, n_max=int(n_max))
 
     @classmethod
     def dyadic_blocks(cls, alpha, n_max):
         blocks = DyadicBlocks(alpha, n_max)
-        return cls._make("dyadic_blocks", alpha=blocks.alpha, n_max=blocks.n_max)
+        return cls._make("dyadic_blocks", None, True, alpha=blocks.alpha, n_max=blocks.n_max)
 
     # -- realization ---------------------------------------------------------
 
-    def _p(self, key):
-        return dict(self.params)[key]
-
     def realize(self):
         """The realized points, normalized by :func:`as_indices`; past ``GRID_CAP`` of them are refused before any is made."""
-        k = self.kind
+        k, p = self.kind, dict(self.params)
         if k == "explicit":
-            return as_indices(self._p("points"))
-        if k == "dyadic_blocks":
-            blocks = DyadicBlocks(self._p("alpha"), self._p("n_max"))
+            return as_indices(p["points"])
+        if self.period is not None:
+            n = p["n_max"] if self.one_sided else p["half_width"]
+            start = 1 if self.one_sided else -n
+            count = n + 1 - start
+        elif k == "dyadic_blocks":
+            blocks = DyadicBlocks(p["alpha"], p["n_max"])
             count = sum(1 << (n - m) for n, m in enumerate(blocks.m.tolist(), 1))
-        elif k in ("integers", "subgroup"):
-            count = 2 * self._p("half_width") + 1
         else:
-            count = self._p("n_max") + (k != "naturals")
+            count = p["n_max"] + 1
         if count > GRID_CAP:
             raise ResourceLimitError(f"the {k} index set has {count} points, past the cap {GRID_CAP}")
-        if k == "integers":
-            n = self._p("half_width")
-            pts = np.arange(-n, n + 1, dtype=np.int64)
-        elif k == "subgroup":
-            m, n = self._p("m"), self._p("half_width")
-            pts = m * np.arange(-n, n + 1, dtype=np.int64)
-        elif k == "naturals":
-            pts = np.arange(1, self._p("n_max") + 1, dtype=np.int64)
+        if self.period is not None:
+            if self.period * n > 1 << 53:  # in Python ints: int64 would overflow first
+                raise ValueError(_RANGE_MESSAGE)
+            pts = self.period * np.arange(start, n + 1, dtype=np.int64)
         elif k in ("squares", "powers"):
-            p = 2 if k == "squares" else self._p("exponent")
-            pts = np.arange(0, self._p("n_max") + 1, dtype=np.int64) ** p
+            e = 2 if k == "squares" else p["exponent"]
+            pts = np.arange(0, p["n_max"] + 1, dtype=np.int64) ** e
         elif k == "geometric":
-            pts = 2 ** np.arange(0, self._p("n_max") + 1, dtype=np.int64)
+            pts = 2 ** np.arange(0, p["n_max"] + 1, dtype=np.int64)
         else:
             pts = blocks.realize()
         return as_indices(pts)
@@ -226,6 +230,7 @@ class DyadicBlocks:
 # float64 tells neighbouring integers apart up to 2^53, and int64 differences
 # of points this size cannot overflow
 _MAX_INDEX = 2.0**53
+_RANGE_MESSAGE = "index points must be finite, of magnitude at most 2^53"
 
 
 def as_indices(lam, coeffs=None):
@@ -258,7 +263,7 @@ def as_indices(lam, coeffs=None):
         else:  # exactly, since 2^53 + 1 rounds to 2^53 as a float
             in_range = max(-int(arr.min()), int(arr.max())) <= _MAX_INDEX
         if not in_range:
-            raise ValueError("index points must be finite, of magnitude at most 2^53")
+            raise ValueError(_RANGE_MESSAGE)
         integer = arr.dtype.kind != "f" or bool(np.all(x == np.round(x)))
         pts = arr.astype(np.int64, copy=False) if integer else x
         order = np.argsort(pts, kind="stable")

@@ -235,6 +235,14 @@ def test_mixed_list_point_past_2_53_exit_1(capsys):
     assert err == "usage error: index points must be finite, of magnitude at most 2^53\n"
 
 
+@pytest.mark.parametrize("command", [["density"], ["gram", "--profile", "tent"]])
+def test_subgroup_points_past_2_53_exit_1(capsys, command):
+    # m n is checked in Python ints before the points are made, where int64 would overflow
+    code, out, err = run(capsys, *command, "--indices", "mZ:10000000000000000000", "--window", "4")
+    assert code == 1 and not out
+    assert err == "usage error: index points must be finite, of magnitude at most 2^53\n"
+
+
 _SPAN_2_54 = "list:-9007199254740992,9007199254740991"
 
 

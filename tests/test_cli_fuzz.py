@@ -53,6 +53,7 @@ PROFILE = st.one_of(
 INDICES = st.one_of(
     st.sampled_from(["Z", "N"]),
     st.integers(-1, 4).map(lambda m: f"mZ:{m}"),
+    st.just("mZ:10000000000000000000"),  # m n past 2^53, and past int64
     st.integers(-1, 40).map(lambda n: f"squares:{n}"),
     st.tuples(st.integers(-1, 3), st.integers(-1, 10)).map(lambda t: f"powers:{t[0]}:{t[1]}"),
     st.integers(-1, 10).map(lambda n: f"geometric:{n}"),

@@ -352,6 +352,16 @@ def test_classify_subgroup_rescales(taper):
     assert rep.b == 1.0 and rep.index_kind == "subgroup"
 
 
+@pytest.mark.parametrize("b", [1.0, 2.0])
+@pytest.mark.parametrize("name", ["box", "tent", "taper", "ramp", "half"])
+def test_classify_subgroup_of_step_one_is_the_integers(request, name, b):
+    # period 1 needs no rescaling, so mZ:1 reads as Z: no subgroup-rescaling row, no note
+    profile = ramp_plateau_profile(3.0, 2.0)[0] if name == "ramp" else request.getfixturevalue(name)
+    rep = classify(profile, b, TranslationSet.subgroup(1, 20))
+    assert rep.index_kind == "subgroup"
+    assert replace(rep, index_kind="integers") == classify(profile, b, TranslationSet.integers(20))
+
+
 def test_classify_non_integer_undetermined(taper):
     rep = classify(taper, 1.0, TranslationSet.explicit([0.0, 0.5, 1.0, 2.25, 3.0]))
     assert rep.classification == "undetermined"

@@ -157,3 +157,36 @@ def test_same_answer_however_a_set_is_passed(pts, seed):
     expected = answers(lam_s, c_s)
     for lam, coeffs in _forms(pts, c):
         assert answers(lam, coeffs) == expected
+
+
+TOKENS = st.one_of(
+    st.sampled_from(["Z", "N", "squares", "geometric"]),
+    st.integers(1, 9).map(lambda m: f"mZ:{m}"),
+    st.integers(0, 30).map(lambda n: f"squares:{n}"),
+    st.integers(0, 12).map(lambda n: f"geometric:{n}"),
+    st.tuples(st.integers(2, 4), st.integers(0, 20)).map(lambda t: f"powers:{t[0]}:{t[1]}"),
+    st.tuples(st.floats(0.05, 0.95), st.integers(1, 8)).map(lambda t: f"blocks:{t[0]!r}:{t[1]}"),
+    st.lists(st.integers(-50, 50) | st.floats(-50, 50), min_size=1, max_size=8, unique_by=float).map(
+        lambda vs: "list:" + ",".join(map(repr, vs))
+    ),
+)
+
+
+@given(token=TOKENS, windows=st.lists(st.integers(1, 40), min_size=2, max_size=2))
+@settings(max_examples=200, deadline=None)
+def test_period_and_side_are_facts_of_the_token_not_the_window(token, windows):
+    sets = [TranslationSet.from_token(token, w) for w in windows]
+    assert len({(ts.period, ts.one_sided) for ts in sets}) == 1
+    for ts in sets:
+        pts = ts.realize()
+        assert ts.one_sided == (pts[0] >= 0)
+        if ts.period is not None:
+            assert np.all(np.diff(pts) == ts.period)
+            assert ts.one_sided or np.array_equal(pts, -pts[::-1])
+
+
+def test_lattice_points_past_2_53_are_refused_before_int64_overflows():
+    assert TranslationSet.subgroup(2**51, 4).realize()[-1] == 2**53
+    for m in (2**51 + 1, 10**19):
+        with pytest.raises(ValueError, match="magnitude at most 2\\^53"):
+            TranslationSet.subgroup(m, 4).realize()
