@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .periodization import InconsistencyError, PeriodizedSpectrum, check_grid_size, periodize
+from .periodization import InconsistencyError, PeriodizedSpectrum, check_grid_size, periodize_at
 from .spectrum import FourierProfile, Piece
 from .translation_sets import DyadicBlocks, TranslationSet, _check_alpha, density_exponent_fit
 
@@ -151,16 +151,40 @@ def block_wave(alpha, n, grid_size):
     M = check_grid_size(grid_size)
     if M < 2 ** (n + 2):
         raise ValueError(f"grid {M} too coarse for block {n}; need >= {2 ** (n + 2)}")
-    m = int(DyadicBlocks(alpha, n).m[-1])
-    half = np.pi * (1 << m) * ((np.arange(M) + 0.5) / M)
+    m = _block_exponent(alpha, n)
+    power = _wave_power(n, m, M, 0, M)
+    _check_wave_norm(float(np.sum(power)), M)
+    return BlockWave(n=n, m=m, power=power)
+
+
+_CHUNK = 2**12  # grid points per chunk of the blocks construction
+
+
+def _block_exponent(alpha, n):
+    """The thinning exponent ``m`` of block ``n``."""
+    return int(DyadicBlocks(alpha, n).m[-1])
+
+
+def _midpoints(j, k, M):
+    """Midpoints ``j`` to ``k - 1`` of the ``M``-point grid on [0, 1)."""
+    return (np.arange(j, k) + 0.5) / M
+
+
+def _wave_power(n, m, M, j, k):
+    """``|f_n|^2`` (:func:`block_wave`) at midpoints ``j`` to ``k - 1``; each value is computed on its own."""
+    half = np.pi * (1 << m) * _midpoints(j, k, M)
     power = np.sin((1 << (n - m)) * half)
     power /= np.sin(half)
     power *= power
     power *= 2.0 ** (m - n)
-    norm_dev = abs(float(np.mean(power)) - 1.0)
+    return power
+
+
+def _check_wave_norm(total, M):
+    """A block wave's grid sum ``total`` must average to its unit norm within 1e-9."""
+    norm_dev = abs(total / M - 1.0)
     if norm_dev > 1e-9:
         raise InconsistencyError(f"block wave norm deviates by {norm_dev:.3e} on the grid")
-    return BlockWave(n=n, m=m, power=power)
 
 
 def _concentration_threshold(n, m):
@@ -188,7 +212,9 @@ def infimum_spectrum(alpha, n_max, grid_size):
     ``f_n`` spends most of its energy where the spectrum is ``2^-n``.  The
     square root is emitted as a sampled profile whose own periodization at
     spacing 1 must reproduce the spectrum to 1e-12; a larger deviation
-    raises.
+    raises.  Each level walks the grid in chunks of ``_CHUNK`` points and
+    keeps running sums, and the profile is checked chunk by chunk, so the
+    spectrum and the profile's samples are the only grid-sized arrays.
     """
     alpha = _check_alpha(alpha)
     n_max = int(n_max)
@@ -198,24 +224,36 @@ def infimum_spectrum(alpha, n_max, grid_size):
     phi = np.ones(M)
     rows = []
     for n in range(1, n_max + 1):
-        w = block_wave(alpha, n, M)
-        thr = _concentration_threshold(n, w.m)
-        mask = w.power >= thr * thr
-        phi[mask] = 2.0**-n
+        m = _block_exponent(alpha, n)
+        thr = _concentration_threshold(n, m)
+        total = unflagged_energy = 0.0
+        flagged = 0
+        for j in range(0, M, _CHUNK):
+            seg = phi[j : j + _CHUNK]
+            power = _wave_power(n, m, M, j, j + seg.size)
+            mask = power >= thr * thr
+            seg[mask] = 2.0**-n
+            total += float(np.sum(power))
+            flagged += int(np.count_nonzero(mask))
+            unflagged_energy += float(np.sum(power, where=~mask))
+        _check_wave_norm(total, M)
         rows.append(
             {
                 "n": n,
-                "m": w.m,
+                "m": m,
                 "threshold": thr,
-                "flagged_measure": float(np.mean(mask)),
-                "excluded_energy": float(np.mean(w.power[~mask])) * float(np.mean(~mask)),
+                "flagged_measure": flagged / M,
+                "excluded_energy": unflagged_energy / M,
             }
         )
     if not np.all(phi > 0.0):
         raise InconsistencyError("spectrum hit zero on the grid")
     profile = FourierProfile(pieces=[Piece(0.0, 1.0, samples=np.sqrt(phi))])
-    check = periodize(profile, 1.0, grid_size=M)
-    dev = float(np.max(np.abs(check.values - phi)))
+    dev = 0.0
+    for j in range(0, M, _CHUNK):
+        check = periodize_at(profile, 1.0, _midpoints(j, min(j + _CHUNK, M), M))
+        check -= phi[j : j + check.size]
+        dev = max(dev, float(np.max(np.abs(check))))
     if dev > 1e-12:
         raise InconsistencyError(f"periodized profile deviates from the spectrum by {dev:.3e}")
     return BlocksSpectrum(
@@ -237,20 +275,26 @@ def verify_lower_collapse(alpha, n_range, grid_size):
     weighted norms to at least halve from the bottom of the range to the
     top, and a failure raises.  Both together give the conclusion: upper
     frame bound present, lower bound failing.  Each ``|f_n|^2`` is built a
-    second time here, after ``infimum_spectrum``: the real modulus costs
-    about a third of a complex evaluation of ``f_n``, while keeping every
-    level's modulus would hold levels x M floats (about 670 MB for 20
-    levels at the 2^22-point cap).
+    second time here, after ``infimum_spectrum`` has fixed ``Phi``, and
+    again one chunk at a time: a level's weighted norm is a running sum, so
+    neither every level's modulus (levels x M floats, about 670 MB for 20
+    levels at the 2^22-point cap) nor one whole level is held.
     """
     n_list = sorted(int(n) for n in n_range)
     if len(n_list) < 2:
         raise ValueError("need at least two block indices for a trend")
     built = infimum_spectrum(alpha, n_list[-1], grid_size)
-    phi = built.spectrum.values
+    if n_list[0] < 1:
+        raise ValueError("block index must be >= 1")
+    phi, M = built.spectrum.values, built.grid_size
     rows = []
     for n in n_list:
-        w = block_wave(alpha, n, built.grid_size)
-        rows.append({"n": n, "w": float(np.mean(w.power * phi))})
+        m = built.rows[n - 1]["m"]
+        total = 0.0
+        for j in range(0, M, _CHUNK):
+            seg = phi[j : j + _CHUNK]
+            total += float(np.dot(_wave_power(n, m, M, j, j + seg.size), seg))
+        rows.append({"n": n, "w": total / M})
     w_bottom, w_top = rows[0]["w"], rows[-1]["w"]
     if not w_top < 0.5 * w_bottom:
         raise RuntimeError(

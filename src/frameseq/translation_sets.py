@@ -71,6 +71,8 @@ class TranslationSet:
     def subgroup(cls, m, half_width):
         if m < 1:
             raise ValueError("subgroup step m must be >= 1")
+        if half_width < 1:
+            raise ValueError("half_width must be >= 1")
         return cls._make("subgroup", int(m), False, m=int(m), half_width=int(half_width))
 
     @classmethod

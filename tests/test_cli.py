@@ -680,6 +680,8 @@ def test_config_holds_only_the_given_options(capsys):
         (("gram", "--profile", "tent", "--window", "0"), "--window must lie in [4, 2048]"),
         (("periodize", "--profile", "tent", "--grid", "0"), "--grid must be a power of two"),
         (("hausdorff", "--profile", "tent", "--alpha", "0.5", "--grid", "0"), "--grid must be a power of two"),
+        (("density", "--indices", "mZ:3", "--window", "0"), "half_width must be >= 1"),
+        (("density", "--indices", "mZ:3", "--window", "-1"), "half_width must be >= 1"),
         (("density", "--indices", "squares:50", "--xmax", "inf"), "--xmax must be finite"),
         (("density", "--indices", "squares:50", "--xmax", "nan", "--envelope", "power:0.75"), "--xmax must be finite"),
         (("verify", "blocks", "--grid", "0"), "--grid must be a power of two"),
@@ -729,14 +731,12 @@ def test_failed_construction_check_exits_3(capsys, monkeypatch, argv):
     # a periodized blocks profile that misses its spectrum fails infimum_spectrum's own check
     import frameseq.constructions as constructions
 
-    real = constructions.periodize
+    real = constructions.periodize_at
 
-    def off(profile, b, grid_size):
-        ps = real(profile, b, grid_size)
-        ps.values = ps.values + 1e-6
-        return ps
+    def off(profile, b, xi):
+        return real(profile, b, xi) + 1e-6
 
-    monkeypatch.setattr(constructions, "periodize", off)
+    monkeypatch.setattr(constructions, "periodize_at", off)
     code, out, err = run(capsys, *argv)
     assert code == 3 and not out
     assert "Traceback" not in err and "inconsistency: periodized profile deviates" in err

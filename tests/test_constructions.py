@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import frameseq.constructions as constructions
 from frameseq.constructions import (
     EPS_RESOLUTION,
     DyadicBlocks,
@@ -21,7 +22,8 @@ from frameseq.constructions import (
     tent_profile,
     verify_lower_collapse,
 )
-from frameseq.periodization import exact_bounds
+from frameseq.periodization import exact_bounds, periodize
+from frameseq.spectrum import FourierProfile, Piece
 from frameseq.translation_sets import TranslationSet
 
 KNOWN_LABELS = {
@@ -208,6 +210,67 @@ def test_block_wave_memory():
     finally:
         tracemalloc.stop()
     assert peak < 40 * 2**20
+
+
+def _blocks_one_shot(alpha, n_range, M):
+    """``phi``, its rows, the profile deviation and the weighted norms, each level's modulus a whole-grid array."""
+    n_max = max(n_range)
+    phi = np.ones(M)
+    rows = []
+    for n in range(1, n_max + 1):
+        w = block_wave(alpha, n, M)
+        thr = _concentration_threshold(n, w.m)
+        mask = w.power >= thr * thr
+        phi[mask] = 2.0**-n
+        rows.append(
+            {
+                "flagged_measure": float(np.mean(mask)),
+                "excluded_energy": float(np.mean(w.power[~mask])) * float(np.mean(~mask)),
+            }
+        )
+    profile = FourierProfile(pieces=[Piece(0.0, 1.0, samples=np.sqrt(phi))])
+    dev = float(np.max(np.abs(periodize(profile, 1.0, grid_size=M).values - phi)))
+    ws = [float(np.mean(block_wave(alpha, n, M).power * phi)) for n in n_range]
+    return phi, rows, dev, ws
+
+
+# grids below, at and above the default chunk of 2^12 points
+_BLOCKS_CASES = [(0.5, range(2, 9), 2**10), (0.7, range(3, 11), 2**12), (0.3, range(2, 12), 2**14), (0.5, range(4, 13), 2**16)]
+
+
+@pytest.mark.parametrize(
+    "alpha, n_range, M, chunk",
+    # 7-point chunks stop at 2^14 points: on the 2^16 grid they take about 8 s
+    [(*case, chunk) for case in _BLOCKS_CASES for chunk in (7, None, 2**15) if chunk != 7 or case[2] <= 2**14],
+)
+def test_chunked_blocks_match_the_one_shot_construction(monkeypatch, alpha, n_range, M, chunk):
+    if chunk is not None:
+        monkeypatch.setattr(constructions, "_CHUNK", chunk)
+    phi, rows, dev, ws = _blocks_one_shot(alpha, n_range, M)
+    built = infimum_spectrum(alpha, max(n_range), M)
+    assert np.array_equal(built.spectrum.values, phi)
+    assert np.array_equal(built.profile.pieces[0].samples, np.sqrt(phi))
+    assert built.identity_deviation == dev
+    for got, want in zip(built.rows, rows, strict=True):
+        assert got["flagged_measure"] == want["flagged_measure"]
+        assert math.isclose(got["excluded_energy"], want["excluded_energy"], rel_tol=1e-13)
+    out = verify_lower_collapse(alpha, n_range, M)
+    assert [r["n"] for r in out["rows"]] == list(n_range)
+    for row, w in zip(out["rows"], ws, strict=True):
+        assert math.isclose(row["w"], w, rel_tol=1e-13)
+
+
+def test_lower_collapse_memory():
+    # the spectrum, the profile's samples and the square of the samples that
+    # the profile's norm takes are 8 MiB each; one level's modulus over the
+    # whole grid, with its temporaries, would pass the bound
+    tracemalloc.start()
+    try:
+        verify_lower_collapse(0.5, range(4, 19), 2**20)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 28 * 2**20
 
 
 def test_block_wave_grid_refusal():
