@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .periodization import InconsistencyError, PeriodizedSpectrum, check_grid_size, periodize_at
+from .periodization import InconsistencyError, PeriodizedSpectrum, _midpoints, check_grid_size, periodize_at
 from .spectrum import FourierProfile, Piece
 from .translation_sets import DyadicBlocks, TranslationSet, _check_alpha, density_exponent_fit
 
@@ -151,23 +151,13 @@ def block_wave(alpha, n, grid_size):
     M = check_grid_size(grid_size)
     if M < 2 ** (n + 2):
         raise ValueError(f"grid {M} too coarse for block {n}; need >= {2 ** (n + 2)}")
-    m = _block_exponent(alpha, n)
+    m = int(DyadicBlocks(alpha, n).m[-1])
     power = _wave_power(n, m, M, 0, M)
     _check_wave_norm(float(np.sum(power)), M)
     return BlockWave(n=n, m=m, power=power)
 
 
 _CHUNK = 2**12  # grid points per chunk of the blocks construction
-
-
-def _block_exponent(alpha, n):
-    """The thinning exponent ``m`` of block ``n``."""
-    return int(DyadicBlocks(alpha, n).m[-1])
-
-
-def _midpoints(j, k, M):
-    """Midpoints ``j`` to ``k - 1`` of the ``M``-point grid on [0, 1)."""
-    return (np.arange(j, k) + 0.5) / M
 
 
 def _wave_power(n, m, M, j, k):
@@ -199,7 +189,7 @@ class BlocksSpectrum:
     grid_size: int
     spectrum: PeriodizedSpectrum
     profile: FourierProfile
-    rows: list  # per-n: flagged measure and excluded energy
+    rows: list  # per-n: flagged measure, excluded energy and weighted norm
     identity_deviation: float
 
 
@@ -212,30 +202,33 @@ def infimum_spectrum(alpha, n_max, grid_size):
     ``f_n`` spends most of its energy where the spectrum is ``2^-n``.  The
     square root is emitted as a sampled profile whose own periodization at
     spacing 1 must reproduce the spectrum to 1e-12; a larger deviation
-    raises.  Each level walks the grid in chunks of ``_CHUNK`` points and
-    keeps running sums, and the profile is checked chunk by chunk, so the
-    spectrum and the profile's samples are the only grid-sized arrays.
+    raises.  The grid is walked once, in chunks of ``_CHUNK`` points with
+    every level inside each chunk: the levels flag the chunk of the
+    spectrum, and once the last has, each adds its weighted norm
+    ``w_n = integral of |f_n|^2 Phi`` over the chunk to its running sums.
+    The profile is checked chunk by chunk too, so the spectrum and the
+    profile's samples are the only grid-sized arrays.
     """
     alpha = _check_alpha(alpha)
     n_max = int(n_max)
     M = check_grid_size(grid_size)
     if M < 2 ** (n_max + 2):
         raise ValueError(f"grid {M} too coarse for n_max={n_max}; need >= {2 ** (n_max + 2)}")
+    levels = [(n, m, _concentration_threshold(n, m)) for n, m in enumerate(DyadicBlocks(alpha, n_max).m.tolist(), 1)]
+    sums = np.zeros((n_max, 4))  # per level: sum of |f_n|^2, flagged points, energy off them, sum of |f_n|^2 Phi
     phi = np.ones(M)
-    rows = []
-    for n in range(1, n_max + 1):
-        m = _block_exponent(alpha, n)
-        thr = _concentration_threshold(n, m)
-        total = unflagged_energy = 0.0
-        flagged = 0
-        for j in range(0, M, _CHUNK):
-            seg = phi[j : j + _CHUNK]
+    for j in range(0, M, _CHUNK):
+        seg = phi[j : j + _CHUNK]
+        powers = []
+        for (n, m, thr), level_sums in zip(levels, sums):
             power = _wave_power(n, m, M, j, j + seg.size)
             mask = power >= thr * thr
             seg[mask] = 2.0**-n
-            total += float(np.sum(power))
-            flagged += int(np.count_nonzero(mask))
-            unflagged_energy += float(np.sum(power, where=~mask))
+            level_sums[:3] += np.sum(power), np.count_nonzero(mask), np.sum(power, where=~mask)
+            powers.append(power)
+        sums[:, 3] += [np.dot(power, seg) for power in powers]
+    rows = []
+    for (n, m, thr), (total, flagged, unflagged, weighted) in zip(levels, sums.tolist()):
         _check_wave_norm(total, M)
         rows.append(
             {
@@ -243,7 +236,8 @@ def infimum_spectrum(alpha, n_max, grid_size):
                 "m": m,
                 "threshold": thr,
                 "flagged_measure": flagged / M,
-                "excluded_energy": unflagged_energy / M,
+                "excluded_energy": unflagged / M,
+                "w": weighted / M,
             }
         )
     if not np.all(phi > 0.0):
@@ -274,11 +268,8 @@ def verify_lower_collapse(alpha, n_range, grid_size):
     slack 0.1) is recorded with its fit; the lower-half claim requires the
     weighted norms to at least halve from the bottom of the range to the
     top, and a failure raises.  Both together give the conclusion: upper
-    frame bound present, lower bound failing.  Each ``|f_n|^2`` is built a
-    second time here, after ``infimum_spectrum`` has fixed ``Phi``, and
-    again one chunk at a time: a level's weighted norm is a running sum, so
-    neither every level's modulus (levels x M floats, about 670 MB for 20
-    levels at the 2^22-point cap) nor one whole level is held.
+    frame bound present, lower bound failing.  Each ``w_n`` is read from
+    the rows of :func:`infimum_spectrum`, which builds ``Phi``.
     """
     n_list = sorted(int(n) for n in n_range)
     if len(n_list) < 2:
@@ -286,15 +277,7 @@ def verify_lower_collapse(alpha, n_range, grid_size):
     built = infimum_spectrum(alpha, n_list[-1], grid_size)
     if n_list[0] < 1:
         raise ValueError("block index must be >= 1")
-    phi, M = built.spectrum.values, built.grid_size
-    rows = []
-    for n in n_list:
-        m = built.rows[n - 1]["m"]
-        total = 0.0
-        for j in range(0, M, _CHUNK):
-            seg = phi[j : j + _CHUNK]
-            total += float(np.dot(_wave_power(n, m, M, j, j + seg.size), seg))
-        rows.append({"n": n, "w": total / M})
+    rows = [{"n": n, "w": built.rows[n - 1]["w"]} for n in n_list]
     w_bottom, w_top = rows[0]["w"], rows[-1]["w"]
     if not w_top < 0.5 * w_bottom:
         raise RuntimeError(

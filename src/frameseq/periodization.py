@@ -72,8 +72,7 @@ class PeriodizedSpectrum:
 
     def grid(self):
         """Midpoint grid on [0, 1)."""
-        m = self.grid_size
-        return (np.arange(m) + 0.5) / m
+        return _midpoints(0, self.grid_size, self.grid_size)
 
     def _coeff_fft(self):
         if self._fft is None:
@@ -99,6 +98,11 @@ def check_spacing(b):
     if not 0.0 < b < math.inf:
         raise ValueError("spacing b must be positive and finite")
     return b
+
+
+def _midpoints(j, k, m):
+    """Midpoints ``j`` to ``k - 1`` of the ``m``-point grid on [0, 1)."""
+    return (np.arange(j, k) + 0.5) / m
 
 
 def _cover_range(profile, b, xi_min, xi_max):
@@ -174,7 +178,7 @@ def periodize(profile, b, grid_size=4096):
     """
     b = check_spacing(b)
     m = check_grid_size(grid_size)
-    values = _periodize_sorted(profile, b, m, lambda j, k: (np.arange(j, k) + 0.5) / m)
+    values = _periodize_sorted(profile, b, m, lambda j, k: _midpoints(j, k, m))
     n_lo, n_hi = _cover_range(profile, b, 0.0, 1.0)
     return PeriodizedSpectrum(b=b, grid_size=m, values=values, truncation_range=max(abs(n_lo), abs(n_hi)))
 
@@ -285,7 +289,7 @@ class ExactBounds:
         """
         m, worst = ps.grid_size, 0.0
         for j in range(0, m, _BLOCK):
-            xi = (np.arange(j, min(j + _BLOCK, m)) + 0.5) / m
+            xi = _midpoints(j, min(j + _BLOCK, m), m)
             values = ps.values[j : j + _BLOCK]
             k, s = self._locate(xi)
             dev = np.abs(values - self._quadratic(k, s))

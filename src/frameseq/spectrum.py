@@ -360,7 +360,7 @@ class FourierProfile:
             else:
                 width = (p.hi - p.lo) / p.samples.size
                 with np.errstate(over="ignore"):  # an overflow is the inf the constructor refuses
-                    total += width * float(np.sum(p.samples**2))
+                    total += width * float(np.dot(p.samples, p.samples))
         return total
 
     def to_json(self):

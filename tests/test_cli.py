@@ -723,6 +723,21 @@ def test_blocks_alpha_outside_the_unit_interval_is_refused(capsys, token):
 @pytest.mark.parametrize(
     "argv",
     [
+        ("periodize", "--profile", "blocks:0.5:0"),
+        ("periodize", "--profile", "blocks:0.5:-3"),
+        ("analyze", "--profile", "blocks:0.5:0", "--indices", "Z"),
+        ("hausdorff", "--profile", "blocks:0.5:0", "--alpha", "0.5"),
+    ],
+)
+def test_blocks_profile_without_levels_is_refused(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and not out
+    assert err == f"usage error: cannot build profile {argv[2]!r}: n_max out of the supported range [1, 24]\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
         ("periodize", "--profile", "blocks:0.5:4"),
         ("verify", "blocks", "--nmin", "4", "--nmax", "5"),
     ],

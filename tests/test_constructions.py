@@ -212,9 +212,8 @@ def test_block_wave_memory():
     assert peak < 40 * 2**20
 
 
-def _blocks_one_shot(alpha, n_range, M):
-    """``phi``, its rows, the profile deviation and the weighted norms, each level's modulus a whole-grid array."""
-    n_max = max(n_range)
+def _blocks_one_shot(alpha, n_max, M):
+    """``phi``, its rows, the profile deviation and every level's weighted norm, each modulus a whole-grid array."""
     phi = np.ones(M)
     rows = []
     for n in range(1, n_max + 1):
@@ -230,7 +229,7 @@ def _blocks_one_shot(alpha, n_range, M):
         )
     profile = FourierProfile(pieces=[Piece(0.0, 1.0, samples=np.sqrt(phi))])
     dev = float(np.max(np.abs(periodize(profile, 1.0, grid_size=M).values - phi)))
-    ws = [float(np.mean(block_wave(alpha, n, M).power * phi)) for n in n_range]
+    ws = [float(np.mean(block_wave(alpha, n, M).power * phi)) for n in range(1, n_max + 1)]
     return phi, rows, dev, ws
 
 
@@ -246,31 +245,50 @@ _BLOCKS_CASES = [(0.5, range(2, 9), 2**10), (0.7, range(3, 11), 2**12), (0.3, ra
 def test_chunked_blocks_match_the_one_shot_construction(monkeypatch, alpha, n_range, M, chunk):
     if chunk is not None:
         monkeypatch.setattr(constructions, "_CHUNK", chunk)
-    phi, rows, dev, ws = _blocks_one_shot(alpha, n_range, M)
+    phi, rows, dev, ws = _blocks_one_shot(alpha, max(n_range), M)
     built = infimum_spectrum(alpha, max(n_range), M)
     assert np.array_equal(built.spectrum.values, phi)
     assert np.array_equal(built.profile.pieces[0].samples, np.sqrt(phi))
     assert built.identity_deviation == dev
-    for got, want in zip(built.rows, rows, strict=True):
+    for got, want, w in zip(built.rows, rows, ws, strict=True):
         assert got["flagged_measure"] == want["flagged_measure"]
         assert math.isclose(got["excluded_energy"], want["excluded_energy"], rel_tol=1e-13)
+        assert math.isclose(got["w"], w, rel_tol=1e-13)
     out = verify_lower_collapse(alpha, n_range, M)
-    assert [r["n"] for r in out["rows"]] == list(n_range)
-    for row, w in zip(out["rows"], ws, strict=True):
-        assert math.isclose(row["w"], w, rel_tol=1e-13)
+    assert out["rows"] == [{"n": n, "w": built.rows[n - 1]["w"]} for n in n_range]
+
+
+def test_lower_collapse_evaluates_each_level_once_per_chunk(monkeypatch):
+    calls = []
+    real = constructions._wave_power
+
+    def counted(n, m, M, j, k):
+        calls.append(n)
+        return real(n, m, M, j, k)
+
+    monkeypatch.setattr(constructions, "_wave_power", counted)
+    verify_lower_collapse(0.5, range(4, 13), 2**16)
+    # 12 levels build the spectrum, and 2^16 points are 16 chunks of 2^12
+    assert len(calls) == 12 * 16
+    assert sorted(calls) == sorted(list(range(1, 13)) * 16)
 
 
 def test_lower_collapse_memory():
-    # the spectrum, the profile's samples and the square of the samples that
-    # the profile's norm takes are 8 MiB each; one level's modulus over the
-    # whole grid, with its temporaries, would pass the bound
+    # the spectrum and the profile's samples are 8 MiB each, next to one chunk
+    # per level; one level's modulus over the whole grid would pass the bound
     tracemalloc.start()
     try:
         verify_lower_collapse(0.5, range(4, 19), 2**20)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 28 * 2**20
+    assert peak < 20 * 2**20
+
+
+@pytest.mark.parametrize("n_max", [0, -3])
+def test_blocks_without_levels_are_refused(n_max):
+    with pytest.raises(ValueError, match=re.escape("n_max out of the supported range [1, 24]")):
+        infimum_spectrum(0.5, n_max, 2**14)
 
 
 def test_block_wave_grid_refusal():
