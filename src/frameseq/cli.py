@@ -246,7 +246,7 @@ def _cmd_analyze(args, cfg):
     budgets = _budgets(args)
     ts = _load_indices(args.indices, _given(args.window, budgets.window << WINDOW_DOUBLINGS))
     report = classify(profile, args.b, ts, budgets=budgets)
-    payload = {"profile": desc, "report": report.to_json(), "seed": args.seed}
+    payload = {"profile": desc, "report": report.to_json()}
     _emit(payload, cfg, args.out)
     return EXIT_UNDETERMINED if report.classification == "undetermined" else EXIT_OK
 
@@ -263,7 +263,6 @@ def _cmd_periodize(args, cfg):
         "zero_runs": len(intervals),
         "zero_intervals": intervals,
         "evidence": [cell_evidence(eb, ps)],
-        "seed": args.seed,
     }
     if args.csv:
         _write_rows(args.csv, ["xi", "phi"], zip(ps.grid(), ps.values))
@@ -274,13 +273,11 @@ def _cmd_periodize(args, cfg):
 def _cmd_gram(args, cfg):
     profile, desc = _load_profile(args.profile)
     ts = _load_indices(args.indices, _budgets(args).window)
-    op = build_gram(profile, args.b, ts, rng_seed=args.seed)
+    op = build_gram(profile, args.b, ts)
     fb = frame_bound_estimates(op)
     payload = {
         "profile": desc,
-        "seed": args.seed,
         "route": op.route,
-        "grid_size": op.grid_size,
         "checked_shifts": op.checked_shifts,
         "max_check_deviation": op.max_check_deviation,
         "check_budget": op.check_budget,
@@ -309,7 +306,6 @@ def _cmd_density(args, cfg):
     xs = [2.0**k for k in range(math.frexp(xmax)[1])]  # frexp's exponent is floor(log2 xmax) + 1, exactly
     rows = list(zip(xs, density(ts, xs).tolist()))
     payload = {
-        "seed": args.seed,
         "table": [{"x": x, "D": d} for x, d in rows],
         "exponent_fit": exponent,
         "fit_windows": windows,
@@ -356,7 +352,7 @@ def _cmd_hausdorff(args, cfg):
         }
         for est in ests
     ]
-    payload = {"profile": desc, "alpha": args.alpha, "levels": levels, "evidence": [row], "seed": args.seed}
+    payload = {"profile": desc, "alpha": args.alpha, "levels": levels, "evidence": [row]}
     if args.csv:
         _write_rows(
             args.csv,
@@ -409,7 +405,6 @@ def _cmd_gallery(args, cfg):
             "cases": [{"b": 1.0, "report": rep.to_json()}],
             "paired": rep.classification == "upper bound only",
         }
-    payload["seed"] = args.seed
     _emit(payload, cfg, args.out)
     if any(v == "undetermined" for v in verdicts):
         return EXIT_UNDETERMINED
@@ -430,7 +425,6 @@ def _cmd_verify(args, cfg):
         grid = max(_blocks_grid(n_max), min(max(2 ** (n_max + 4), 2**16), GRID_CAP))
     report = verify_lower_collapse(alpha, range(n_min, n_max + 1), grid)
     payload = dict(report)
-    payload["seed"] = args.seed
     if args.csv:
         _write_rows(args.csv, ["n", "w"], [(r["n"], r["w"]) for r in report["rows"]])
     _emit(payload, cfg, args.out)
@@ -584,7 +578,6 @@ def _build_parser():
             sp.add_argument("--window", type=int, default=None, help="index window / Gram window")
         if grid:
             sp.add_argument("--grid", type=int, default=None, help="periodization grid size")
-        sp.add_argument("--seed", type=int, default=0, help="root seed, recorded in output")
         sp.add_argument("--out", default=None, help="write the JSON report here")
 
     sp = sub.add_parser("analyze", help="classify a translate family")
@@ -634,6 +627,7 @@ def _build_parser():
 
     sp = sub.add_parser("selftest", help="run the deterministic invariant suites")
     common(sp, profile=False, spacing=False, grid=False)
+    sp.add_argument("--seed", type=int, default=0, help="root seed of the randomized suites, recorded in output")
     sp.set_defaults(func=_cmd_selftest)
 
     return p

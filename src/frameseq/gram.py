@@ -3,7 +3,7 @@
 Every Gram entry is an exact autocorrelation integral, read off one
 vectorized closed-form kernel (:func:`~frameseq.spectrum.autocorrelations`).
 On integer index sets the same inner products are also Fourier coefficients
-of the periodized spectrum, so a 5% sample of the shifts plus the extreme
+of the periodized spectrum, so every 20th distinct shift plus the extreme
 one is re-derived in closed form from the exact cells of ``Phi_b`` (the ones
 ``classify`` already computed).  The two routes must agree within a derived
 budget; that agreement is the structural self-check of the package, and a
@@ -18,7 +18,6 @@ trends over nested windows, where only windowed evidence is available.
 
 from __future__ import annotations
 
-import math
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
@@ -55,6 +54,7 @@ EIGENSOLVE_CAP = 2048
 WINDOW_DOUBLINGS = 3  # nested Gram windows w, 2w, ..., w 2^WINDOW_DOUBLINGS
 KERNEL_TOL = 1e-6  # relative eigenvalue cut of the frame-bound estimates
 _ROW_BLOCK = 2**16  # Gram entries per block of rows that build_gram fills at a time
+CHECK_STRIDE = 20  # build_gram re-derives every CHECK_STRIDE-th distinct positive shift
 
 
 @dataclass(frozen=True)
@@ -106,7 +106,7 @@ def _lag_matrix(lam, fn):
     return np.where(diffs < 0, np.conj(m), m) if np.iscomplexobj(m) else m
 
 
-def build_gram(profile, b, lam, eb=None, rng_seed=0):
+def build_gram(profile, b, lam, eb=None):
     """Gram matrix of ``(tau_{lam_i b} phi)_i`` with a dual-route spot check.
 
     ``lam`` is normalized by :func:`~frameseq.translation_sets.as_indices`,
@@ -117,10 +117,13 @@ def build_gram(profile, b, lam, eb=None, rng_seed=0):
     A table of ``GRID_CAP`` entries or more raises
     :class:`~frameseq.periodization.ResourceLimitError`.
 
-    On integer sets a deterministic 5% sample of the distinct shifts, plus
-    the largest, is re-derived as ``Phi_b_hat(d) / b`` from the exact cells
-    ``eb`` of ``Phi_b`` (computed when absent), through
-    :meth:`~frameseq.periodization.ExactBounds.coefficients`.  The budget
+    On integer sets a fixed stride of the sorted distinct positive shifts,
+    ``pos[::CHECK_STRIDE]`` plus ``pos[-1]`` when the stride misses it (the
+    shift 0 alone on a one-point set), is re-derived as ``Phi_b_hat(d) / b``
+    from the exact cells ``eb`` of ``Phi_b`` (computed when absent), through
+    :meth:`~frameseq.periodization.ExactBounds.coefficients`.  The sample
+    holds the smallest and the largest shift and is the same on every call;
+    :func:`weighted_norm_identity_check` still reads every lag.  The budget
     of a shift, times ``b``, is derived:
 
     * the cells' coefficient differs from ``Phi_b_hat(d)`` by at most
@@ -166,12 +169,12 @@ def build_gram(profile, b, lam, eb=None, rng_seed=0):
         np.take(cm, idx, out=g[i : i + rows], mode="clip")  # in range; "clip" skips a buffered copy
         seen[idx] = True
 
-    # dual-route spot check on a deterministic sample of the shifts
+    # dual-route spot check on a fixed stride of the shifts, always with the extreme one
     pos = np.flatnonzero(seen[span + 1 :]) + 1
     if pos.size:
-        rng = np.random.default_rng(rng_seed)
-        sample = rng.choice(pos, size=math.ceil(0.05 * pos.size), replace=False)
-        sample = np.union1d(sample, pos[-1:])  # always include the extreme shift
+        sample = pos[::CHECK_STRIDE]
+        if sample[-1] != pos[-1]:
+            sample = np.append(sample, pos[-1])
     else:
         sample = np.zeros(1, dtype=np.int64)
     eb = exact_bounds(profile, b) if eb is None else eb

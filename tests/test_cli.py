@@ -584,18 +584,15 @@ def test_small_spacing_above_the_budget_is_classified(capsys):
 def test_reports_are_deterministic(capsys, tmp_path):
     f1, f2 = tmp_path / "a.json", tmp_path / "b.json"
     for f in (f1, f2):
-        code = cli.main(
-            ["periodize", "--profile", "taper:2:1", "--b", "2", "--out", str(f), "--seed", "7"]
-        )
+        code = cli.main(["periodize", "--profile", "taper:2:1", "--b", "2", "--out", str(f)])
         assert code == 0
     capsys.readouterr()
     assert f1.read_bytes() == f2.read_bytes()
-    # a different seed must change the config hash, not just the payload
-    code = cli.main(
-        ["periodize", "--profile", "taper:2:1", "--b", "2", "--out", str(f2), "--seed", "8"]
-    )
+    # a different option must change the config hash, not just the payload
+    code = cli.main(["periodize", "--profile", "taper:2:1", "--b", "3", "--out", str(f2)])
     capsys.readouterr()
-    assert f1.read_bytes() != f2.read_bytes()
+    hashes = [json.loads(f.read_text())["config_hash"] for f in (f1, f2)]
+    assert hashes[0] != hashes[1]
 
 
 @pytest.mark.parametrize(
@@ -649,6 +646,9 @@ def test_spacing_must_be_positive_and_finite(capsys, command, b):
         ("periodize", "--profile", "tent", "--window", "8"),
         ("hausdorff", "--profile", "tent", "--alpha", "0.5", "--window", "8"),
         ("verify", "blocks", "--window", "8"),
+        ("analyze", "--profile", "tent", "--seed", "7"),
+        ("gram", "--profile", "tent", "--seed", "7"),
+        ("gallery", "taper", "--seed", "7"),
     ],
 )
 def test_flags_a_command_does_not_read_are_refused(capsys, argv):
@@ -661,7 +661,7 @@ def test_config_holds_only_the_given_options(capsys):
     # options left out are dropped, so the hash of a run without them never moves
     code, doc = run_json(capsys, "density", "--indices", "Z", "--window", "100", "--xmax", "100")
     assert code == 0
-    assert doc["config"] == {"command": "density", "indices": "Z", "window": 100, "xmax": 100.0, "seed": 0}
+    assert doc["config"] == {"command": "density", "indices": "Z", "window": 100, "xmax": 100.0}
 
 
 @pytest.mark.parametrize(
@@ -757,6 +757,12 @@ def test_failed_construction_check_exits_3(capsys, monkeypatch, argv):
     assert "Traceback" not in err and "inconsistency: periodized profile deviates" in err
 
 
+def _child_env():
+    """The environment of a child interpreter that imports this checkout's ``frameseq``."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+
+
 def test_runtime_runs_without_scipy():
     # scipy is the test suite's oracle only: a child interpreter that cannot
     # import it still runs the envelope integrals and a selftest
@@ -772,7 +778,46 @@ def test_runtime_runs_without_scipy():
         sys.exit(cli.main(["selftest", "--seed", "7"]))
         """
     )
-    src = os.path.dirname(os.path.dirname(cli.__file__))
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120, env=env)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120, env=_child_env())
     assert proc.returncode == 0, proc.stderr
+
+
+_IMPORT_PROBE = textwrap.dedent(
+    """
+    import contextlib, io, json, sys
+    import numpy
+    bare_ma = "numpy.ma" in sys.modules
+    import frameseq.cli as cli
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = cli.main(sys.argv[1:])
+    print(json.dumps({"code": code, "bare_ma": bare_ma, "random": "numpy.random" in sys.modules,
+                      "ma": "numpy.ma" in sys.modules}))
+    """
+)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("analyze", "--profile", "taper:2:1", "--b", "2", "--indices", "Z"),
+        ("analyze", "--profile", "ramp:3:2", "--b", "3", "--indices", "Z"),
+        ("periodize", "--profile", "half", "--grid", "4096"),
+        ("gram", "--profile", "tent", "--b", "2", "--indices", "Z", "--window", "64"),
+        ("density", "--indices", "Z", "--window", "4000", "--xmax", "4000", "--envelope", "power:0.75"),
+        ("gallery", "taper", "--window", "64"),
+        ("verify", "blocks", "--nmin", "4", "--nmax", "12", "--grid", "65536"),
+        ("hausdorff", "--profile", "blocks:0.5:12:65536", "--alpha", "0.5", "--levels", "4"),
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_commands_without_a_seed_load_neither_numpy_random_nor_numpy_ma(argv):
+    # only selftest draws random numbers; numpy.ma is counted only where a bare
+    # ``import numpy`` leaves it out, since some numpy releases load it with the package
+    proc = subprocess.run(
+        [sys.executable, "-c", _IMPORT_PROBE, *argv], capture_output=True, text=True, timeout=120, env=_child_env()
+    )
+    assert proc.returncode == 0, proc.stderr
+    seen = json.loads(proc.stdout)
+    assert seen["code"] == 0
+    assert not seen["random"]
+    assert seen["bare_ma"] or not seen["ma"]

@@ -74,10 +74,11 @@ def test_non_integer_route_and_agreement(taper):
 
 def test_misaligned_jump_gets_checked_grid_route():
     third = indicator_profile(0.0, 1.0 / 3.0)
-    g = build_gram(third, 1.0, np.arange(0, 17, dtype=np.int64))
+    g = build_gram(third, 1.0, np.arange(0, 65, dtype=np.int64))
     # the jump at 1/3 lands on no dyadic grid; the exact cells hold it where it is
     assert g.route == "periodization-grid" and g.grid_size is None
-    assert 16 in g.checked_shifts
+    # the two routes agree bit for bit at the shifts 1 and 16, not at all of these
+    assert g.checked_shifts == [1, 21, 41, 61, 64]
     assert 0.0 < g.max_check_deviation <= g.check_budget
     fb = frame_bound_estimates(g)
     assert fb.min_eigenvalue > -1e-12
@@ -106,6 +107,47 @@ def test_tampered_step_spectrum_raises(half):
 def test_tampered_continuous_spectrum_raises(tent):
     with pytest.raises(InconsistencyError, match="shift 127"):
         build_gram(tent, 1.0, [0, 127], eb=_bump_first_cell(tent, 127))
+
+
+TAPER21 = plateau_taper_profile(2.0, 1.0)
+
+
+@given(pts=st.lists(st.integers(-200, 200), min_size=2, max_size=30, unique=True))
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+def test_spot_check_takes_a_fixed_stride_of_the_shifts(pts):
+    pos = sorted({abs(p - q) for p in pts for q in pts} - {0})
+    checked = build_gram(TAPER21, 2.0, pts).checked_shifts
+    # the same sample on every call, whatever order the points come in
+    assert build_gram(TAPER21, 2.0, pts[::-1]).checked_shifts == checked
+    assert checked[0] == pos[0] and checked[-1] == pos[-1]
+    missed = (len(pos) - 1) % gram.CHECK_STRIDE != 0
+    assert len(checked) == -(-len(pos) // gram.CHECK_STRIDE) + missed
+    assert checked == pos[:: gram.CHECK_STRIDE] + pos[-1:] * missed
+
+
+def test_spot_check_of_one_point_reads_the_shift_zero():
+    assert build_gram(TAPER21, 2.0, [7]).checked_shifts == [0]
+
+
+def test_bumped_kernel_entry_at_a_sampled_shift_raises(monkeypatch):
+    lam = np.arange(65)
+    checked = build_gram(TAPER21, 2.0, lam).checked_shifts
+    assert checked == [1, 21, 41, 61, 64]
+    real = gram.autocorrelations
+
+    def bump_at(d):
+        def bumped(profile, shifts):
+            out = real(profile, shifts)
+            out[d] += 0.1  # integer sets ask for the shifts b * (0, 1, ..., span)
+            return out
+
+        monkeypatch.setattr(gram, "autocorrelations", bumped)
+
+    bump_at(21)  # inside the stride, not the extreme shift
+    with pytest.raises(InconsistencyError, match="shift 21:"):
+        build_gram(TAPER21, 2.0, lam)
+    bump_at(22)  # between two sampled shifts: only the weighted-norm identity sees it
+    assert build_gram(TAPER21, 2.0, lam).checked_shifts == checked
 
 
 def test_gallery_gram_checks_hold_roundoff_budgets():
