@@ -535,6 +535,8 @@ def _suite_psd():
 
 
 def _cmd_selftest(args, cfg):
+    if args.seed < 0:
+        raise UsageError(f"--seed must be a non-negative integer, got {args.seed}")
     budgets = Budgets()
     suites = [
         _suite_orthonormal(),

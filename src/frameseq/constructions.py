@@ -128,7 +128,6 @@ def ramp_plateau_profile(a, b):
 class BlockWave:
     """Squared modulus of one unit-norm block wave on the midpoint grid."""
 
-    n: int
     m: int
     power: np.ndarray  # |f_n|^2 at the grid midpoints
 
@@ -154,7 +153,7 @@ def block_wave(alpha, n, grid_size):
     m = int(DyadicBlocks(alpha, n).m[-1])
     power = _wave_power(n, m, M, 0, M)
     _check_wave_norm(float(np.sum(power)), M)
-    return BlockWave(n=n, m=m, power=power)
+    return BlockWave(m=m, power=power)
 
 
 _CHUNK = 2**12  # grid points per chunk of the blocks construction
@@ -184,8 +183,6 @@ def _concentration_threshold(n, m):
 
 @dataclass
 class BlocksSpectrum:
-    alpha: float
-    n_max: int
     grid_size: int
     spectrum: PeriodizedSpectrum
     profile: FourierProfile
@@ -251,8 +248,6 @@ def infimum_spectrum(alpha, n_max, grid_size):
     if dev > 1e-12:
         raise InconsistencyError(f"periodized profile deviates from the spectrum by {dev:.3e}")
     return BlocksSpectrum(
-        alpha=float(alpha),
-        n_max=n_max,
         grid_size=M,
         spectrum=PeriodizedSpectrum(b=1.0, grid_size=M, values=phi, truncation_range=1),
         profile=profile,
@@ -274,9 +269,9 @@ def verify_lower_collapse(alpha, n_range, grid_size):
     n_list = sorted(int(n) for n in n_range)
     if len(n_list) < 2:
         raise ValueError("need at least two block indices for a trend")
-    built = infimum_spectrum(alpha, n_list[-1], grid_size)
     if n_list[0] < 1:
         raise ValueError("block index must be >= 1")
+    built = infimum_spectrum(alpha, n_list[-1], grid_size)
     rows = [{"n": n, "w": built.rows[n - 1]["w"]} for n in n_list]
     w_bottom, w_top = rows[0]["w"], rows[-1]["w"]
     if not w_top < 0.5 * w_bottom:

@@ -209,7 +209,6 @@ class FrameBounds:
     numerical_rank: int
     kernel_dim: int
     dim: int
-    kernel_tol: float
     degenerate: bool
     solver: str  # "real" (a real Gram), "real-centrohermitian" or "complex"
 
@@ -258,7 +257,6 @@ def frame_bound_estimates(g, kernel_tol=KERNEL_TOL):
         numerical_rank=int(above.size),
         kernel_dim=int(g.dim - above.size),
         dim=g.dim,
-        kernel_tol=kernel_tol,
         degenerate=above.size == 0,
         solver=solver,
     )

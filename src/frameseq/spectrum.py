@@ -147,7 +147,7 @@ def _integrate_gaps(f, knots):
         load = np.max(err / tol[:, gap], axis=0)
         missed = np.bincount(gap, load, minlength=n) > 1.0
         live = missed[gap]
-        settled = np.unique(gap[~live])
+        settled = np.flatnonzero(~missed & (np.bincount(gap, minlength=n) > 0))
         out[:, settled] = total[:, settled]
         if not live.any():
             return out

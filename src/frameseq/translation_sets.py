@@ -478,11 +478,8 @@ def _window_table(env, ts, x_max):
 @dataclass
 class SufficiencyResult:
     integral: float
-    tail_estimate: float | None
     exponent: float | None
     verdict: str
-    x_max: float
-    note: str = ""
 
 
 def upper_bound_sufficient(env, ts, x_max=1e4, n_grid=256):
@@ -496,7 +493,7 @@ def upper_bound_sufficient(env, ts, x_max=1e4, n_grid=256):
     decade; the verdict is ``converges`` when it is
     clearly negative, ``diverges`` when clearly nonnegative, otherwise
     ``undetermined``.  Non-power envelopes have no certified tail model and
-    always report ``undetermined`` with the window integral attached.
+    always report ``undetermined`` with the window integral and no exponent.
     """
     table = _window_table(env, ts, x_max)
     if not x_max > 1.0:
@@ -504,50 +501,25 @@ def upper_bound_sufficient(env, ts, x_max=1e4, n_grid=256):
     u = np.linspace(0.0, math.log(x_max), n_grid)
     xs = np.exp(u)
     dvals, gvals = table(xs)
-    integrand = gvals * dvals
-    integral = float(np.trapezoid(integrand, u))
+    integral = float(np.trapezoid(gvals * dvals, u))
+    if env.kind != "power":
+        return SufficiencyResult(integral, exponent=None, verdict="undetermined")
 
     top = xs >= x_max / 10.0
-    theta = float(np.polyfit(np.log(xs[top]), np.log(dvals[top]), 1)[0])
-
-    if env.kind != "power":
-        return SufficiencyResult(
-            integral=integral,
-            tail_estimate=None,
-            exponent=None,
-            verdict="undetermined",
-            x_max=float(x_max),
-            note="no closed-form tail model for this envelope kind",
-        )
-
     g_exp, has_log = _g_tail_exponent(env)
-    e = g_exp + theta
+    e = g_exp + float(np.polyfit(np.log(xs[top]), np.log(dvals[top]), 1)[0])
     margin = 0.05
     if e <= -margin:
-        tail = float(integrand[-1] / (-e))
         verdict = "converges"
-        note = ""
     elif e >= margin or (has_log and e >= -margin):
-        tail = None
         verdict = "diverges"
-        note = "integrand per log-x mass does not decay"
     else:
-        tail = None
         verdict = "undetermined"
-        note = f"tail exponent {e:+.3f} within the +-{margin} margin"
-    return SufficiencyResult(
-        integral=integral,
-        tail_estimate=tail,
-        exponent=e,
-        verdict=verdict,
-        x_max=float(x_max),
-        note=note,
-    )
+    return SufficiencyResult(integral, exponent=e, verdict=verdict)
 
 
 @dataclass
 class NecessityResult:
-    x: np.ndarray
     product: np.ndarray
     sup_estimate: float
     growth_half: float
@@ -590,7 +562,6 @@ def upper_bound_necessary(env, ts, x_max=1e4, n_grid=256):
     else:
         verdict = "undetermined"
     return NecessityResult(
-        x=xs,
         product=product,
         sup_estimate=sup_est,
         growth_half=float(growth_half),
@@ -705,9 +676,6 @@ def interval_energy_test(env, ts, intervals):
 @dataclass
 class GEquivalence:
     C: float
-    x: np.ndarray
-    ratio_over: np.ndarray
-    ratio_under: np.ndarray
 
 
 def g_equivalence_check(env, x_grid=None):
@@ -738,11 +706,4 @@ def g_equivalence_check(env, x_grid=None):
         raise ValueError("equivalence grid must start at x >= 1")
     g = np.asarray(g_function(env, x_grid))
     xf2 = x_grid * env.F(x_grid) ** 2
-    over = g / xf2
-    under = xf2 / g
-    return GEquivalence(
-        C=float(max(np.max(over), np.max(under))),
-        x=x_grid,
-        ratio_over=over,
-        ratio_under=under,
-    )
+    return GEquivalence(C=float(max(np.max(g / xf2), np.max(xf2 / g))))

@@ -33,7 +33,6 @@ __all__ = [
 
 @dataclass
 class CoverEstimate:
-    alpha: float
     eps: float
     intervals: list  # (lo, hi) dyadic cells at the chosen depth
     measure_sum: float  # sum of cell_length**alpha
@@ -100,7 +99,6 @@ def _cover_runs(starts, lengths, m, alpha):
     width = 2.0**-d
     intervals = [(float(j) * width, float(j + 1) * width) for j in js.tolist()]
     return CoverEstimate(
-        alpha=alpha,
         eps=float("nan"),
         intervals=intervals,
         measure_sum=content,
@@ -122,7 +120,6 @@ def hausdorff_sublevel(ps, alpha, eps):
     starts, lengths = sublevel_runs(ps.values, eps)
     if lengths.size == 1 and lengths[0] == m:  # every value is at most eps
         return CoverEstimate(
-            alpha=alpha,
             eps=float(eps),
             intervals=[(0.0, 1.0)],
             measure_sum=1.0,
@@ -220,7 +217,6 @@ def coefficient_sum_bound_check(lam, coeffs, j_interval):
 @dataclass
 class IntervalMassBound:
     mass: float
-    length: float
     density_value: int
     ratio: float
     normalized: bool
@@ -245,7 +241,6 @@ def interval_mass_bound_check(lam, coeffs, interval):
     dval = _density_sorted(lam, 1.0 / ell)
     return IntervalMassBound(
         mass=mass,
-        length=ell,
         density_value=dval,
         ratio=mass / (ell * dval),
         normalized=normalized,

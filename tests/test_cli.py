@@ -687,6 +687,7 @@ def test_config_holds_only_the_given_options(capsys):
         (("verify", "blocks", "--grid", "0"), "--grid must be a power of two"),
         (("hausdorff", "--profile", "tent", "--alpha", "0.5", "--levels", "0"), "--levels must be at least 1"),
         (("hausdorff", "--profile", "tent", "--alpha", "0.5", "--levels", "-1"), "--levels must be at least 1"),
+        (("selftest", "--seed", "-3"), "--seed must be a non-negative integer, got -3"),
     ],
 )
 def test_zero_flags_and_non_finite_xmax_are_refused(capsys, argv, named):
@@ -804,6 +805,11 @@ _IMPORT_PROBE = textwrap.dedent(
         ("periodize", "--profile", "half", "--grid", "4096"),
         ("gram", "--profile", "tent", "--b", "2", "--indices", "Z", "--window", "64"),
         ("density", "--indices", "Z", "--window", "4000", "--xmax", "4000", "--envelope", "power:0.75"),
+        pytest.param(
+            ("density", "--indices", "Z", "--window", "4000", "--xmax", "4000", "--envelope", "exp:0.3:xlog"),
+            id="density-exp-xlog",
+        ),
+        pytest.param(("density", "--indices", "blocks:0.5:14", "--envelope", "exp:0.5:0.6"), id="density-exp-blocks"),
         ("gallery", "taper", "--window", "64"),
         ("verify", "blocks", "--nmin", "4", "--nmax", "12", "--grid", "65536"),
         ("hausdorff", "--profile", "blocks:0.5:12:65536", "--alpha", "0.5", "--levels", "4"),

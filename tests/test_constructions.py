@@ -285,6 +285,14 @@ def test_lower_collapse_memory():
     assert peak < 20 * 2**20
 
 
+def test_lower_collapse_refuses_block_index_0_before_building(monkeypatch):
+    built = []
+    monkeypatch.setattr(constructions, "infimum_spectrum", lambda *args: built.append(args))
+    with pytest.raises(ValueError, match=re.escape("block index must be >= 1")):
+        verify_lower_collapse(0.5, range(0, 13), 2**16)
+    assert built == []
+
+
 @pytest.mark.parametrize("n_max", [0, -3])
 def test_blocks_without_levels_are_refused(n_max):
     with pytest.raises(ValueError, match=re.escape("n_max out of the supported range [1, 24]")):

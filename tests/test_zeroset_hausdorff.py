@@ -113,7 +113,7 @@ def _cover_by_points(mask, alpha):
     d, _, s = min(by_depth, key=lambda row: row[2])
     width = 2.0**-d
     intervals = [(float(j) * width, float(j + 1) * width) for j in cells_at[d].tolist()]
-    return CoverEstimate(alpha=alpha, eps=math.nan, intervals=intervals, measure_sum=s, scale=d, by_depth=by_depth)
+    return CoverEstimate(eps=math.nan, intervals=intervals, measure_sum=s, scale=d, by_depth=by_depth)
 
 
 @st.composite
