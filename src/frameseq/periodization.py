@@ -415,7 +415,8 @@ def exact_bounds(profile, b):
     ``budget = 9 T rho (S + D max(X, 1/b))``; cells whose extreme is within
     ``budget`` of 0 touch zero, and ``Phi_b`` is constant when its range
     is within ``budget``.  A spacing so small that the budget reaches the
-    ess sup (it grows like ``1/b``) raises ``ValueError``.
+    ess sup (it grows like ``1/b``) raises ``ValueError``, and so does an
+    ess sup of 0, which names the support and ``tol`` instead.
     """
     b = check_spacing(b)
     pos, tol = _circle_breakpoints(profile, b)
@@ -458,6 +459,12 @@ def exact_bounds(profile, b):
     s_max, d_max = profile.square_bounds()
     x_max = max(abs(v) for v in profile.support())
     budget = 9.0 * (n_hi - n_lo + 1) * _ROUNDOFF * (s_max + d_max * max(x_max, 1.0 / b))
+    if sup == 0.0:  # whatever the budget: the edges of every stretch where phi_hat is nonzero merged
+        lo, hi = profile.support()
+        raise ValueError(
+            f"every cell sample of Phi_b at b = {b:g} is 0: phi_hat is nonzero only on stretches narrower, times b, "
+            f"than the breakpoint tolerance tol = {tol:.3g} (support [{lo:.15g}, {hi:.15g}], width {hi - lo:.3g})"
+        )
     if budget >= sup:
         raise ValueError(
             f"spacing b = {b:g} is too small: the cells' roundoff budget {budget:.3g} reaches "

@@ -320,20 +320,14 @@ class FourierProfile:
         return (self.pieces[0].lo, self.pieces[-1].hi)
 
     def breakpoints(self):
-        """Breakpoints of ``phi_hat^2``: piece ends and sample-cell edges, piece by piece.
-
-        A sampled piece's edges are made in place, so the pieces' edges and
-        their concatenation are the only arrays the size of the samples.
-        """
+        """Breakpoints of ``phi_hat^2``: piece ends and the sample-cell edges between unequal samples."""
         pos = []
         for p in self.pieces:
             if p.samples is None:
                 pos.append(np.array([p.lo, p.hi], dtype=float))
-            else:
-                edges = np.arange(p.samples.size + 1, dtype=float)
-                edges *= (p.hi - p.lo) / p.samples.size
-                edges += p.lo
-                pos.append(edges)
+            else:  # edge k at lo + k width; only the flags are sample-sized, the rest is sized by the kept edges
+                change = np.concatenate(([True], p.samples[1:] != p.samples[:-1], [True]))
+                pos.append(np.flatnonzero(change) * ((p.hi - p.lo) / p.samples.size) + p.lo)
         return np.concatenate(pos)
 
     def square_bounds(self):

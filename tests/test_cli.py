@@ -461,20 +461,45 @@ def test_verify_default_grid_stays_under_the_cap(capsys, monkeypatch, n_max, gri
     assert code == 0 and seen == [grid], err
 
 
+# the refusal when the tent's two pieces, times b, are narrower than the breakpoint tolerance
+_TENT_BELOW_TOL = (
+    "every cell sample of Phi_b at b = 1e-14 is 0: phi_hat is nonzero only on stretches narrower, times b, "
+    "than the breakpoint tolerance tol = 5.68e-14 (support [0, 1], width 1)"
+)
+
+
 @pytest.mark.parametrize("command", ["analyze", "periodize"])
-@pytest.mark.parametrize("b", ["1e-12", "1e-14"])
-def test_tiny_spacing_is_refused(capsys, command, b):
-    # the cells' roundoff budget grows like 1/b; once it reaches ess sup they cannot tell Phi_b from 0
+@pytest.mark.parametrize(
+    "b, refusal", [("1e-12", "spacing b = 1e-12 is too small"), ("1e-14", _TENT_BELOW_TOL)], ids=["1e-12", "1e-14"]
+)
+def test_tiny_spacing_is_refused(capsys, command, b, refusal):
+    # the cells' roundoff budget grows like 1/b; once it reaches ess sup they cannot tell Phi_b from 0, and once
+    # b times the support is below tol every cell sample is 0
     code, out, err = run(capsys, command, "--profile", "tent", "--b", b)
     assert code == 1 and not out
-    assert "Traceback" not in err and f"spacing b = {b} is too small" in err
+    assert "Traceback" not in err and refusal in err
 
 
 def test_hausdorff_refuses_a_tiny_spacing(capsys):
     # the grid misses the width-b sliver where Phi_b is nonzero; the cells refuse the spacing instead
     code, out, err = run(capsys, "hausdorff", "--profile", "tent", "--b", "1e-14", "--alpha", "0.5")
     assert code == 1 and not out
-    assert "Traceback" not in err and "spacing b = 1e-14 is too small" in err
+    assert "Traceback" not in err and _TENT_BELOW_TOL in err
+
+
+@pytest.mark.parametrize(
+    "argv, support",
+    [
+        (["analyze", "--profile", "indicator:0:1e-14", "--b", "1"], "(support [0, 1e-14], width 1e-14)"),
+        (["periodize", "--profile", "indicator:0.3:0.30000000000001"], "(support [0.3, 0.30000000000001], width 9.99e-15)"),
+    ],
+    ids=["analyze", "periodize"],
+)
+def test_a_support_below_the_breakpoint_tolerance_is_named(capsys, argv, support):
+    # the budget does not reach a positive ess sup here: every cell sample is 0, so the refusal names the support
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and not out and "Traceback" not in err
+    assert support in err and "tol = 5.68e-14" in err and "too small" not in err
 
 
 def test_hausdorff_alpha_is_checked_on_the_full_circle_path(capsys):

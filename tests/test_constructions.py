@@ -319,9 +319,10 @@ def test_infimum_spectrum_structure():
     phi = bs.spectrum.values
     assert np.all(phi > 0.0) and np.all(phi <= 1.0)
     assert bs.identity_deviation <= 1e-12
-    # one constant cell of Phi_1 per grid cell
+    # one constant cell of Phi_1 per run of equal samples: 27 runs of the 2^14 samples
     eb = exact_bounds(bs.profile, 1.0)
-    assert eb.cells == 2**14 and np.all(eb.coeffs[:, 1:] == 0.0)
+    runs = 1 + np.count_nonzero(np.diff(bs.profile.pieces[0].samples))
+    assert eb.cells == runs == 27 and np.all(eb.coeffs[:, 1:] == 0.0)
     measures = [r["flagged_measure"] for r in bs.rows]
     energies = [r["excluded_energy"] for r in bs.rows]
     # deeper block waves concentrate on smaller sets and leave less outside

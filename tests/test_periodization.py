@@ -12,8 +12,11 @@ import frameseq.periodization as periodization
 from frameseq.constructions import gallery_profiles, indicator_profile, infimum_spectrum, ramp_plateau_profile, tent_profile
 from frameseq.periodization import (
     GRID_CAP,
+    ExactBounds,
+    InconsistencyError,
     ResourceLimitError,
     _cover_range,
+    cell_evidence,
     dilation_identity_deviation,
     exact_bounds,
     fourier_coeff,
@@ -296,6 +299,7 @@ def _square_bounds_by_loop(profile):
 
 
 def _breakpoints_by_loop(profile):
+    """Piece ends and every sample-cell edge: the per-sample reference for the cells between value changes."""
     pos = []
     for p in profile.pieces:
         if p.samples is None:
@@ -305,13 +309,25 @@ def _breakpoints_by_loop(profile):
     return np.concatenate(pos)
 
 
+def _value_change_breakpoints_by_loop(profile):
+    """Piece ends and the sample-cell edges between unequal samples, each as :func:`_breakpoints_by_loop` makes it."""
+    pos = []
+    for p in profile.pieces:
+        if p.samples is None:
+            pos += [p.lo, p.hi]
+            continue
+        n, width = p.samples.size, (p.hi - p.lo) / p.samples.size
+        pos += [p.lo + width * k for k in range(n + 1) if k in (0, n) or p.samples[k - 1] != p.samples[k]]
+    return np.array(pos)
+
+
 _SHAPES = {entry.name: entry.profile for entry in gallery_profiles()} | {"blocks:0.5:8": infimum_spectrum(0.5, 8, 2**12).profile}
 
 
 @pytest.mark.parametrize("profile", _SHAPES.values(), ids=_SHAPES.keys())
 def test_square_bounds_and_breakpoints_match_the_piece_loops(profile):
     assert profile.square_bounds() == _square_bounds_by_loop(profile)
-    assert np.array_equal(profile.breakpoints(), _breakpoints_by_loop(profile))
+    assert np.array_equal(profile.breakpoints(), _value_change_breakpoints_by_loop(profile))
 
 
 def test_sampler_on_breakpoints_at_midpoints():
@@ -356,8 +372,8 @@ def test_periodize_holds_the_output_and_one_block():
 # ---------------------------------------------------------------------------
 
 
-def _circle_breakpoints_one_shot(profile, b):
-    x = b * _breakpoints_by_loop(profile)
+def _circle_breakpoints_one_shot(profile, b, edges=_value_change_breakpoints_by_loop):
+    x = b * edges(profile)
     frac = x - np.floor(x)
     tol = periodization._ROUNDOFF * max(1.0, float(np.max(np.abs(x))))
     frac[frac > 1.0 - tol] -= 1.0
@@ -368,9 +384,10 @@ def _circle_breakpoints_one_shot(profile, b):
     return pos, tol
 
 
-def _exact_bounds_one_shot(profile, b):
-    """The cells with every cell-sized array alive at once, as ``exact_bounds`` made them before blocks."""
-    pos, tol = _circle_breakpoints_one_shot(profile, b)
+def _exact_bounds_one_shot(profile, b, edges=_value_change_breakpoints_by_loop):
+    """The cells with every cell-sized array alive at once, as ``exact_bounds`` made them before blocks,
+    between the circle images of the breakpoints ``edges(profile)``."""
+    pos, tol = _circle_breakpoints_one_shot(profile, b, edges)
     widths = np.diff(pos, append=pos[0] + 1.0)
     xi = (pos[:, None] + widths[:, None] * np.array([0.25, 0.5, 0.75])).ravel()
     f = periodize_at(profile, b, xi).reshape(-1, 3)
@@ -390,6 +407,12 @@ def _exact_bounds_one_shot(profile, b):
     x_max = max(abs(v) for v in profile.support())
     budget = 9.0 * (n_hi - n_lo + 1) * periodization._ROUNDOFF * (s_max + d_max * max(x_max, 1.0 / b))
     sup = float(hi.max())
+    if sup == 0.0:
+        x_lo, x_hi = profile.support()
+        raise ValueError(
+            f"every cell sample of Phi_b at b = {b:g} is 0: phi_hat is nonzero only on stretches narrower, times b, "
+            f"than the breakpoint tolerance tol = {tol:.3g} (support [{x_lo:.15g}, {x_hi:.15g}], width {x_hi - x_lo:.3g})"
+        )
     if budget >= sup:
         raise ValueError(
             f"spacing b = {b:g} is too small: the cells' roundoff budget {budget:.3g} reaches "
@@ -437,11 +460,12 @@ def test_blocked_cells_equal_the_one_shot_cells(seed, b, block):
 
 
 def _many_zero_cells_profile():
-    """About fifty zero cells of uneven width: at ``b = 0.37`` their measure summed block by block,
+    """Fifty-one zero cells of uneven width: fifty runs of one to three zero samples, each closed by
+    nonzero samples, and the gap off the support.  At ``b = 0.37`` their measure summed block by block,
     for each block size tested, differs in the last bit from one ``np.sum`` over them all."""
-    rng = np.random.default_rng(3)
-    samples = np.where(rng.uniform(size=60) < 0.25, rng.uniform(0.5, 2.0, 60), 0.0)
-    return FourierProfile([Piece(0.1, 0.1 + math.pi / 2.0, samples=samples)])
+    rng = np.random.default_rng(8)
+    runs = [(np.zeros(int(rng.integers(1, 4))), rng.uniform(0.5, 2.0, int(rng.integers(1, 3)))) for _ in range(50)]
+    return FourierProfile([Piece(0.1, 0.1 + math.pi / 2.0, samples=np.concatenate([s for run in runs for s in run]))])
 
 
 @pytest.mark.parametrize("block", [3, 7, 37])
@@ -455,8 +479,9 @@ def test_blocked_cells_read_the_vertex_scale_and_zero_measure_off_all_cells(make
 
 
 def test_exact_bounds_holds_its_result_and_one_block():
-    # 65,536 cells: the result takes 2.6 MiB; the one-shot cells peaked at 11.7 MiB
-    profile = infimum_spectrum(0.5, 12, 2**16).profile
+    # 65,536 cells, one per sample, as no two neighbouring samples are equal: the result takes 2.6 MiB;
+    # the one-shot cells peaked at 11.7 MiB
+    profile = FourierProfile([Piece(0.0, 1.0, samples=np.linspace(1.0, 2.0, 2**16))])
     tracemalloc.start()
     try:
         eb = exact_bounds(profile, 1.0)
@@ -464,3 +489,60 @@ def test_exact_bounds_holds_its_result_and_one_block():
     finally:
         tracemalloc.stop()
     assert eb.cells == 2**16 and peak <= 5 * 2**20
+
+
+# ---------------------------------------------------------------------------
+# the cells between value changes against the per-sample cells
+# ---------------------------------------------------------------------------
+
+
+def _runs_profile(rng):
+    """One to three pieces: sampled ones whose samples repeat in runs, some of them 0, and affine ones."""
+    pieces, lo = [], float(rng.uniform(-2.0, 1.0))
+    for _ in range(int(rng.integers(1, 4))):
+        hi = lo + float(rng.uniform(0.05, 1.5))
+        if rng.uniform() < 0.3:
+            v0, v1 = rng.uniform(0.0, 2.0, 2)
+            slope = (v1 - v0) / (hi - lo)
+            pieces.append(Piece(lo, hi, affine=(float(slope), float(v0 - slope * lo))))
+        else:
+            k = int(rng.integers(1, 8))
+            values = rng.choice([0.0, 0.5, 1.0, float(rng.uniform(0.1, 2.0))], k)
+            values[int(rng.integers(k))] = float(rng.uniform(0.1, 2.0))  # no piece is 0 throughout
+            pieces.append(Piece(lo, hi, samples=np.repeat(values, rng.integers(1, 7, k))))
+        lo = hi + [0.0, float(rng.uniform(0.0, 0.5))][int(rng.integers(2))]
+    return FourierProfile(pieces)
+
+
+@given(seed=st.integers(0, 2**32 - 1), b=st.floats(0.3, 8.0))
+@settings(max_examples=80, deadline=None)
+def test_cells_between_value_changes_hold_what_the_per_sample_cells_hold(seed, b):
+    # a fit on sampled pieces alone reads one constant either way, so it is exact; next to an affine piece a fit
+    # over a wider cell rounds differently, within budget; a zero measure sums widths whose edges are known to tol
+    profile = _runs_profile(np.random.default_rng(seed))
+    ref = ExactBounds(b=b, **_exact_bounds_one_shot(profile, b, _breakpoints_by_loop))
+    eb = exact_bounds(profile, b)
+    assert eb.cells == _circle_breakpoints_one_shot(profile, b)[0].size <= ref.cells
+    slack = 0.0 if all(p.samples is not None for p in profile.pieces) else ref.budget
+    for name in ("inf", "inf_nonzero", "sup"):
+        assert abs(getattr(eb, name) - getattr(ref, name)) <= slack, name
+    assert abs(eb.zero_measure - ref.zero_measure) <= ref.cells * ref.tol
+    assert eb.constant == ref.constant and eb.zero_runs() == ref.zero_runs()
+    got, want = np.array(eb.eigenvalue_interval(16, 1.0)), np.array(ref.eigenvalue_interval(16, 1.0))
+    assert np.all(np.abs(got - want) <= slack / b)
+
+
+def test_the_zero_fraction_catches_a_zeroed_run_below_the_budget():
+    # Phi_1 is 1e-13 on [1/4, 1/2), below the budget: a grid that zeroes it there stays within budget of every
+    # cell, so only the zero fraction sees it, and its slack is cells / M = 3 / 1024, not one per sample
+    samples = np.ones(2**12)
+    samples[2**10 : 2**11] = math.sqrt(1e-13)
+    profile = FourierProfile([Piece(0.0, 1.0, samples=samples)])
+    eb = exact_bounds(profile, 1.0)
+    ps = periodize(profile, 1.0, 2**10)
+    run = (ps.grid() > 0.25) & (ps.grid() < 0.5)
+    assert eb.cells == 3 and 0.0 < ps.values[run].max() < eb.budget
+    cell_evidence(eb, ps)
+    ps.values[run] = 0.0
+    with pytest.raises(InconsistencyError, match="grid zero fraction 0.25 against exact zero measure 0 "):
+        cell_evidence(eb, ps)
