@@ -12,13 +12,23 @@ from __future__ import annotations
 
 import argparse
 import csv
-import hashlib
 import json
 import math
 import os
+import random
 import sys
 
 import numpy as np
+
+# CPython's built-in SHA-256, the module hashlib falls back to without
+# OpenSSL: the same digest, without loading OpenSSL's _hashlib
+try:
+    from _sha2 import sha256  # CPython 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256  # CPython 3.10-3.11
+    except ImportError:
+        from hashlib import sha256
 
 from .constructions import (
     box_profile,
@@ -59,6 +69,7 @@ from .translation_sets import (
     upper_bound_sufficient,
 )
 from .zeroset_hausdorff import (
+    _complex_normal,
     coefficient_sum_bound_check,
     interval_mass_scaling,
     sublevel_ladder,
@@ -129,7 +140,7 @@ def _canon(obj):
 
 def _config_hash(cfg):
     blob = json.dumps(_canon(cfg), sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode()).hexdigest()
+    return sha256(blob.encode()).hexdigest()
 
 
 def _emit(payload, cfg, out_path):
@@ -476,26 +487,26 @@ def _suite_gallery_pairs(budgets):
 
 
 def _suite_weighted_norm(seed):
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     profile = plateau_taper_profile(2.0, 1.0)
     worst = 0.0
     for _ in range(10):
-        lam = np.sort(rng.choice(48, size=12, replace=False)).astype(np.int64)
-        c = rng.normal(size=12) + 1j * rng.normal(size=12)
+        lam = np.sort(rng.sample(range(48), 12))
+        c = _complex_normal(rng, 12)
         res = weighted_norm_identity_check(profile, 1.0, lam, c)
         worst = max(worst, res["deviation"])
     return {"name": "weighted-norm-identity", "passed": worst < 1e-8, "max_deviation": worst}
 
 
 def _suite_coefficient_bound(seed):
-    rng = np.random.default_rng(seed)
+    rng = random.Random(seed)
     violations = 0
     for _ in range(100):
-        size = int(rng.integers(3, 12))
-        lam = np.sort(rng.choice(64, size=size, replace=False)).astype(np.int64)
-        c = rng.normal(size=size) + 1j * rng.normal(size=size)
-        lo = int(rng.integers(-16, 8))
-        hi = lo + int(rng.integers(0, 16))
+        size = rng.randrange(3, 12)
+        lam = np.sort(rng.sample(range(64), size))
+        c = _complex_normal(rng, size)
+        lo = rng.randrange(-16, 8)
+        hi = lo + rng.randrange(0, 16)
         res = coefficient_sum_bound_check(lam, c, (lo, hi))
         if not res.passed:
             violations += 1

@@ -12,6 +12,7 @@ bound of it.
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -247,6 +248,11 @@ def interval_mass_bound_check(lam, coeffs, interval):
     )
 
 
+def _complex_normal(rng, size):
+    """``size`` draws of ``X + iY``, ``X`` and ``Y`` standard normals from the ``random.Random`` ``rng``."""
+    return np.array([complex(rng.gauss(0.0, 1.0), rng.gauss(0.0, 1.0)) for _ in range(size)])
+
+
 def interval_mass_scaling(lam, scales, n_trials=50, rng_seed=0, character=False):
     """Max interval-mass ratios across scales, plus their log-log slope.
 
@@ -254,19 +260,20 @@ def interval_mass_scaling(lam, scales, n_trials=50, rng_seed=0, character=False)
     vectors (or random single characters) and random interval positions is
     recorded; the slope of ``log2(max ratio)`` against ``log2(scale)`` is
     the growth diagnostic.  Scale-free inputs (characters on a saturated
-    density window) give slope 0 up to round-off.
+    density window) give slope 0 up to round-off.  ``rng_seed`` seeds the
+    standard library's ``random.Random``.
     """
     lam_arr = as_indices(lam)
-    rng = np.random.default_rng(rng_seed)
+    rng = random.Random(rng_seed)
     rows = []
     for ell in scales:
         worst = 0.0
         for _ in range(n_trials):
             if character:
                 c = np.zeros(lam_arr.size, dtype=complex)
-                c[rng.integers(lam_arr.size)] = 1.0
+                c[rng.randrange(lam_arr.size)] = 1.0
             else:
-                c = rng.normal(size=lam_arr.size) + 1j * rng.normal(size=lam_arr.size)
+                c = _complex_normal(rng, lam_arr.size)
                 c /= np.linalg.norm(c)
             t0 = rng.uniform(0.0, 1.0 - ell)
             res = interval_mass_bound_check(lam_arr, c, (t0, t0 + ell))

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -817,9 +818,20 @@ _IMPORT_PROBE = textwrap.dedent(
     with contextlib.redirect_stdout(io.StringIO()):
         code = cli.main(sys.argv[1:])
     print(json.dumps({"code": code, "bare_ma": bare_ma, "random": "numpy.random" in sys.modules,
-                      "ma": "numpy.ma" in sys.modules}))
+                      "ma": "numpy.ma" in sys.modules,
+                      "hashlib": sorted(m for m in ("hashlib", "_hashlib") if m in sys.modules)}))
     """
 )
+
+
+def _probe_imports(argv):
+    proc = subprocess.run(
+        [sys.executable, "-c", _IMPORT_PROBE, *argv], capture_output=True, text=True, timeout=120, env=_child_env()
+    )
+    assert proc.returncode == 0, proc.stderr
+    seen = json.loads(proc.stdout)
+    assert seen["code"] == 0
+    return seen
 
 
 @pytest.mark.parametrize(
@@ -842,13 +854,46 @@ _IMPORT_PROBE = textwrap.dedent(
     ids=lambda argv: argv[0],
 )
 def test_commands_without_a_seed_load_neither_numpy_random_nor_numpy_ma(argv):
-    # only selftest draws random numbers; numpy.ma is counted only where a bare
-    # ``import numpy`` leaves it out, since some numpy releases load it with the package
-    proc = subprocess.run(
-        [sys.executable, "-c", _IMPORT_PROBE, *argv], capture_output=True, text=True, timeout=120, env=_child_env()
-    )
-    assert proc.returncode == 0, proc.stderr
-    seen = json.loads(proc.stdout)
-    assert seen["code"] == 0
+    # numpy.ma is counted only where a bare ``import numpy`` leaves it out,
+    # since some numpy releases load it with the package; config_hash takes
+    # CPython's built-in SHA-256, so OpenSSL's _hashlib stays out too
+    seen = _probe_imports(argv)
     assert not seen["random"]
     assert seen["bare_ma"] or not seen["ma"]
+    assert seen["hashlib"] == []
+
+
+def test_selftest_loads_neither_numpy_random_nor_hashlib():
+    # its seeded draws come from random.Random, whose seeding reads no hashlib
+    seen = _probe_imports(("selftest", "--seed", "7"))
+    assert not seen["random"]
+    assert seen["hashlib"] == []
+
+
+def test_selftest_passes_every_suite_on_the_first_16_seeds(capsys):
+    for seed in range(16):
+        code, doc = run_json(capsys, "selftest", "--seed", str(seed))
+        failed = [s["name"] for s in doc["result"]["suites"] if not s["passed"]]
+        assert code == 0 and doc["result"]["all_passed"] and not failed, (seed, failed)
+
+
+_CONFIGS = [
+    {},
+    {"command": "analyze", "profile": "taper:2:1", "b": 2.0, "indices": "Z"},
+    {"profile": "r\u00e9sum\u00e9:\u03c6\u0302", "note": "\u5e73\u65b9 \U0001d53c", "b": 0.1 + 0.2},
+    {"floats": [1e-300, -0.0, 1 / 3, 2.0**53 + 1, 6.02214076e23], "ints": [0, -7, 2**70]},
+    {"nested": [[1, [2.5, ["x", {"k": [True, False, None]}]]], {"z": {"y": [[], {}]}}]},
+]
+
+
+@pytest.mark.parametrize("cfg", _CONFIGS)
+def test_config_hash_is_the_sha256_of_the_canonical_config(cfg):
+    blob = json.dumps(cli._canon(cfg), sort_keys=True, separators=(",", ":")).encode()
+    assert cli._config_hash(cfg) == hashlib.sha256(blob).hexdigest()
+
+
+def test_config_hash_of_the_readme_analyze_command_is_pinned(capsys):
+    # the digest hashlib.sha256 gave before config_hash took CPython's built-in module
+    code, doc = run_json(capsys, "analyze", "--profile", "taper:2:1", "--b", "2", "--indices", "Z")
+    assert code == 0
+    assert doc["config_hash"] == "a8a7e9e545ea0c45da1af96f539898227852bb84549e598b991fd22d07fa06fa"

@@ -57,3 +57,36 @@ def test_checker_sees_a_local_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_function_local_imports(path):
     assert local_imports(path.read_text()) == []
+
+
+def numpy_random_references(source):
+    """Line numbers where ``np.random`` or ``numpy.random`` is named or imported."""
+    tree = ast.parse(source)
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr == "random":
+            if isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy"):
+                lines.append(node.lineno)
+        elif isinstance(node, ast.Import):
+            lines += [node.lineno for alias in node.names if alias.name.startswith("numpy.random")]
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            if node.module.startswith("numpy.random") or (
+                node.module == "numpy" and any(alias.name == "random" for alias in node.names)
+            ):
+                lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_checker_sees_numpy_random():
+    source = (
+        "import random\nimport numpy as np\nimport numpy.random\nfrom numpy import random as nr\n"
+        "from numpy.random import default_rng\nrng = np.random.default_rng(0)\nx = numpy.random.rand()\n"
+        "y = random.Random(0)\n"
+    )
+    assert numpy_random_references(source) == [3, 4, 5, 6, 7]
+
+
+@pytest.mark.parametrize("path", sorted(Path(frameseq.__file__).parent.glob("*.py")), ids=lambda p: p.name)
+def test_no_numpy_random(path):
+    # seeded draws take the stdlib's random.Random: numpy.random costs every CLI child that imports it
+    assert numpy_random_references(path.read_text()) == []
