@@ -54,6 +54,7 @@ EIGENSOLVE_CAP = 2048
 WINDOW_DOUBLINGS = 3  # nested Gram windows w, 2w, ..., w 2^WINDOW_DOUBLINGS
 KERNEL_TOL = 1e-6  # relative eigenvalue cut of the frame-bound estimates
 _ROW_BLOCK = 2**16  # Gram entries per block of rows that build_gram fills at a time
+_LAG_BLOCK = 2**12  # lags build_gram hands the kernel at a time, so its temporaries do not grow with the window
 CHECK_STRIDE = 20  # build_gram re-derives every CHECK_STRIDE-th distinct positive shift
 
 
@@ -98,12 +99,44 @@ def _real_if_close(vals):
     return vals
 
 
+def _kernel(profile, b, lags):
+    """``conj(autocorrelations(profile, b * lags))``, evaluated in blocks of ``_LAG_BLOCK`` lags."""
+    vals = np.empty(lags.size, dtype=complex)
+    for s in range(0, lags.size, _LAG_BLOCK):
+        vals[s : s + _LAG_BLOCK] = autocorrelations(profile, b * lags[s : s + _LAG_BLOCK])
+    return np.conjugate(vals, out=vals)
+
+
 def _lag_matrix(lam, fn):
-    """``fn`` of the distinct lags ``|lam_j - lam_i|`` at entry ``(i, j)``, conjugated where ``lam_j < lam_i``."""
-    diffs = lam[None, :] - lam[:, None]  # entry (i, j) holds the shift lam_j - lam_i
-    lags, inv = np.unique(np.abs(diffs).ravel(), return_inverse=True)
-    m = fn(lags)[inv.reshape(diffs.shape)]
-    return np.where(diffs < 0, np.conj(m), m) if np.iscomplexobj(m) else m
+    """``fn`` of the distinct lags ``lam_j - lam_i`` at entry ``(i, j >= i)`` and its conjugate at ``(j, i)``,
+    real when ``fn``'s values are real within ``1e-12`` of the largest (:func:`_real_if_close`).
+
+    ``lam`` is sorted.  The lags, collected row by row, go through one sort, and each upper-triangle
+    entry keeps its lag's position as ``int32``.  The lags are dropped before the values turn real
+    and fill the matrix row by row, so neither an n-by-n temporary nor a lag-sized float array is
+    held next to the matrix.
+    """
+    tri = np.concatenate([lam[i:] - lam[i] for i in range(lam.size)])
+    order = np.argsort(tri)
+    tri = tri[order]
+    first = np.concatenate(([True], tri[1:] != tri[:-1]))
+    lags = tri[first]
+    del tri
+    at = np.empty(order.size, dtype=np.int32)  # positions, row by row from the diagonal on
+    at[order] = np.cumsum(first, dtype=np.int32) - 1
+    del order, first
+    vals = fn(lags)
+    del lags
+    vals = _real_if_close(vals)
+    n = lam.size
+    g = np.empty((n, n), dtype=vals.dtype)
+    start = 0
+    for i in range(n):
+        row = vals[at[start : start + n - i]]
+        g[i, i:] = row
+        g[i + 1 :, i] = np.conj(row[1:])
+        start += n - i
+    return g
 
 
 def build_gram(profile, b, lam, eb=None):
@@ -112,9 +145,12 @@ def build_gram(profile, b, lam, eb=None):
     ``lam`` is normalized by :func:`~frameseq.translation_sets.as_indices`,
     so the rows follow the sorted points and a set of integer points takes
     the integer route whatever its dtype.  Every entry comes from the
-    closed-form kernel: integer index sets through a table over the shifts
-    ``[-span, span]``, other sets through their distinct ``|lam_j - lam_i|``.
-    A table of ``GRID_CAP`` entries or more raises
+    closed-form kernel, evaluated only at the shifts the window holds:
+    integer index sets mark theirs in a table over ``[-span, span]`` and
+    read their values from another, other sets take their distinct
+    ``|lam_j - lam_i|`` (:func:`_lag_matrix`).  The window is real when
+    the values at its shifts are real within ``1e-12`` of the largest.  A
+    table of ``GRID_CAP`` entries or more raises
     :class:`~frameseq.periodization.ResourceLimitError`.
 
     On integer sets a fixed stride of the sorted distinct positive shifts,
@@ -148,7 +184,7 @@ def build_gram(profile, b, lam, eb=None):
     if n > EIGENSOLVE_CAP:
         raise ResourceLimitError(f"window of {n} translates exceeds the dense cap {EIGENSOLVE_CAP}")
     if lam.dtype != np.int64:
-        g = _lag_matrix(lam, lambda d: _real_if_close(np.conj(autocorrelations(profile, b * d))))
+        g = _lag_matrix(lam, lambda d: _kernel(profile, b, d))
         return GramOperator(matrix=g, b=b, indices=lam, route="autocorrelation")
 
     span = int(lam[-1] - lam[0])
@@ -157,20 +193,24 @@ def build_gram(profile, b, lam, eb=None):
             f"span {span} needs a shift table over [-{span}, {span}] of {2 * span + 1} entries, "
             f"at or beyond the cap {GRID_CAP}"
         )
-    cm = np.conj(autocorrelations(profile, b * np.arange(span + 1)))  # shifts 0..span
-    cm = _real_if_close(np.concatenate((np.conj(cm[:0:-1]), cm)))  # shift d at index d + span
-    # entry (i, j) holds shift lam_j - lam_i, read from cm in blocks of rows
-    # so that no n-by-n index array is held next to the matrix
-    g = np.empty((n, n), dtype=cm.dtype)
-    seen = np.zeros(cm.size, dtype=bool)
+    # entry (i, j) holds shift lam_j - lam_i; the shifts are marked, then the entries
+    # read, in blocks of rows, so that no n-by-n index array is held next to the matrix
     rows = max(1, _ROW_BLOCK // n)
-    for i in range(0, n, rows):
-        idx = lam[None, :] - lam[i : i + rows, None] + span
-        np.take(cm, idx, out=g[i : i + rows], mode="clip")  # in range; "clip" skips a buffered copy
-        seen[idx] = True
+    blocks = [slice(i, i + rows) for i in range(0, n, rows)]
+    held = np.zeros(2 * span + 1, dtype=bool)  # held and cm put shift d at index d + span
+    for r in blocks:
+        held[lam[None, :] - lam[r, None] + span] = True
+    pos = np.flatnonzero(held[span:])  # 0 first; held is symmetric
+    vals = _real_if_close(_kernel(profile, b, pos))
+    cm = np.zeros(2 * span + 1, dtype=vals.dtype)
+    cm[span - pos] = np.conj(vals)
+    cm[span + pos] = vals
+    g = np.empty((n, n), dtype=cm.dtype)
+    for r in blocks:  # the indices are in range; "clip" skips a buffered copy
+        np.take(cm, lam[None, :] - lam[r, None] + span, out=g[r], mode="clip")
 
     # dual-route spot check on a fixed stride of the shifts, always with the extreme one
-    pos = np.flatnonzero(seen[span + 1 :]) + 1
+    pos = pos[1:]
     if pos.size:
         sample = pos[::CHECK_STRIDE]
         if sample[-1] != pos[-1]:
@@ -470,7 +510,7 @@ def weighted_norm_identity_check(profile, b, lam, coeffs):
     # the transform of a translate carries e^{-2 pi i}, so the trig sum is
     # f(xi) = sum c_n e^{-2 pi i lam_n xi}; its (i, j) cross term integrates
     # against Phi to conj(Phi_hat(lam_j - lam_i)), and Phi_hat(-d) = conj(Phi_hat(d))
-    cm = np.conj(_lag_matrix(lam, lambda d: eb.coefficients(d)[0]))
+    cm = _lag_matrix(lam, lambda d: np.conj(eb.coefficients(d)[0]))
     rhs = float(np.real(np.sum(np.outer(c, np.conj(c)) * cm))) / b
 
     dev = abs(lhs - rhs) / max(abs(lhs), 1e-30)

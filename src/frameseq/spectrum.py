@@ -234,6 +234,13 @@ class Piece:
         idx = np.floor((xi - self.lo) / width).astype(int)
         return self.samples[np.clip(idx, 0, self.samples.size - 1)]
 
+    def runs(self):
+        """A sampled piece's runs of equal samples, ``(edges, values)``: cell edge ``k`` sits at ``lo + k width``,
+        and only the piece's ends and the edges between unequal samples are kept."""
+        change = np.concatenate(([True], self.samples[1:] != self.samples[:-1], [True]))
+        starts = np.flatnonzero(change)
+        return starts * ((self.hi - self.lo) / self.samples.size) + self.lo, self.samples[starts[:-1]]
+
     def peak(self):
         """Largest value on the piece: its largest sample, or the larger end value of an affine piece."""
         if self.samples is not None:
@@ -246,7 +253,7 @@ class Piece:
         if self.affine is not None:
             s, c = self.affine
             return (c * c, 2.0 * s * c, s * s)
-        return None  # samples handled cell by cell
+        return None
 
     def to_json(self):
         if self.affine is not None:
@@ -321,14 +328,9 @@ class FourierProfile:
 
     def breakpoints(self):
         """Breakpoints of ``phi_hat^2``: piece ends and the sample-cell edges between unequal samples."""
-        pos = []
-        for p in self.pieces:
-            if p.samples is None:
-                pos.append(np.array([p.lo, p.hi], dtype=float))
-            else:  # edge k at lo + k width; only the flags are sample-sized, the rest is sized by the kept edges
-                change = np.concatenate(([True], p.samples[1:] != p.samples[:-1], [True]))
-                pos.append(np.flatnonzero(change) * ((p.hi - p.lo) / p.samples.size) + p.lo)
-        return np.concatenate(pos)
+        return np.concatenate(
+            [np.array([p.lo, p.hi], dtype=float) if p.samples is None else p.runs()[0] for p in self.pieces]
+        )
 
     def square_bounds(self):
         """``(S, D)``, the largest value and slope of ``phi_hat^2``, piece by piece: a sampled piece is
@@ -373,7 +375,7 @@ class FourierProfile:
 # closed-form oscillatory integrals over pieces
 # ----------------------------------------------------------------------------
 
-# largest shifts-by-cells block a direct sum over sampled cells holds at once
+# largest shifts-by-runs block the sum over a sampled piece's runs holds at once
 _CELL_BLOCK = 2**20
 
 
@@ -406,35 +408,30 @@ def _poly_osc_integral(c0, c1, c2, u, v, a):
     for m in range(0, 40):
         total += power * _poly_moment(c0, c1, c2, u, v, m)
         power *= iw / (m + 1)
-        # the next term, relative to the coefficients, is below 1e-18
-        if np.max(np.abs(power), initial=0.0) * max(reach, 1.0) ** (m + 1) < 1e-18:
+        # a shift stops where its own next term, relative to the coefficients, is below 1e-18
+        power[np.abs(power) * max(reach, 1.0) ** (m + 1) < 1e-18] = 0.0
+        if not power.any():
             break
     out[small] = total
     return out
 
 
-def _cells_osc_integral(vals, lo, hi, a):
-    """Exact integral of the step function ``vals`` on [lo, hi) against e^{2 pi i a xi}.
+def _cells_osc_integral(edges, vals, a):
+    """Exact integral of ``vals^2``, a step function on the runs between ``edges``, against e^{2 pi i a xi}.
 
-    Cell ``j`` contributes ``width * sinc(a width) * vals[j] * e^{2 pi i a mid_j}``.
-    When ``k = a (hi - lo)`` is an integer for every shift, the phases are
-    ``e^{2 pi i a (lo + width/2)} e^{2 pi i k j / n}``, so one DFT of ``vals``
-    serves every shift; otherwise the cells are summed directly in blocks.
+    Run by run: run ``r`` adds ``width_r sinc(a width_r) vals[r]^2 e^{2 pi i a mid_r}``.  Each shift's
+    terms are reduced by their own ``np.sum``, in blocks of at most ``_CELL_BLOCK`` entries, so a
+    shift's value does not depend on the other shifts of the call; the cost is O(runs x shifts).
     """
-    n = vals.size
-    width = (hi - lo) / n
-    k = a * (hi - lo)
-    if np.all(k == np.round(k)):
-        dft = np.fft.ifft(vals) * n
-        phase = np.exp(1j * _TWO_PI * a * (lo + 0.5 * width))
-        return width * np.sinc(a * width) * phase * dft[np.round(k).astype(np.int64) % n]
-    mids = lo + (np.arange(n) + 0.5) * width
+    widths = np.diff(edges)
+    mids = edges[:-1] + 0.5 * widths
     out = np.empty(a.shape, dtype=complex)
-    step = max(1, _CELL_BLOCK // n)
+    step = max(1, _CELL_BLOCK // vals.size)
     for s in range(0, a.size, step):
-        chunk = a[s : s + step]
-        phases = np.exp(1j * _TWO_PI * np.outer(chunk, mids))
-        out[s : s + step] = width * np.sinc(chunk * width) * (phases @ vals)
+        chunk = a[s : s + step, None]
+        terms = np.exp(1j * (_TWO_PI * chunk * mids))
+        terms *= np.sinc(chunk * widths) * (widths * vals**2)
+        out[s : s + step] = np.sum(terms, axis=1)
     return out
 
 
@@ -443,8 +440,9 @@ def autocorrelations(profile, shifts):
 
     The one closed-form kernel behind every Gram entry: polynomial pieces
     integrate in closed form (a power series where the total phase is
-    small), sampled pieces cell by cell.  ``shifts`` is 1-d; returns a
-    complex array of the same length.
+    small), sampled pieces run by run (:meth:`Piece.runs`).  A shift's value
+    is independent of the other ``shifts``, a 1-d array; returns a complex
+    array of the same length.
     """
     xs = np.asarray(shifts, dtype=float)
     out = np.zeros(xs.shape, dtype=complex)
@@ -453,7 +451,7 @@ def autocorrelations(profile, shifts):
         if poly is not None:
             out += _poly_osc_integral(*poly, p.lo, p.hi, xs)
         else:
-            out += _cells_osc_integral(p.samples**2, p.lo, p.hi, xs)
+            out += _cells_osc_integral(*p.runs(), xs)
     return out
 
 

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import tracemalloc
 from dataclasses import replace
 from unittest import mock
 
@@ -15,6 +16,7 @@ from frameseq.constructions import (
     box_profile,
     gallery_profiles,
     indicator_profile,
+    infimum_spectrum,
     plateau_taper_profile,
     ramp_plateau_profile,
     tent_profile,
@@ -31,7 +33,7 @@ from frameseq.gram import (
     window_ladder,
 )
 from frameseq.periodization import exact_bounds
-from frameseq.spectrum import FourierProfile, Piece, autocorrelation
+from frameseq.spectrum import FourierProfile, Piece, autocorrelation, autocorrelations
 from frameseq.translation_sets import TranslationSet
 
 TAPER_AC_1 = -0.101321183642338 + 0.223658011958294j  # frozen quad oracle
@@ -166,6 +168,113 @@ def test_classify_squares_gets_checked_window(taper):
     trend = rep.evidence[-1]
     assert trend["rule"] == "eigenvalue-window-trend" and trend["checked_shifts"] > 0
     assert trend["max_check_deviation"] <= trend["check_budget"]
+
+
+def _traced(fn):
+    """``fn()`` and the peak of the memory traced while it ran."""
+    tracemalloc.start()
+    try:
+        return fn(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_integer_windows_evaluate_the_kernel_at_their_held_shifts(monkeypatch, taper):
+    # the 512-point window of squares(600) holds 69,780 of the 261,122 shifts 0..span
+    sizes = []
+    real = gram.autocorrelations
+
+    def spy(profile, shifts):
+        sizes.append(len(shifts))
+        return real(profile, shifts)
+
+    monkeypatch.setattr(gram, "autocorrelations", spy)
+    classify(taper, 2.0, TranslationSet.squares(600))
+    assert sum(sizes) == 69_780 and max(sizes) <= gram._LAG_BLOCK
+    monkeypatch.undo()
+    # 44 MiB while every shift of 0..span went through the kernel
+    _, peak = _traced(lambda: build_gram(taper, 2.0, TranslationSet.squares(600).realize()[:512]))
+    assert peak < 16 * 2**20
+
+
+def _full_table_gram(profile, b, lam):
+    """Reference: the kernel at every shift of 0..span, entry ``(i, j)`` read at ``lam_j - lam_i``."""
+    cm = np.conj(autocorrelations(profile, b * np.arange(lam[-1] - lam[0] + 1)))
+    diffs = lam[None, :] - lam[:, None]
+    return np.where(diffs < 0, np.conj(cm[np.abs(diffs)]), cm[np.abs(diffs)])
+
+
+_HELD_PROFILES = {
+    "box": box_profile(),
+    "taper": plateau_taper_profile(2.0, 1.0),
+    "half": indicator_profile(0.0, 0.5),
+    "blocks:0.5:8": infimum_spectrum(0.5, 8, 2**12).profile,
+}
+
+
+@given(
+    name=st.sampled_from(sorted(_HELD_PROFILES)),
+    b=st.sampled_from([0.5, 1.0, 1.1, 2.0]),
+    lam=st.lists(st.integers(-300, 300), min_size=1, max_size=40, unique=True),
+)
+@settings(max_examples=60, deadline=None)
+def test_held_shift_windows_equal_the_full_table(name, b, lam):
+    # the kernel's value at a shift is the same in any batch, so only the real-or-complex
+    # decision, now taken over the held shifts, can differ from the full table's entries
+    profile, lam = _HELD_PROFILES[name], np.array(sorted(lam), dtype=np.int64)
+    g, want = build_gram(profile, b, lam).matrix, _full_table_gram(profile, b, lam)
+    if np.iscomplexobj(g):
+        assert np.array_equal(g, want)
+    else:
+        assert np.array_equal(g, want.real)
+        assert np.max(np.abs(want.imag)) <= 1e-12 * np.max(np.abs(want.real))
+
+
+def test_a_window_of_real_held_shifts_is_solved_real(capsys):
+    # the box at b = 0.5 is complex at the odd shifts only, and this set holds none
+    for indices, solver in (("list:0,2,6,10,22,40", "real"), ("list:0,1,6", "complex")):
+        assert cli.main(["gram", "--profile", "box", "--b", "0.5", "--indices", indices]) == 0
+        assert json.loads(capsys.readouterr().out)["result"]["solver"] == solver
+
+
+def _lag_matrix_over_every_entry(lam, fn):
+    """Reference: the lag matrix through one ``np.unique`` over all n^2 entries, as it was first built."""
+    diffs = lam[None, :] - lam[:, None]
+    lags, inv = np.unique(np.abs(diffs).ravel(), return_inverse=True)
+    m = fn(lags)[inv.reshape(diffs.shape)]
+    return np.where(diffs < 0, np.conj(m), m) if np.iscomplexobj(m) else m
+
+
+@pytest.mark.parametrize(
+    ("name", "b"),
+    [("taper", 2.0), ("indicator", 0.7)],  # a complex window and a real one
+)
+def test_lag_matrices_hold_no_n_by_n_temporaries(name, b):
+    # 1,024 jittered points: the float route peaked at 6.8 times its matrix
+    profile = {"taper": plateau_taper_profile(2.0, 1.0), "indicator": indicator_profile(-0.5, 0.5)}[name]
+    rng = np.random.default_rng(5)
+    lam = np.sort(rng.choice(1300, 1024, replace=False) + rng.uniform(-0.25, 0.25, 1024))
+    g, peak = _traced(lambda: build_gram(profile, b, lam).matrix)
+    assert np.iscomplexobj(g) == (name == "taper")
+    assert peak <= 2 * g.nbytes
+
+    def kernel(d):
+        return gram._real_if_close(np.conj(autocorrelations(profile, b * d)))
+
+    assert np.array_equal(g, _lag_matrix_over_every_entry(lam, kernel))
+
+
+def test_the_weighted_norm_lag_matrix_holds_no_n_by_n_temporaries(taper):
+    # the weighted-norm identity's lag matrix of the cells' coefficients, on 1,024 integer points
+    lam = np.sort(np.random.default_rng(5).choice(1300, 1024, replace=False))
+    eb = exact_bounds(taper, 1.0)
+
+    def coefficients(d):
+        return eb.coefficients(d)[0]
+
+    m, peak = _traced(lambda: gram._lag_matrix(lam, coefficients))
+    assert peak <= 2 * m.nbytes
+    assert np.array_equal(m, _lag_matrix_over_every_entry(lam, coefficients))
 
 
 def test_subset_of_an_exact_family_is_exact():

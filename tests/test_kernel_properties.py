@@ -1,18 +1,21 @@
 """Property tests of the closed-form kernel, the exact cells' Fourier coefficients and the exact cell bounds.
 
 Profiles are drawn at random from const, affine and sampled pieces, on
-dyadic or generic breakpoints, so that both branches of the sampled-piece
-kernel (one DFT for integral phases, a direct cell sum otherwise) and the
-small-phase series of the polynomial pieces are exercised.
+dyadic or generic breakpoints, so that the sampled-piece kernel (one sum
+per run of equal samples) and both branches of the polynomial pieces (the
+closed form and the small-phase series) are exercised, at integral and
+non-integral phases alike.
 """
 
 import math
+from unittest import mock
 
 import numpy as np
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from frameseq import spectrum
 from frameseq.gram import build_gram
 from frameseq.periodization import _ROUNDOFF, exact_bounds, periodize
 from frameseq.spectrum import FourierProfile, Piece, autocorrelations
@@ -112,6 +115,92 @@ def test_cell_coefficients_within_budget(profile, b, ns):
     kernel = b * np.conj(autocorrelations(profile, b * ns))
     budget = eb.budget + err + _ROUNDOFF * b * profile.norm_squared() + np.finfo(float).tiny
     assert np.all(np.abs(cells - kernel) <= budget)
+
+
+def _run_samples(rng, runs, longest):
+    """Samples in ``runs`` runs of equal values, each 1 to ``longest`` samples long."""
+    return np.repeat(rng.uniform(0.1, 2.0, runs), rng.integers(1, longest + 1, runs))
+
+
+def _run_profile(rng):
+    """Const, affine and sampled pieces, the samples in runs of equal values or all distinct; the
+    pieces start at 0 and have unit width half the time, so that integral shifts give integral phases."""
+    unit = bool(rng.integers(2))
+    pieces, lo = [], 0.0 if unit else float(rng.uniform(-1.5, 0.5))
+    for kind in rng.permutation(["const", "affine", "runs", "distinct"])[: int(rng.integers(2, 5))]:
+        hi = lo + (1.0 if unit else float(rng.uniform(0.1, 1.0)))
+        if kind == "const":
+            pieces.append(Piece(lo, hi, const=float(rng.uniform(0.1, 2.0))))
+        elif kind == "affine":
+            v0, v1 = rng.uniform(0.0, 2.0, 2)
+            slope = (v1 - v0) / (hi - lo)
+            pieces.append(Piece(lo, hi, affine=(float(slope), float(v0 - slope * lo))))
+        elif kind == "runs":
+            pieces.append(Piece(lo, hi, samples=_run_samples(rng, int(rng.integers(1, 12)), 40)))
+        else:
+            pieces.append(Piece(lo, hi, samples=rng.uniform(0.1, 2.0, int(rng.integers(1, 64)))))
+        lo = hi + (float(rng.integers(2)) if unit else float(rng.uniform(0.0, 0.3)))
+    return FourierProfile(pieces)
+
+
+@given(seed=st.integers(0, 2**32 - 1), b=st.sampled_from([0.5, 1.0, 1.1]), small_blocks=st.booleans())
+@settings(max_examples=80, deadline=None)
+def test_a_shifts_value_does_not_depend_on_its_batch(seed, b, small_blocks):
+    # every shift of a subset, bit for bit as in the call over all of 0..span (and a few
+    # small-phase shifts); small blocks cut the sampled kernel's blocks inside the full call
+    rng = np.random.default_rng(seed)
+    profile = _run_profile(rng)
+    span = int(rng.integers(20, 400))
+    shifts = np.concatenate((b * np.arange(span + 1), rng.uniform(-0.05, 0.05, 8)))
+    subsets = [
+        np.arange(0, span + 1, 2),  # the even shifts: at b = 0.5, integral phases on unit-width pieces
+        np.sort(rng.choice(shifts.size, int(rng.integers(1, shifts.size)), replace=False)),
+        rng.permutation(shifts.size)[:7],
+        np.array([shifts.size - 1]),
+    ]
+    with mock.patch.object(spectrum, "_CELL_BLOCK", 97 if small_blocks else spectrum._CELL_BLOCK):
+        full = autocorrelations(profile, shifts)
+        for idx in subsets:
+            assert np.array_equal(autocorrelations(profile, shifts[idx]), full[idx])
+
+
+def _per_sample_sum(vals, lo, hi, a):
+    """Reference: the direct sum over every sample, cell ``j`` adding
+    ``width * sinc(a width) * vals[j] * e^{2 pi i a mid_j}`` for the ``n`` uniform cells of [lo, hi)."""
+    n = vals.size
+    width = (hi - lo) / n
+    mids = lo + (np.arange(n) + 0.5) * width
+    phases = np.exp(1j * 2.0 * math.pi * np.outer(a, mids))
+    return width * np.sinc(a * width) * (phases @ vals)
+
+
+@given(seed=st.integers(0, 2**32 - 1), b=st.sampled_from([1.0, 2.0, 0.5, 1.1, 0.37]), distinct=st.booleans())
+@settings(max_examples=80, deadline=None)
+def test_run_kernel_matches_the_per_sample_sum(seed, b, distinct):
+    # integral b on a piece of unit width makes every phase a (hi - lo) integral; both sums
+    # round each phase 2 pi a mid to about eps a |mid|, so the piece stays in [-1, 1] and a below 450
+    rng = np.random.default_rng(seed)
+    lo = -float(rng.integers(2)) if rng.integers(2) else float(rng.uniform(-1.0, 0.0))
+    hi = lo + (1.0 if rng.integers(2) else float(rng.uniform(0.1, 1.0)))
+    samples = rng.uniform(0.1, 2.0, int(rng.integers(1, 2000))) if distinct else _run_samples(rng, 40, 200)
+    piece = Piece(lo, hi, samples=samples)
+    a = b * np.arange(401)
+    want = _per_sample_sum(samples**2, lo, hi, a)
+    got = autocorrelations(FourierProfile([piece]), a)
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+@given(seed=st.integers(0, 2**32 - 1))
+@settings(max_examples=40, deadline=None)
+def test_runs_rebuild_the_samples(seed):
+    rng = np.random.default_rng(seed)
+    lo = float(rng.uniform(-2.0, 1.0))
+    samples = _run_samples(rng, int(rng.integers(1, 30)), 8)
+    piece = Piece(lo, lo + float(rng.uniform(0.1, 2.0)), samples=samples)
+    edges, vals = piece.runs()
+    width = (piece.hi - piece.lo) / samples.size
+    assert edges[0] == piece.lo and np.all(vals[1:] != vals[:-1])
+    assert np.array_equal(np.repeat(vals, np.rint(np.diff(edges) / width).astype(int)), samples)
 
 
 def _phi_slope(profile, b):
